@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 
 @dataclass
@@ -26,6 +27,14 @@ class Preconditioner:
 
     solve: Callable[[np.ndarray], np.ndarray]
     matvec: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def restricted(cls, metric, free: np.ndarray) -> "Preconditioner":
+        """LU-factorized restriction of a sparse SPD metric to free DOFs."""
+        idx = free.nonzero()[0]
+        P = metric[np.ix_(idx, idx)].tocsc()
+        lu = spla.splu(P)
+        return cls(solve=lu.solve, matvec=lambda x: P @ x)
 
 
 @dataclass
@@ -53,7 +62,9 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, u0,
     Convergence requires both the free-DOF gradient norm (scaled by 1/p,
     the Euler-Lagrange residual scale) to fall below ``tol`` and the
     relative quotient decrease over the trailing window to stall at
-    ``tol``.  Returns the best iterate seen.
+    ``tol``.  Returns the iterate that passed that test, or the best
+    iterate seen when none did: under the nonmonotone window the two can
+    differ, and only the former carries the stated gradient bound.
     """
     r = p / q
     u = np.abs(np.asarray(u0, dtype=float)).copy()
@@ -83,7 +94,6 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, u0,
 
     d = direction(g)
     alpha = 0.1 * max(float(np.linalg.norm(u)), 1.0) / max(float(np.linalg.norm(d)), 1e-30)
-    converged = False
     it = 0
     while it < max_iter:
         it += 1
@@ -127,6 +137,5 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, u0,
         if gnorm <= tol and len(values) > window:
             drop = (max(values[-window:]) - values[-1]) / max(abs(values[-1]), 1e-300)
             if drop <= tol:
-                converged = True
-                break
-    return DescentResult(best_u, best_val, it, converged, gnorm, values)
+                return DescentResult(u, E, it, True, gnorm, values)
+    return DescentResult(best_u, best_val, it, False, gnorm, values)

@@ -12,24 +12,44 @@ with two-point Gauss nodes per facet (in 1D the boundary facets are points
 with unit mass and B is the plain sum of endpoint values).  The Rayleigh
 quotient E / B^(p/q) is 0-homogeneous; its nodal gradient is assembled
 exactly from the same quadratures.
+
+Every form is evaluated through one set of sparse operators per mesh
+(``Operators``): the cell-gradient matrix D, the interpolation Q to the
+quadrature points of the denominator, and the lumped mass.  Then
+
+    E(u)  = vol . (eps^2 + |D u|^2)^(p/2) + m . |u|^p,
+    dE(u) = D^T (p vol (eps^2 + |D u|^2)^((p-2)/2) D u) + p m |u|^(p-2) u,
+    B(u)  = w . |Q u|^q,    dB(u) = Q^T (q w |Q u|^(q-2) Q u),
+
+and the W^{1,2} metric is D^T diag(vol) D + diag(m).
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .geometry import Mesh, cell_volumes
+from .geometry import Mesh
 
 
 class NotAdmissibleError(ValueError):
     """Field vanishes on the whole boundary: outside the admissible class."""
 
 
-GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+_G1, _G2 = 0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)
+# Quadrature on a simplex with n vertices, keyed by n: barycentric
+# coordinates of the points (one row each) and weights per unit measure.
+# A point facet is evaluated exactly; segments use two-point Gauss, exact
+# for cubics, so B is exact for q = 2 on P1 fields.
+_RULES = {
+    1: (np.array([[1.0]]), np.array([1.0])),
+    2: (np.array([[_G2, _G1], [_G1, _G2]]), np.array([0.5, 0.5])),
+}
 
 
 @dataclass
@@ -79,62 +99,11 @@ class ProblemConfig:
                 f"for p = {self.p} in dimension {dim}")
 
 
-class _Forms:
-    """Per-mesh assembly data (P1 gradients, lumped mass, boundary Gauss)."""
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        v, c = mesh.vertices, mesh.cells
-        vol = cell_volumes(mesh)
-        if np.any(vol <= 0):
-            raise ValueError("mesh has non-positively oriented cells")
-        self.vol = vol
-        nv = mesh.n_vertices
-        if mesh.dim == 1:
-            h = vol
-            self.grad_coeff = np.stack([-1.0 / h, 1.0 / h], axis=1)  # (nc, 2)
-            self.lumped = np.zeros(nv)
-            np.add.at(self.lumped, c[:, 0], 0.5 * h)
-            np.add.at(self.lumped, c[:, 1], 0.5 * h)
-        else:
-            x, y = v[:, 0], v[:, 1]
-            i, j, k = c[:, 0], c[:, 1], c[:, 2]
-            b = np.stack([y[j] - y[k], y[k] - y[i], y[i] - y[j]], axis=1)
-            a = np.stack([x[k] - x[j], x[i] - x[k], x[j] - x[i]], axis=1)
-            self.gx = b / (2.0 * vol[:, None])   # (nc, 3): d(phi_m)/dx
-            self.gy = a / (2.0 * vol[:, None])
-            self.lumped = np.zeros(nv)
-            for m in range(3):
-                np.add.at(self.lumped, c[:, m], vol / 3.0)
-        bf = mesh.boundary
-        if mesh.dim == 2:
-            self.bi, self.bj = bf[:, 0], bf[:, 1]
-        else:
-            self.bi = bf[:, 0]
-        self.boundary_vertices = mesh.boundary_vertex_indices()
-
-    def gradients(self, u):
-        c = self.mesh.cells
-        if self.mesh.dim == 1:
-            g = self.grad_coeff[:, 0] * u[c[:, 0]] + self.grad_coeff[:, 1] * u[c[:, 1]]
-            return (g,)
-        uc = u[c]
-        return (np.sum(self.gx * uc, axis=1), np.sum(self.gy * uc, axis=1))
-
-    def grad_square(self, u):
-        g = self.gradients(u)
-        return sum(comp**2 for comp in g), g
-
-
-_FORMS_CACHE: "weakref.WeakKeyDictionary[Mesh, _Forms]" = weakref.WeakKeyDictionary()
-
-
-def forms(mesh: Mesh) -> _Forms:
-    ops = _FORMS_CACHE.get(mesh)
-    if ops is None:
-        ops = _Forms(mesh)
-        _FORMS_CACHE[mesh] = ops
-    return ops
+def _csr(data, indices, n_cols):
+    """CSR matrix whose row r holds ``data`` at the columns ``indices[r]``."""
+    n_rows, row_nnz = indices.shape
+    indptr = np.arange(0, indices.size + 1, row_nnz, dtype=np.int32)
+    return sp.csr_matrix((data, indices.ravel(), indptr), shape=(n_rows, n_cols))
 
 
 def _signed_power(x, e):
@@ -142,37 +111,143 @@ def _signed_power(x, e):
     return np.sign(x) * np.abs(x) ** e
 
 
+class Operators:
+    """Sparse P1 operators of one simplicial mesh, built once and shared by
+    every quotient evaluated on it.
+
+    D     CSR (dim * n_cells, n_vertices): row k * n_cells + c is the k-th
+          gradient component on cell c; DT is its transpose, also CSR.
+    vol   weight of the gradient density per cell (cell measure).
+    mass  lumped weight of |u|^p per vertex.
+    Q     CSR interpolation to the quadrature points of the denominator on
+          the simplices ``quad_simplices`` (row k * n + f is point k of
+          simplex f); w holds the quadrature weights, QT is Q's transpose.
+
+    Optional nodal weights ``rho`` (of the energy: cell averages scale vol,
+    nodal values scale mass) and ``beta`` (of the denominator, interpolated
+    to the quadrature points) give the weighted 1D limit forms.  The object
+    keeps no reference to a Mesh, so caching it under its mesh as a weak key
+    frees both together.
+    """
+
+    def __init__(self, vertices, cells, quad_simplices, quad_measures,
+                 rho=None, beta=None):
+        nv, npc = vertices.shape[0], cells.shape[1]
+        self.dim = npc - 1
+        # rows of E are the edge vectors x_k - x_0; the columns of E^{-1}
+        # are the gradients of the hat functions of vertices 1..dim
+        E = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
+        vol = np.linalg.det(E) / math.factorial(self.dim)
+        if np.any(vol <= 0):
+            raise ValueError("mesh has non-positively oriented cells")
+        Einv = np.linalg.inv(E)
+        grads = np.concatenate([-Einv.sum(axis=2, keepdims=True), Einv], axis=2)
+        del E, Einv    # dense temporaries go before D and DT are built
+        self.D = _csr(grads.transpose(1, 0, 2).ravel(),
+                      np.tile(cells.astype(np.int32), (self.dim, 1)), nv)
+        del grads
+        self.DT = self.D.T.tocsr()
+        self.mass = np.bincount(cells.ravel(), minlength=nv,
+                                weights=np.repeat(vol / npc, npc))
+        if rho is not None:
+            vol = vol * rho[cells].mean(axis=1)
+            self.mass = self.mass * rho
+        self.vol = vol
+        bary, weights = _RULES[quad_simplices.shape[1]]
+        self.Q = _csr(np.repeat(bary, quad_simplices.shape[0], axis=0).ravel(),
+                      np.tile(quad_simplices.astype(np.int32), (bary.shape[0], 1)), nv)
+        self.QT = self.Q.T.tocsr()
+        self.w = np.outer(weights, quad_measures).ravel()
+        if beta is not None:
+            self.w = self.w * (self.Q @ beta)
+        self._h1 = None
+
+    def _point_weights(self, simplex_weights):
+        if simplex_weights is None:
+            return self.w
+        return self.w * np.tile(simplex_weights, self.w.size // simplex_weights.size)
+
+    def density(self, cfg: ProblemConfig, u):
+        """D u and eps^2 + |grad u|^2 per cell."""
+        Du = self.D @ u
+        return Du, cfg.eps**2 + (Du * Du).reshape(self.dim, -1).sum(axis=0)
+
+    def energy(self, cfg: ProblemConfig, u) -> float:
+        _, s = self.density(cfg, u)
+        return float(self.vol @ s ** (cfg.p / 2.0)
+                     + self.mass @ np.abs(u) ** cfg.p)
+
+    def energy_gradient(self, cfg: ProblemConfig, u) -> np.ndarray:
+        p = cfg.p
+        Du, s = self.density(cfg, u)
+        flux = Du.reshape(self.dim, -1) * (p * self.vol * s ** ((p - 2.0) / 2.0))
+        return (self.DT @ flux.ravel()
+                + p * self.mass * _signed_power(u, p - 1.0))
+
+    def point_integrand(self, cfg: ProblemConfig, u) -> np.ndarray:
+        """w |u|^q at every quadrature point, in the row order of Q."""
+        return self.w * np.abs(self.Q @ u) ** cfg.q
+
+    def norm(self, cfg: ProblemConfig, u, simplex_weights=None) -> float:
+        w = self._point_weights(simplex_weights)
+        return float(w @ np.abs(self.Q @ u) ** cfg.q)
+
+    def norm_gradient(self, cfg: ProblemConfig, u,
+                      simplex_weights=None) -> np.ndarray:
+        q = cfg.q
+        w = self._point_weights(simplex_weights)
+        return self.QT @ (q * w * _signed_power(self.Q @ u, q - 1.0))
+
+    def h1(self):
+        """D^T diag(vol) D + diag(mass), assembled on first use and kept."""
+        if self._h1 is None:
+            row_vol = np.repeat(np.tile(self.vol, self.dim), self.dim + 1)
+            Dw = sp.csr_matrix((self.D.data * row_vol,
+                                self.D.indices, self.D.indptr), shape=self.D.shape)
+            K = self.DT @ Dw
+            K.setdiag(K.diagonal() + self.mass)
+            self._h1 = K
+        return self._h1
+
+
+_FORMS_CACHE: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()
+
+
+def forms(mesh: Mesh) -> Operators:
+    """The mesh's operators: boundary facets carry the denominator."""
+    ops = _FORMS_CACHE.get(mesh)
+    if ops is None:
+        ops = Operators(mesh.vertices, mesh.cells, mesh.boundary,
+                        mesh.facet_lengths)
+        _FORMS_CACHE[mesh] = ops
+    return ops
+
+
+def boundary_arclengths(mesh: Mesh) -> np.ndarray:
+    """Arclength of every boundary quadrature point, in the row order of Q."""
+    bary, _ = _RULES[mesh.boundary.shape[1]]
+    return (mesh.facet_arclength
+            + np.outer(bary[:, -1], mesh.facet_lengths)).ravel()
+
+
+def facet_boundary_energy(mesh: Mesh, cfg: ProblemConfig,
+                          u: np.ndarray) -> np.ndarray:
+    """Per-facet integral of |u|^q by the quadrature of the norm."""
+    return forms(mesh).point_integrand(cfg, u).reshape(-1, mesh.n_facets).sum(axis=0)
+
+
 def energy(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> float:
-    ops = forms(mesh)
-    g2, _ = ops.grad_square(u)
-    eps2 = cfg.eps**2
-    grad_term = float(np.sum(ops.vol * (eps2 + g2) ** (cfg.p / 2.0)))
-    mass_term = float(np.sum(ops.lumped * np.abs(u) ** cfg.p))
-    return grad_term + mass_term
+    return forms(mesh).energy(cfg, u)
 
 
 def boundary_norm_q(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray,
                     facet_weights: Optional[np.ndarray] = None) -> float:
     """Integral of |u|^q over the boundary (optionally facet-weighted)."""
-    ops = forms(mesh)
-    if mesh.dim == 1:
-        vals = np.abs(u[ops.bi]) ** cfg.q * mesh.facet_lengths
-        if facet_weights is not None:
-            vals = vals * facet_weights
-        return float(np.sum(vals))
-    a1, a2 = GAUSS2
-    ui, uj = u[ops.bi], u[ops.bj]
-    u1 = a2 * ui + a1 * uj
-    u2 = a1 * ui + a2 * uj
-    per_facet = 0.5 * mesh.facet_lengths * (np.abs(u1) ** cfg.q + np.abs(u2) ** cfg.q)
-    if facet_weights is not None:
-        per_facet = per_facet * facet_weights
-    return float(np.sum(per_facet))
+    return forms(mesh).norm(cfg, u, facet_weights)
 
 
 def _check_admissible(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> None:
-    ops = forms(mesh)
-    if np.max(np.abs(u[ops.boundary_vertices]), initial=0.0) <= cfg.dof_tolerance:
+    if np.max(np.abs(u[mesh.boundary]), initial=0.0) <= cfg.dof_tolerance:
         raise NotAdmissibleError(
             "field vanishes on the whole boundary within dof_tolerance; "
             "the quotient is only defined off W^{1,p}_0")
@@ -184,45 +259,12 @@ def rayleigh_quotient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> float:
 
 
 def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarray:
-    ops = forms(mesh)
-    p = cfg.p
-    g2, grads = ops.grad_square(u)
-    coeff = p * ops.vol * (cfg.eps**2 + g2) ** ((p - 2.0) / 2.0)
-    out = np.zeros_like(u)
-    c = mesh.cells
-    if mesh.dim == 1:
-        w = coeff * grads[0]
-        np.add.at(out, c[:, 0], w * ops.grad_coeff[:, 0])
-        np.add.at(out, c[:, 1], w * ops.grad_coeff[:, 1])
-    else:
-        wx, wy = coeff * grads[0], coeff * grads[1]
-        for m in range(3):
-            np.add.at(out, c[:, m], wx * ops.gx[:, m] + wy * ops.gy[:, m])
-    out += p * ops.lumped * _signed_power(u, p - 1.0)
-    return out
+    return forms(mesh).energy_gradient(cfg, u)
 
 
 def boundary_norm_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray,
                            facet_weights: Optional[np.ndarray] = None) -> np.ndarray:
-    ops = forms(mesh)
-    q = cfg.q
-    out = np.zeros_like(u)
-    if mesh.dim == 1:
-        w = mesh.facet_lengths if facet_weights is None else mesh.facet_lengths * facet_weights
-        np.add.at(out, ops.bi, q * w * _signed_power(u[ops.bi], q - 1.0))
-        return out
-    a1, a2 = GAUSS2
-    ui, uj = u[ops.bi], u[ops.bj]
-    u1 = a2 * ui + a1 * uj
-    u2 = a1 * ui + a2 * uj
-    w = 0.5 * mesh.facet_lengths
-    if facet_weights is not None:
-        w = w * facet_weights
-    s1 = q * w * _signed_power(u1, q - 1.0)
-    s2 = q * w * _signed_power(u2, q - 1.0)
-    np.add.at(out, ops.bi, a2 * s1 + a1 * s2)
-    np.add.at(out, ops.bj, a1 * s1 + a2 * s2)
-    return out
+    return forms(mesh).norm_gradient(cfg, u, facet_weights)
 
 
 def quotient_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarray:
@@ -250,27 +292,6 @@ def weak_form_vectors(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray):
 
 def h1_operator(mesh: Mesh):
     """Sparse stiffness + lumped mass matrix (the W^{1,2} metric used to
-    precondition descent for every exponent p)."""
-    import scipy.sparse as sp
-
-    ops = forms(mesh)
-    c = mesh.cells
-    nv = mesh.n_vertices
-    rows, cols, vals = [], [], []
-    if mesh.dim == 1:
-        for m in range(2):
-            for n in range(2):
-                rows.append(c[:, m])
-                cols.append(c[:, n])
-                vals.append(ops.vol * ops.grad_coeff[:, m] * ops.grad_coeff[:, n])
-    else:
-        for m in range(3):
-            for n in range(3):
-                rows.append(c[:, m])
-                cols.append(c[:, n])
-                vals.append(ops.vol * (ops.gx[:, m] * ops.gx[:, n]
-                                       + ops.gy[:, m] * ops.gy[:, n]))
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nv, nv)).tocsr()
-    return K + sp.diags(ops.lumped)
+    precondition descent for every exponent p); cached with the mesh, so
+    callers must not modify it."""
+    return forms(mesh).h1()

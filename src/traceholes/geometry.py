@@ -88,8 +88,8 @@ class Mesh:
     """Conforming simplicial mesh with an arclength-parameterized boundary.
 
     boundary[i] holds the vertex indices of the i-th boundary facet in
-    counterclockwise walk order; facet_lengths, facet_normals and
-    facet_arclength (cumulative start offset) line up with it.
+    counterclockwise walk order; facet_lengths and facet_arclength
+    (cumulative start offset) line up with it.
     """
 
     dim: int
@@ -97,7 +97,6 @@ class Mesh:
     cells: np.ndarray             # (nc, dim + 1)
     boundary: np.ndarray          # (nf, dim)  vertex indices per facet
     facet_lengths: np.ndarray     # (nf,)
-    facet_normals: np.ndarray     # (nf, dim) outward unit normals
     facet_arclength: np.ndarray   # (nf,) start offset of each facet
     resolution: float
     domain: Domain
@@ -105,7 +104,7 @@ class Mesh:
 
     def __post_init__(self):
         for arr in (self.vertices, self.cells, self.boundary,
-                    self.facet_lengths, self.facet_normals, self.facet_arclength):
+                    self.facet_lengths, self.facet_arclength):
             arr.setflags(write=False)
 
     @property
@@ -168,10 +167,8 @@ def _mesh_interval(domain: Interval, resolution: float) -> Mesh:
     boundary = np.array([[0], [n]])
     # counting-measure convention: each endpoint is a point mass of size 1
     lengths = np.ones(2)
-    normals = np.array([[-1.0], [1.0]])
     arclen = np.array([0.0, 1.0])
-    return Mesh(1, x, cells, boundary, lengths, normals, arclen,
-                resolution, domain)
+    return Mesh(1, x, cells, boundary, lengths, arclen, resolution, domain)
 
 
 def _mesh_rectangle(width, height, resolution, domain, x0=0.0, ny=None) -> Mesh:
@@ -198,19 +195,15 @@ def _mesh_rectangle(width, height, resolution, domain, x0=0.0, ny=None) -> Mesh:
             cells.append((v00, v11, v01))
     cells = np.array(cells)
 
-    facets, normals = [], []
+    facets = []
     for i in range(nx):                       # bottom, x increasing
         facets.append((vid(i, 0), vid(i + 1, 0)))
-        normals.append((0.0, -1.0))
     for j in range(ny):                       # right, y increasing
         facets.append((vid(nx, j), vid(nx, j + 1)))
-        normals.append((1.0, 0.0))
     for i in range(nx, 0, -1):                # top, x decreasing
         facets.append((vid(i, ny), vid(i - 1, ny)))
-        normals.append((0.0, 1.0))
     for j in range(ny, 0, -1):                # left, y decreasing
         facets.append((vid(0, j), vid(0, j - 1)))
-        normals.append((-1.0, 0.0))
     boundary = np.array(facets)
     lengths = np.linalg.norm(
         vertices[boundary[:, 1]] - vertices[boundary[:, 0]], axis=1)
@@ -218,8 +211,8 @@ def _mesh_rectangle(width, height, resolution, domain, x0=0.0, ny=None) -> Mesh:
     meta = {"grid": (nx, ny)}
     if isinstance(domain, ThinRectangle):
         meta["mu"] = domain.mu
-    return Mesh(2, vertices, cells, boundary, lengths, np.array(normals),
-                arclen, resolution, domain, meta)
+    return Mesh(2, vertices, cells, boundary, lengths, arclen, resolution,
+                domain, meta)
 
 
 def _mesh_disk(domain: Disk, resolution: float) -> Mesh:
@@ -267,11 +260,9 @@ def _mesh_disk(domain: Disk, resolution: float) -> Mesh:
                                 b0 + (np.arange(nb) + 1) % nb])
     lengths = np.linalg.norm(
         vertices[boundary[:, 1]] - vertices[boundary[:, 0]], axis=1)
-    mids = 0.5 * (vertices[boundary[:, 0]] + vertices[boundary[:, 1]])
-    normals = mids / np.linalg.norm(mids, axis=1, keepdims=True)
     arclen = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
-    return Mesh(2, vertices, cells, boundary, lengths, normals, arclen,
-                resolution, domain, {"rings": m})
+    return Mesh(2, vertices, cells, boundary, lengths, arclen, resolution,
+                domain, {"rings": m})
 
 
 def cell_volumes(mesh: Mesh) -> np.ndarray:
@@ -331,8 +322,11 @@ def _arc_facet_set(mesh: Mesh, start: float, length: float) -> frozenset:
     if length >= P - eps:
         return mesh.facet_set()
     s0 = float(start) % P
-    # walk offset of each facet relative to the arc start
+    # walk offset of each facet relative to the arc start; a facet starting
+    # within eps before s0 starts at s0 (its offset would otherwise wrap to
+    # just under P, sort last and be dropped)
     t = (mesh.facet_arclength - s0) % P
+    t[t >= P - eps] = 0.0
     order = np.argsort(t, kind="stable")
     t_sorted = t[order]
     L_sorted = mesh.facet_lengths[order]

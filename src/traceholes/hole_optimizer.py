@@ -63,7 +63,13 @@ def _target_measure(mesh: Mesh, alpha: float) -> float:
 def _greedy_select(mesh: Mesh, scores: np.ndarray, target: float) -> frozenset:
     """Smallest-score facets first until the measure snaps to the target;
     ties break on the lower facet index for determinism."""
-    order = np.lexsort((np.arange(mesh.n_facets), scores))
+    return _snap_select(mesh, np.lexsort((np.arange(mesh.n_facets), scores)),
+                        target)
+
+
+def _snap_select(mesh: Mesh, order, target: float) -> frozenset:
+    """Facets in the given order, each taken when it brings the measure
+    closer to the target, until the target is reached."""
     chosen = []
     measure = 0.0
     for f in order:
@@ -74,17 +80,6 @@ def _greedy_select(mesh: Mesh, scores: np.ndarray, target: float) -> frozenset:
         if measure >= target:
             break
     return frozenset(chosen)
-
-
-def _facet_boundary_energy(mesh: Mesh, cfg: ProblemConfig,
-                           u: np.ndarray) -> np.ndarray:
-    """Per-facet int |u|^q by the same two-point Gauss rule as the norm."""
-    ops = fem.forms(mesh)
-    a1, a2 = fem.GAUSS2
-    ui, uj = u[ops.bi], u[ops.bj]
-    u1 = a2 * ui + a1 * uj
-    u2 = a1 * ui + a2 * uj
-    return 0.5 * mesh.facet_lengths * (np.abs(u1) ** cfg.q + np.abs(u2) ** cfg.q)
 
 
 def _relaxed_ranking_field(mesh: Mesh, cfg: ProblemConfig,
@@ -120,17 +115,7 @@ def _leaves_free_vertex(mesh: Mesh, facets: frozenset) -> bool:
 def _random_hole(mesh: Mesh, rng: np.random.Generator,
                  target: float) -> frozenset:
     for _ in range(50):
-        order = rng.permutation(mesh.n_facets)
-        chosen = []
-        measure = 0.0
-        for f in order:
-            lf = float(mesh.facet_lengths[f])
-            if abs(measure + lf - target) <= abs(measure - target):
-                chosen.append(int(f))
-                measure += lf
-            if measure >= target:
-                break
-        facets = frozenset(chosen)
+        facets = _snap_select(mesh, rng.permutation(mesh.n_facets), target)
         if _leaves_free_vertex(mesh, facets):
             return facets
     # dense alphas on coarse meshes: fall back to a contiguous arc, which
@@ -206,7 +191,7 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
             w = _relaxed_ranking_field(mesh, cfg, run_hole, ranking_init)
             ranking_init = w
             n_solves += 1
-            scores = _facet_boundary_energy(mesh, cfg, w)
+            scores = fem.facet_boundary_energy(mesh, cfg, w)
             proposal = _greedy_select(mesh, scores, target)
             if proposal == run_hole.facet_indices:
                 converged_any = True

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._descent import Preconditioner, minimize_quotient
-from .fem import GAUSS2, ProblemConfig, _signed_power
+from .fem import Operators, ProblemConfig
 
 
 @dataclass
@@ -96,81 +96,21 @@ class LimitResult:
     converged: bool
 
 
-class _LimitForms:
-    """Assembly for the weighted interior quotient on a uniform grid."""
-
-    def __init__(self, problem: OneDimProblem, n_cells: int):
-        self.x = np.linspace(problem.a, problem.b, n_cells + 1)
-        self.h = (problem.b - problem.a) / n_cells
-        self.cfg = problem.config()
-        rho = problem.rho or (lambda x: np.ones_like(x))
-        beta = problem.beta or (lambda x: np.ones_like(x))
-        rho_n = np.asarray(rho(self.x), dtype=float)
-        if np.any(rho_n <= 0):
-            raise ValueError("rho must be positive for a weighted norm")
-        beta_n = np.asarray(beta(self.x), dtype=float)
-        if np.any(beta_n < 0):
-            raise ValueError("beta must be nonnegative")
-        self.rho_cell = 0.5 * (rho_n[:-1] + rho_n[1:])
-        self.rho_lumped = np.zeros(self.x.size)
-        self.rho_lumped[:-1] += 0.5 * self.h * rho_n[:-1]
-        self.rho_lumped[1:] += 0.5 * self.h * rho_n[1:]
-        a1, a2 = GAUSS2
-        self.beta_g1 = a2 * beta_n[:-1] + a1 * beta_n[1:]
-        self.beta_g2 = a1 * beta_n[:-1] + a2 * beta_n[1:]
-
-    def energy(self, u):
-        p, eps2 = self.cfg.p, self.cfg.eps**2
-        g = np.diff(u) / self.h
-        grad = float(np.sum(self.rho_cell * self.h * (eps2 + g * g) ** (p / 2)))
-        mass = float(np.sum(self.rho_lumped * np.abs(u) ** p))
-        return grad + mass
-
-    def energy_gradient(self, u):
-        p, eps2 = self.cfg.p, self.cfg.eps**2
-        g = np.diff(u) / self.h
-        w = p * self.rho_cell * self.h * (eps2 + g * g) ** ((p - 2) / 2) * g / self.h
-        out = np.zeros_like(u)
-        out[:-1] -= w
-        out[1:] += w
-        out += p * self.rho_lumped * _signed_power(u, p - 1)
-        return out
-
-    def denom(self, u):
-        q = self.cfg.q
-        a1, a2 = GAUSS2
-        u1 = a2 * u[:-1] + a1 * u[1:]
-        u2 = a1 * u[:-1] + a2 * u[1:]
-        return float(np.sum(0.5 * self.h * (self.beta_g1 * np.abs(u1) ** q
-                                            + self.beta_g2 * np.abs(u2) ** q)))
-
-    def denom_gradient(self, u):
-        q = self.cfg.q
-        a1, a2 = GAUSS2
-        u1 = a2 * u[:-1] + a1 * u[1:]
-        u2 = a1 * u[:-1] + a2 * u[1:]
-        s1 = 0.5 * self.h * q * self.beta_g1 * _signed_power(u1, q - 1)
-        s2 = 0.5 * self.h * q * self.beta_g2 * _signed_power(u2, q - 1)
-        out = np.zeros_like(u)
-        out[:-1] += a2 * s1 + a1 * s2
-        out[1:] += a1 * s1 + a2 * s2
-        return out
-
-    def preconditioner(self, free):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        n = self.x.size
-        main = np.zeros(n)
-        off = -np.ones(n - 1) / self.h
-        main[:-1] += 1.0 / self.h
-        main[1:] += 1.0 / self.h
-        P = sp.diags([off, main + self.rho_lumped, off], [-1, 0, 1],
-                     format="csc")
-        idx = free.nonzero()[0]
-        Pf = P[np.ix_(idx, idx)].tocsc()
-        lu = spla.splu(Pf)
-        return Preconditioner(solve=lu.solve, matvec=lambda v: Pf @ v)
+def _limit_operators(problem: OneDimProblem, x: np.ndarray) -> Operators:
+    """The shared P1 operators on the grid, with the denominator's
+    quadrature on the cells and the rho/beta weights folded in."""
+    rho = problem.rho or (lambda x: np.ones_like(x))
+    beta = problem.beta or (lambda x: np.ones_like(x))
+    rho_n = np.asarray(rho(x), dtype=float)
+    if np.any(rho_n <= 0):
+        raise ValueError("rho must be positive for a weighted norm")
+    beta_n = np.asarray(beta(x), dtype=float)
+    if np.any(beta_n < 0):
+        raise ValueError("beta must be nonnegative")
+    n = x.size - 1
+    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    return Operators(x.reshape(-1, 1), cells, cells, np.diff(x),
+                     rho=rho_n, beta=beta_n)
 
 
 def _hole_mask(x, hole, h):
@@ -189,31 +129,35 @@ def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
     lo, hi = hole
     if not (problem.a <= lo < hi <= problem.b):
         raise ValueError("hole must be a sub-interval of (a, b)")
-    forms = _LimitForms(problem, n_cells)
+    x = np.linspace(problem.a, problem.b, n_cells + 1)
+    h = (problem.b - problem.a) / n_cells
     target = problem.alpha * problem.length
-    if abs((hi - lo) - target) > forms.h + 1e-9 * forms.h:
+    if abs((hi - lo) - target) > h + 1e-9 * h:
         raise ValueError(
             f"hole measure {hi - lo} does not match alpha within one cell")
-    constrained = _hole_mask(forms.x, hole, forms.h)
+    constrained = _hole_mask(x, hole, h)
     free = ~constrained
     if not np.any(free):
         raise ValueError("hole covers the whole interval")
     if init is None:
-        u0 = np.ones(forms.x.size)
+        u0 = np.ones(x.size)
     else:
         u0 = np.abs(np.asarray(init, dtype=float)).copy()
         u0[free] = np.maximum(u0[free], 1e-12 * max(float(u0.max()), 1.0))
     u0[constrained] = 0.0
+    ops = _limit_operators(problem, x)
+    cfg = problem.config()
     res = minimize_quotient(
-        forms.energy, forms.energy_gradient, forms.denom, forms.denom_gradient,
+        lambda u: ops.energy(cfg, u), lambda u: ops.energy_gradient(cfg, u),
+        lambda u: ops.norm(cfg, u), lambda u: ops.norm_gradient(cfg, u),
         problem.p, problem.q, free, u0,
         tol=problem.dof_tolerance, max_iter=problem.max_inner_iterations,
-        precond=forms.preconditioner(free))
+        precond=Preconditioner.restricted(ops.h1(), free))
     u = np.abs(res.u)
     u[constrained] = 0.0
-    u = u * forms.denom(u) ** (-1.0 / problem.q)
-    value = forms.energy(u)
-    return LimitResult(value, u, forms.x, (lo, hi), res.iterations,
+    u = u * ops.norm(cfg, u) ** (-1.0 / problem.q)
+    value = ops.energy(cfg, u)
+    return LimitResult(value, u, x, (lo, hi), res.iterations,
                        res.converged)
 
 

@@ -44,13 +44,6 @@ class ShapeDerivativeResult:
     fd_estimates: list = field(default_factory=list)
 
 
-def _gauss_arclengths(mesh: Mesh):
-    a1, a2 = fem.GAUSS2
-    s0 = mesh.facet_arclength
-    L = mesh.facet_lengths
-    return s0 + a1 * L, s0 + a2 * L
-
-
 def evaluate_shape_derivative(mesh: Mesh, cfg: ProblemConfig,
                               hole: BoundaryHole, V: TangentialField,
                               trace: TraceResult) -> ShapeDerivativeResult:
@@ -68,30 +61,23 @@ def evaluate_shape_derivative(mesh: Mesh, cfg: ProblemConfig,
     ops = fem.forms(mesh)
 
     # boundary term: -(p/q) S  int |u|^q div_tau V, with div_tau V = v'(s)
-    sg1, sg2 = _gauss_arclengths(mesh)
-    a1, a2 = fem.GAUSS2
-    ui, uj = u[ops.bi], u[ops.bj]
-    u1 = a2 * ui + a1 * uj
-    u2 = a1 * ui + a2 * uj
-    dv1 = np.asarray(dspeed_at(mesh, V, sg1), dtype=float)
-    dv2 = np.asarray(dspeed_at(mesh, V, sg2), dtype=float)
-    bint = float(np.sum(0.5 * mesh.facet_lengths
-                        * (np.abs(u1) ** q * dv1 + np.abs(u2) ** q * dv2)))
+    dv = np.asarray(dspeed_at(mesh, V, fem.boundary_arclengths(mesh)), dtype=float)
+    bint = float(ops.point_integrand(cfg, u) @ dv)
     boundary_term = -(p / q) * trace.s_value * bint
 
     # volume term R(u) at cell centroids
     centroids = mesh.vertices[mesh.cells].mean(axis=1)
     div, DV = field_divergence_and_jacobian(mesh, V, centroids)
-    g2, grads = ops.grad_square(u)
-    gx, gy = grads
-    dens = (cfg.eps**2 + g2) ** (p / 2.0) \
+    Du, dens_grad = ops.density(cfg, u)
+    gx, gy = Du.reshape(2, -1)
+    dens = dens_grad ** (p / 2.0) \
         + np.mean(np.abs(u[mesh.cells]) ** p, axis=1)
     term1 = float(np.sum(ops.vol * dens * div))
     w0 = DV[:, 0, 0] * gx + DV[:, 1, 0] * gy   # (DV^T grad u)_x
     w1 = DV[:, 0, 1] * gx + DV[:, 1, 1] * gy
     inner = gx * w0 + gy * w1
     term2 = -p * float(np.sum(
-        ops.vol * (cfg.eps**2 + g2) ** ((p - 2.0) / 2.0) * inner))
+        ops.vol * dens_grad ** ((p - 2.0) / 2.0) * inner))
     volume_term = term1 + term2
     return ShapeDerivativeResult(boundary_term + volume_term,
                                  boundary_term, volume_term)

@@ -67,11 +67,7 @@ def _validate(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole) -> np.ndarray:
 
 
 def _h1_preconditioner(mesh: Mesh, free: np.ndarray) -> Preconditioner:
-    import scipy.sparse.linalg as spla
-
-    P = fem.h1_operator(mesh)[np.ix_(free.nonzero()[0], free.nonzero()[0])].tocsc()
-    lu = spla.splu(P)
-    return Preconditioner(solve=lu.solve, matvec=lambda x: P @ x)
+    return Preconditioner.restricted(fem.h1_operator(mesh), free)
 
 
 def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
@@ -124,16 +120,14 @@ def el_residual(mesh: Mesh, cfg: ProblemConfig, result: TraceResult,
 
     max_phi |a(u, phi) - lambda b(u, phi)| / ||phi|| with phi ranging over
     free nodal directions equals the Euclidean norm of the free residual
-    vector; the result must be boundary-normalized.
+    vector.  lambda is the least-squares multiplier of the extremal, which
+    the solver reports as ``lam``; the extremal must be boundary-normalized.
     """
     u = result.extremal
     B = fem.boundary_norm_q(mesh, cfg, u)
     if abs(B - 1.0) > 1e-8:
         raise ValueError("el_residual expects a normalized extremal")
-    free = free_dof_mask(mesh, hole)
-    a_vec, b_vec = fem.weak_form_vectors(mesh, cfg, u)
-    r = a_vec[free] - result.lam * b_vec[free]
-    return float(np.linalg.norm(r))
+    return _multiplier_and_residual(mesh, cfg, u, free_dof_mask(mesh, hole))[1]
 
 
 @dataclass

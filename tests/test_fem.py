@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,3 +157,12 @@ def test_h1_operator_matches_dense_assembly():
     K, Mdiag, _ = assemble_p2_matrices(mesh)
     P = h1_operator(mesh).toarray()
     assert np.allclose(P, K + np.diag(Mdiag), atol=1e-13)
+
+
+def test_cached_operators_do_not_keep_the_mesh_alive():
+    mesh = generate_mesh(Disk(1), 0.25)
+    h1_operator(mesh)       # builds the mesh's operators and caches both
+    ref = weakref.ref(mesh)
+    del mesh
+    gc.collect()
+    assert ref() is None

@@ -132,10 +132,10 @@ def test_transport_collision_rejected(disk):
     both = type(a)(a.facet_indices | b.facet_indices,
                    a.measure + b.measure)
     # grow the first arc's end across the 0.05 P gap into the second arc
-    # (narrow bump: the second arc's endpoints must not ride along)
+    # (narrow bump: the second arc's endpoints must not ride along, so its
+    # support ends two facets past 0.3 P, short of the start at 0.35 P)
     f = float(disk.facet_lengths.max())
-    speed, dspeed = plateau_speed(disk, 0.3 * P - 2 * f, 0.3 * P + 2 * f,
-                                  2 * f, 1.0)
+    speed, dspeed = plateau_speed(disk, 0.3 * P - f, 0.3 * P + f, f, 1.0)
     V = tangential_field(disk, speed, dspeed)
     with pytest.raises(ValueError):
         transport_hole(disk, both, V, 0.1 * P)

@@ -3,7 +3,7 @@ import pytest
 
 from traceholes.fem import NotAdmissibleError, ProblemConfig
 from traceholes.geometry import (
-    Disk, Interval, Rectangle, generate_mesh, hole_from_facets,
+    Disk, Interval, Rectangle, generate_mesh, hole_arcs, hole_from_facets,
     make_hole_from_arc,
 )
 from traceholes.trace_solver import (
@@ -102,6 +102,33 @@ def test_el_residual_of_converged_and_random(disk_coarse):
     u = u / boundary_norm_q(disk_coarse, cfg, u) ** 0.5
     fake = replace(res, extremal=u)
     assert el_residual(disk_coarse, cfg, fake, hole) > 10 * cfg.dof_tolerance
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+@pytest.mark.parametrize("res", [0.2, 0.3])
+def test_converged_solve_meets_residual_tolerance(p, res):
+    # the reported extremal is the iterate that passed the stopping test,
+    # not a better-valued earlier one from the nonmonotone window
+    mesh = generate_mesh(Disk(1), res)
+    cfg = ProblemConfig(p, 2, dof_tolerance=1e-9)
+    hole = make_hole_from_arc(mesh, 0.0, np.pi / 2)
+    out = solve_trace_constant(mesh, cfg, hole)
+    assert out.converged
+    assert out.el_residual <= cfg.dof_tolerance
+    assert el_residual(mesh, cfg, out, hole) <= cfg.dof_tolerance
+
+
+def test_sector_starts_snap_to_sector_facets():
+    # a start at k P / 6 lands within an ulp of the boundary of facet 20 k;
+    # the snap must keep that facet in every sector of the symmetric mesh
+    mesh = generate_mesh(Disk(1), 0.05)
+    cfg = ProblemConfig(2, 2)
+    values = []
+    for k in range(6):
+        hole = make_hole_from_arc(mesh, k * mesh.perimeter / 6, np.pi / 2)
+        assert hole_arcs(mesh, hole)[0][0] == 20 * k
+        values.append(solve_trace_constant(mesh, cfg, hole).s_value)
+    assert max(values) - min(values) <= 1e-12 * min(values)
 
 
 def test_el_residual_of_dense_eigenpair():
