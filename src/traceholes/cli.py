@@ -106,7 +106,8 @@ def _out_dir(spec: RunSpec) -> Path:
 
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header, rows):
@@ -374,6 +375,7 @@ def run(spec: RunSpec) -> int:
     """Validate and dispatch a run; returns the process exit code."""
     if spec.command not in _DISPATCH:
         raise SpecError(f"unknown command {spec.command!r}")
+    spec.config()       # exponents and tolerances, before any command reads them
     out = _out_dir(spec)
     return _DISPATCH[spec.command](spec, out)
 

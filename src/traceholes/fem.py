@@ -27,6 +27,7 @@ and the W^{1,2} metric is D^T diag(vol) D + diag(m).
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 from typing import Optional
@@ -68,6 +69,13 @@ class ProblemConfig:
     max_inner_iterations: int = 20000
 
     def __post_init__(self):
+        for name in ("p", "q", "epsilon", "dof_tolerance"):
+            value = getattr(self, name)
+            if value is None and name == "epsilon":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.p <= 1:
             raise ValueError("exponent p must exceed 1")
         if self.q < 1:

@@ -426,6 +426,19 @@ def _cutoff_derivative(t):
     return np.where(inside, -0.5 * np.pi * np.sin(np.pi * np.clip(t, 0.0, 1.0)), 0.0)
 
 
+def max_tube_width(mesh: Mesh) -> float:
+    """Supremum of the tube widths the interior extension admits: the
+    disk radius, or half the shortest side of a rectangle."""
+    dom = mesh.domain
+    if isinstance(dom, Disk):
+        return dom.radius
+    if isinstance(dom, Rectangle):
+        return 0.5 * min(dom.width, dom.height)
+    if isinstance(dom, ThinRectangle):
+        return 0.5 * min(dom.b - dom.a, dom.mu)
+    return float("inf")
+
+
 def tangential_field(mesh: Mesh, speed, dspeed=None, delta: float = None,
                      extension: str = "tube") -> TangentialField:
     """Build a tangential field from a speed function of arclength (or a
@@ -433,7 +446,12 @@ def tangential_field(mesh: Mesh, speed, dspeed=None, delta: float = None,
     if mesh.dim != 2:
         raise ValueError("tangential fields need a 2D mesh")
     if delta is None:
+        # three cells wide, or half the admissible width where three cells
+        # do not fit (every thin rectangle with resolution >= mu / 6)
+        limit = max_tube_width(mesh)
         delta = 3.0 * mesh.resolution
+        if not delta < limit:
+            delta = 0.5 * limit
     s_nodes = mesh.facet_arclength
     if callable(speed):
         nodal = np.asarray(speed(s_nodes), dtype=float)
@@ -556,6 +574,8 @@ def field_divergence_and_jacobian(mesh: Mesh, V: TangentialField,
         return div, DV
     if V.extension != "tube":
         raise ValueError(f"unknown extension rule {V.extension!r}")
+    if not V.delta < max_tube_width(mesh):
+        raise ValueError("field support exceeds the admissible boundary tube")
     if isinstance(mesh.domain, Disk):
         return _tube_disk(mesh, V, pts)
     if isinstance(mesh.domain, (Rectangle, ThinRectangle)):
@@ -566,8 +586,6 @@ def field_divergence_and_jacobian(mesh: Mesh, V: TangentialField,
 def _tube_disk(mesh, V, pts):
     r = mesh.domain.radius
     delta = V.delta
-    if delta >= r:
-        raise ValueError("tube width must be smaller than the disk radius")
     P = mesh.perimeter
     x, y = pts[:, 0], pts[:, 1]
     rho = np.hypot(x, y)
@@ -619,8 +637,6 @@ def _rectangle_frame(domain):
 def _tube_polygon(mesh, V, pts):
     x0, w, h, sides = _rectangle_frame(mesh.domain)
     delta = V.delta
-    if delta >= 0.5 * min(w, h):
-        raise ValueError("tube width must be below half the shortest side")
     x = pts[:, 0] - x0
     y = pts[:, 1]
     dists = np.stack([y, w - x, h - y, x], axis=1)

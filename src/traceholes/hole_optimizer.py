@@ -13,6 +13,10 @@ Two strategies over whole-facet holes:
   memo breaks cycles.  A final polish slides a contiguous arc of the
   target measure around the whole boundary (warm-started solves), which
   certifies the result against any single-arc sweep at facet granularity.
+  The sweep is pruned exactly: S is monotone under inclusion of holes, so
+  one solve on the facets shared by a block of consecutive arcs bounds
+  every arc of the block from below, and a block whose bound clears the
+  current best cannot contain a better arc.
 
 * shape_gradient: for holes that are unions of arcs, descend on the arc
   endpoints using the assembled shape derivative with localized endpoint
@@ -41,6 +45,10 @@ from .shape_derivative import evaluate_shape_derivative
 from .trace_solver import TraceResult, _h1_preconditioner, solve_trace_constant
 
 
+_SLIDE_BLOCK = 16       # consecutive slide arcs bounded by one core solve
+_PRUNE_MARGIN = 1e-6    # relative lead a core bound needs to skip a block
+
+
 @dataclass
 class OptimizationRun:
     alpha: float
@@ -50,7 +58,7 @@ class OptimizationRun:
     strategy: str
     alpha_effective: float
     best_result: TraceResult
-    n_solves: int
+    n_solves: int       # every quotient solve: holes, rankings, core bounds
     converged: bool
 
 
@@ -128,32 +136,50 @@ def is_contiguous_arc(mesh: Mesh, hole: BoundaryHole) -> bool:
     return len(hole_arcs(mesh, hole)) == 1
 
 
-def _slide_candidates(mesh: Mesh, target: float):
+def _slide_candidates(mesh: Mesh, target: float) -> list:
     """Facet sets of every arc of the target measure starting at a facet
-    boundary (the family any snapped single-arc sweep draws from)."""
-    seen = set()
-    for k in range(mesh.n_facets):
-        facets = frozenset(make_arc_facets(mesh, k, target))
+    boundary, in start order (the family any snapped single-arc sweep
+    draws from)."""
+    nf = mesh.n_facets
+    seen, out = set(), []
+    for k, n in enumerate(_arc_counts(mesh, np.arange(nf), target)):
+        facets = frozenset(((k + np.arange(n)) % nf).tolist())
         if facets and facets not in seen:
             seen.add(facets)
-            yield facets
+            out.append(facets)
+    return out
 
 
 def make_arc_facets(mesh: Mesh, first_facet: int, target: float):
     """Contiguous run starting at a facet, sized by the snap rule."""
+    n = int(_arc_counts(mesh, [first_facet], target)[0])
+    return ((first_facet + np.arange(n)) % mesh.n_facets).tolist()
+
+
+_CHUNK = 1 << 16        # cumulative sums held at once by _arc_counts
+
+
+def _arc_counts(mesh: Mesh, starts, target: float) -> np.ndarray:
+    """Facet count of the snapped arc from each start facet.
+
+    Facets are taken in walk order while each one brings the measure
+    strictly closer to the target.  A row-wise cumsum adds left to right
+    like a running ``measure += length``, so the counts match that loop
+    bit for bit; rows go in chunks to keep the temporaries small.
+    """
     nf = mesh.n_facets
-    chosen = []
-    measure = 0.0
-    k = first_facet
-    while len(chosen) < nf:
-        lf = float(mesh.facet_lengths[k % nf])
-        if abs(measure + lf - target) < abs(measure - target):
-            chosen.append(k % nf)
-            measure += lf
-            k += 1
-        else:
-            break
-    return chosen
+    starts = np.asarray(starts, dtype=np.intp) % nf
+    counts = np.empty(starts.size, dtype=np.intp)
+    rows = max(1, _CHUNK // nf)
+    for lo in range(0, starts.size, rows):
+        walk = (starts[lo:lo + rows, None] + np.arange(nf)) % nf
+        after = np.cumsum(mesh.facet_lengths[walk], axis=1)
+        before = np.zeros_like(after)
+        before[:, 1:] = after[:, :-1]
+        closer = np.abs(after - target) < np.abs(before - target)
+        counts[lo:lo + rows] = np.where(closer.all(axis=1), nf,
+                                        closer.argmin(axis=1))
+    return counts
 
 
 def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
@@ -213,17 +239,30 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
 
     if polish:
         warm = best_res.extremal
-        for facets in _slide_candidates(mesh, target):
-            if facets == best_hole.facet_indices:
-                continue
-            cand_hole = hole_from_facets(mesh, facets)
-            cand = solve_trace_constant(mesh, cfg, cand_hole, init=warm)
-            n_solves += 1
-            if cand.s_value < best_res.s_value:
-                best_hole, best_res = cand_hole, cand
-                warm = cand.extremal
-                step += 1
-                history.append((step, cand_hole.measure, cand.s_value))
+        candidates = _slide_candidates(mesh, target)
+        for i in range(0, len(candidates), _SLIDE_BLOCK):
+            block = candidates[i:i + _SLIDE_BLOCK]
+            core = frozenset.intersection(*block)
+            if core:
+                # every arc of the block contains the core, so S(arc) >=
+                # S(core); the margin covers the converged solve's excess
+                bound = solve_trace_constant(
+                    mesh, cfg, hole_from_facets(mesh, core), init=warm)
+                n_solves += 1
+                if bound.converged and bound.s_value >= \
+                        best_res.s_value * (1.0 + _PRUNE_MARGIN):
+                    continue
+            for facets in block:
+                if facets == best_hole.facet_indices:
+                    continue
+                cand_hole = hole_from_facets(mesh, facets)
+                cand = solve_trace_constant(mesh, cfg, cand_hole, init=warm)
+                n_solves += 1
+                if cand.s_value < best_res.s_value:
+                    best_hole, best_res = cand_hole, cand
+                    warm = cand.extremal
+                    step += 1
+                    history.append((step, cand_hole.measure, cand.s_value))
 
     return OptimizationRun(
         alpha, best_hole, best_res.s_value, history, "alternating",

@@ -54,8 +54,6 @@ def evaluate_shape_derivative(mesh: Mesh, cfg: ProblemConfig,
     B = fem.boundary_norm_q(mesh, cfg, u)
     if abs(B - 1.0) > 1e-8:
         raise ValueError("shape derivative is stated for the normalized extremal")
-    if V.extension == "tube" and not V.delta < _max_tube(mesh):
-        raise ValueError("field support exceeds the admissible boundary tube")
 
     p, q = cfg.p, cfg.q
     ops = fem.forms(mesh)
@@ -81,18 +79,6 @@ def evaluate_shape_derivative(mesh: Mesh, cfg: ProblemConfig,
     volume_term = term1 + term2
     return ShapeDerivativeResult(boundary_term + volume_term,
                                  boundary_term, volume_term)
-
-
-def _max_tube(mesh: Mesh) -> float:
-    dom = mesh.domain
-    from .geometry import Disk, Rectangle, ThinRectangle
-    if isinstance(dom, Disk):
-        return dom.radius
-    if isinstance(dom, Rectangle):
-        return 0.5 * min(dom.width, dom.height)
-    if isinstance(dom, ThinRectangle):
-        return 0.5 * min(dom.b - dom.a, dom.mu)
-    return float("inf")
 
 
 def transport_hole(mesh: Mesh, hole: BoundaryHole, V: TangentialField,

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -148,3 +149,35 @@ def test_optimize_combined_strategy(tmp_path):
     payload = read_summary(tmp_path, "comb")
     assert payload["strategy"] == "combined"
     assert payload["hole_intervals"]
+
+
+@pytest.mark.parametrize("strategy", ["shape_gradient", "combined"])
+def test_optimize_shape_gradient_on_thin_domain(tmp_path, strategy):
+    # three cells of tube do not fit across mu = 1/16 at this resolution;
+    # the default field width must shrink to fit instead of failing
+    code = main(["optimize", "--domain", "thin", "--a", "0", "--b", "1",
+                 "--mu", "0.0625", "--resolution", "0.015625",
+                 "-p", "2", "-q", "2", "--alpha", "0.5",
+                 "--strategy", strategy, "--n-starts", "1",
+                 "--out", str(tmp_path), "--run-id", strategy])
+    assert code in (0, 2)
+    payload = read_summary(tmp_path, strategy)
+    assert math.isfinite(payload["best_value"]) and payload["best_value"] > 0
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["-p", "inf"], None),
+    (["--epsilon", "nan"], None),
+    ([], {"p": "2"}),
+])
+def test_invalid_problem_numbers_rejected(tmp_path, capsys, flags, config):
+    args = ["solve", "--domain", "disk", "--radius", "1",
+            "--resolution", "0.3", "--out", str(tmp_path), "--run-id", "bad"]
+    if config is not None:
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        args += ["--config", str(cfgfile)]
+    assert main(args + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()

@@ -2,11 +2,12 @@ import pytest
 
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import (
-    Disk, Rectangle, generate_mesh, hole_from_facets, make_hole_from_arc,
+    Disk, Rectangle, ThinRectangle, generate_mesh, hole_from_facets,
+    make_hole_from_arc,
 )
 from traceholes.hole_optimizer import (
-    is_contiguous_arc, make_arc_facets, optimize_hole_alternating,
-    optimize_hole_shape_gradient, zero_set_measure,
+    _SLIDE_BLOCK, _slide_candidates, is_contiguous_arc, make_arc_facets,
+    optimize_hole_alternating, optimize_hole_shape_gradient, zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
 
@@ -24,6 +25,11 @@ def cfg():
 @pytest.fixture(scope="module")
 def disk_run(disk, cfg):
     return optimize_hole_alternating(disk, cfg, 0.25, n_starts=3, seed=1)
+
+
+@pytest.fixture(scope="module")
+def thin():
+    return generate_mesh(ThinRectangle(0, 1, 1 / 16), 1 / 64)
 
 
 def test_alternating_finds_contiguous_arc(disk, cfg, disk_run):
@@ -142,3 +148,105 @@ def test_shape_gradient_multi_arc(disk, cfg):
     fmax = float(disk.facet_lengths.max())
     assert abs(run.best_hole.measure - 0.25 * P) <= fmax
     assert run.best_value <= solve_trace_constant(disk, cfg, both).s_value
+
+
+def _running_sum_arc(mesh, first, target):
+    """The snap rule as a plain loop: take facets in walk order while each
+    brings the running measure strictly closer to the target."""
+    nf = mesh.n_facets
+    chosen, measure, k = [], 0.0, first
+    while len(chosen) < nf:
+        lf = float(mesh.facet_lengths[k % nf])
+        if not abs(measure + lf - target) < abs(measure - target):
+            break
+        chosen.append(k % nf)
+        measure += lf
+        k += 1
+    return chosen
+
+
+@pytest.mark.parametrize("domain,resolution", [
+    (Disk(1), 0.2), (Disk(1), 0.1), (Disk(1), 0.05), (Disk(1), 0.025),
+    (ThinRectangle(0, 1, 1 / 2), 1 / 64), (ThinRectangle(0, 1, 1 / 4), 1 / 64),
+    (ThinRectangle(0, 1, 1 / 16), 1 / 64),
+    (ThinRectangle(0, 1, 1 / 64), 1 / 256), (Rectangle(2, 1), 0.1)])
+def test_arc_facets_match_running_sum_loop(domain, resolution):
+    mesh = generate_mesh(domain, resolution)
+    for alpha in (0.1, 0.25, 0.3, 0.5, 0.75, 0.9):
+        target = alpha * mesh.perimeter
+        loop = [_running_sum_arc(mesh, k, target) for k in range(mesh.n_facets)]
+        assert [make_arc_facets(mesh, k, target)
+                for k in range(mesh.n_facets)] == loop
+        expected, seen = [], set()
+        for arc in map(frozenset, loop):
+            if arc and arc not in seen:
+                seen.add(arc)
+                expected.append(arc)
+        assert _slide_candidates(mesh, target) == expected
+
+
+def _exhaustive_polish(mesh, cfg, alpha, **kwargs):
+    """Reference slide polish that solves every candidate arc, from the
+    same alternating-loop state: (best hole, best value, history, solves)."""
+    run = optimize_hole_alternating(mesh, cfg, alpha, polish=False, **kwargs)
+    hole, best = run.best_hole, run.best_result
+    history, n_solves = list(run.history), run.n_solves
+    warm = best.extremal
+    for facets in _slide_candidates(mesh, alpha * mesh.perimeter):
+        if facets == hole.facet_indices:
+            continue
+        cand_hole = hole_from_facets(mesh, facets)
+        cand = solve_trace_constant(mesh, cfg, cand_hole, init=warm)
+        n_solves += 1
+        if cand.s_value < best.s_value:
+            hole, best, warm = cand_hole, cand, cand.extremal
+            history.append((len(history) + 1, cand_hole.measure, cand.s_value))
+    return hole, best.s_value, history, n_solves
+
+
+def _assert_same_as_exhaustive(run, reference):
+    hole, value, history, _ = reference
+    assert run.best_value == value          # bitwise
+    assert run.best_hole == hole
+    assert run.history == history
+
+
+def test_pruned_polish_equals_exhaustive_sweep_thin(thin, cfg):
+    run = optimize_hole_alternating(thin, cfg, 0.5, n_starts=2, seed=0)
+    reference = _exhaustive_polish(thin, cfg, 0.5, n_starts=2, seed=0)
+    _assert_same_as_exhaustive(run, reference)
+    # most blocks are skipped on their core bound
+    assert run.n_solves < thin.n_facets < reference[3]
+
+
+def test_pruned_polish_equals_exhaustive_sweep_while_improving(thin, cfg):
+    # from a poor arc with no alternating steps, the polish itself walks
+    # the hole to the cap, so skipped blocks interleave with improvements
+    # and warm-start changes
+    start = make_hole_from_arc(thin, 1.1, 0.5 * thin.perimeter)
+    kwargs = dict(init_hole=start, max_outer=0)
+    run = optimize_hole_alternating(thin, cfg, 0.5, **kwargs)
+    reference = _exhaustive_polish(thin, cfg, 0.5, **kwargs)
+    _assert_same_as_exhaustive(run, reference)
+    assert len(run.history) > 10
+    assert run.n_solves < reference[3]
+
+
+def test_pruned_polish_equals_exhaustive_sweep_disk(disk, cfg, disk_run):
+    # the disk landscape is too flat for any core bound to clear the best,
+    # so nothing is pruned and the core solves are pure overhead
+    reference = _exhaustive_polish(disk, cfg, 0.25, n_starts=3, seed=1)
+    _assert_same_as_exhaustive(disk_run, reference)
+    assert reference[3] < disk_run.n_solves
+
+
+def test_block_core_bounds_its_arcs(thin, cfg):
+    block = _slide_candidates(thin, 0.5 * thin.perimeter)[:_SLIDE_BLOCK]
+    core = frozenset.intersection(*block)
+    assert core and all(core < arc for arc in block)
+    bound = solve_trace_constant(thin, cfg, hole_from_facets(thin, core))
+    assert bound.converged
+    for arc in block:
+        value = solve_trace_constant(thin, cfg, hole_from_facets(thin, arc),
+                                     init=bound.extremal).s_value
+        assert bound.s_value <= value
