@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +26,7 @@ import numpy as np
 from .fem import NotAdmissibleError, ProblemConfig
 from .geometry import (
     Disk, Interval, MeshResolutionError, Rectangle, ThinRectangle,
-    arc_interval, generate_mesh, hole_arcs, make_hole_from_arc, mesh_to_json,
+    arc_interval, generate_mesh, hole_arcs, make_hole_from_arc,
     plateau_speed, tangential_field,
 )
 from .hole_optimizer import (
@@ -73,9 +75,57 @@ class RunSpec:
                              dof_tolerance=self.dof_tolerance,
                              max_inner_iterations=self.max_inner_iterations)
 
+    def validate(self) -> None:
+        """Type, finiteness and range of every numeric field and domain
+        parameter, before any command reads them."""
+        self.config()
+        for name, (low, high, integer) in _NUMBERS.items():
+            value = getattr(self, name)
+            if value is not None or getattr(RunSpec, name) is not None:
+                _check_number(name, value, low, high, integer)
+        for name, (low, high) in _NUMBER_LISTS.items():
+            values = getattr(self, name)
+            if not isinstance(values, list) or not values:
+                raise SpecError(f"{name} must be a nonempty list, got {values!r}")
+            for value in values:
+                _check_number(name, value, low, high)
+        params = dict(self.domain)
+        params.update(params.pop("params", None) or {})
+        for name in _DOMAIN_NUMBERS:
+            if name in params:
+                _check_number(f"domain {name}", params[name])
+
 
 class SpecError(ValueError):
     pass
+
+
+# field: (low, high, integer).  Reals must lie in (low, high), integers
+# must be at least low; a field whose default is None may be None.
+_INF = math.inf
+_NUMBERS = {
+    "resolution": (0, _INF, False), "alpha": (0, 1, False),
+    "hole_start": (-_INF, _INF, False), "hole_length": (-_INF, _INF, False),
+    "speed_amplitude": (-_INF, _INF, False),
+    "max_inner_iterations": (1, _INF, True), "seed": (0, _INF, True),
+    "workers": (1, _INF, True), "n_starts": (1, _INF, True),
+    "n_cells": (1, _INF, True),
+}
+_NUMBER_LISTS = {"alphas": (0, 1), "mu_values": (0, 1),
+                 "fd_steps_rel": (0, _INF)}
+_DOMAIN_NUMBERS = ("a", "b", "width", "height", "radius", "mu")
+
+
+def _check_number(name, value, low=-_INF, high=_INF, integer=False):
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not math.isfinite(value):
+        raise SpecError(f"{name} must be a finite "
+                        f"{'integer' if integer else 'number'}, got {value!r}")
+    if integer and value < low:
+        raise SpecError(f"{name} must be at least {low}, got {value!r}")
+    if not integer and not low < value < high:
+        raise SpecError(f"{name} must lie in ({low}, {high}), got {value!r}")
 
 
 def _build_domain(block: dict):
@@ -104,10 +154,50 @@ def _out_dir(spec: RunSpec) -> Path:
     return root / run_id
 
 
+# rows per formatted block of extremal.csv: a whole-file block held about
+# twice csv.writer's streaming memory on a 1k-node extremal
+_CSV_BLOCK = 256
+
+
+def _finite(values) -> np.ndarray:
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise ValueError("out of range float values are not written")
+    return values
+
+
+def _format(template: str, values: np.ndarray) -> str:
+    """``template`` filled with the numbers of ``values`` in C order, each as
+    its ``repr`` (the text json.dumps and csv.writer give a float), with no
+    Python call per number."""
+    return template % tuple(map(repr, values.ravel().tolist()))
+
+
+def _json_template(shape, level=1) -> str:
+    """json.dumps(indent=2) layout of a nested list of ``shape`` opened
+    ``level`` deep, with ``%s`` for each number."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    items = ("," + pad).join([_json_template(shape[1:], level + 1)] * shape[0])
+    return "[" + pad + items + "\n" + "  " * level + "]"
+
+
 def _write_json(path: Path, payload: dict):
+    """``payload`` as json.dumps(indent=2, sort_keys=True) writes it.  A
+    payload of arrays (mesh.json) is formatted from their ``tolist()``
+    instead, because json's indenting encoder is pure Python."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               allow_nan=False) + "\n")
+    if payload and all(isinstance(v, np.ndarray) for v in payload.values()):
+        text = "{\n%s\n}" % ",\n".join(
+            f"  {json.dumps(key)}: " + _format(_json_template(a.shape),
+                                               _finite(a))
+            for key, a in sorted(payload.items()))
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header, rows):
@@ -118,16 +208,24 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def _write_extremal(path: Path, mesh, u):
-    if mesh.dim == 1:
-        _write_extremal_1d(path, mesh.vertices[:, 0], u)
-    else:
-        _write_csv(path, ("x", "y", "u"),
-                   [(x, y, v) for (x, y), v in zip(mesh.vertices, u)])
+def _write_extremal(path: Path, points, u):
+    """extremal.csv: one ``x,y,u`` row per node (``y = 0`` in 1D), the
+    bytes csv.writer writes for these rows.  Rows are formatted in blocks,
+    so the text of one block at a time is held in memory."""
+    rows = np.zeros((len(u), 3))
+    points = np.asarray(points, dtype=float).reshape(len(u), -1)
+    rows[:, :points.shape[1]], rows[:, 2] = points, u
+    _finite(rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        fh.write("x,y,u\r\n")
+        for block in np.split(rows, range(_CSV_BLOCK, len(rows), _CSV_BLOCK)):
+            fh.write(_format("%s,%s,%s\r\n" * len(block), block))
 
 
-def _write_extremal_1d(path: Path, x, u):
-    _write_csv(path, ("x", "y", "u"), [(xi, 0.0, v) for xi, v in zip(x, u)])
+def _mesh_arrays(mesh) -> dict:
+    return {"vertices": mesh.vertices, "cells": mesh.cells,
+            "boundary": mesh.boundary}
 
 
 def _cmd_solve(spec: RunSpec, out: Path) -> int:
@@ -145,8 +243,8 @@ def _cmd_solve(spec: RunSpec, out: Path) -> int:
     summary["converged"] = result.converged
     summary["hole_measure"] = hole.measure
     _write_json(out / "summary.json", summary)
-    _write_json(out / "mesh.json", mesh_to_json(mesh))
-    _write_extremal(out / "extremal.csv", mesh, result.extremal)
+    _write_json(out / "mesh.json", _mesh_arrays(mesh))
+    _write_extremal(out / "extremal.csv", mesh.vertices, result.extremal)
     _write_csv(out / "data.csv",
                ("s_value", "lambda", "el_residual", "iterations"),
                [(result.s_value, result.lam, result.el_residual,
@@ -195,8 +293,9 @@ def _cmd_optimize(spec: RunSpec, out: Path) -> int:
     _write_json(out / "summary.json", summary)
     _write_csv(out / "data.csv", ("iteration", "hole_measure", "s_value"),
                run.history)
-    _write_json(out / "mesh.json", mesh_to_json(mesh))
-    _write_extremal(out / "extremal.csv", mesh, run.best_result.extremal)
+    _write_json(out / "mesh.json", _mesh_arrays(mesh))
+    _write_extremal(out / "extremal.csv", mesh.vertices,
+                    run.best_result.extremal)
     return 0 if run.converged else 2
 
 
@@ -357,7 +456,7 @@ def _cmd_verify_1d(spec: RunSpec, out: Path) -> int:
     _write_json(out / "summary.json", summary)
     _write_csv(out / "data.csv", ("hole_start", "value"),
                list(zip(sweep.starts, sweep.values)))
-    _write_extremal_1d(out / "extremal.csv", fem_res.nodes, fem_res.extremal)
+    _write_extremal(out / "extremal.csv", fem_res.nodes, fem_res.extremal)
     return 0 if fem_res.converged else 2
 
 
@@ -375,7 +474,7 @@ def run(spec: RunSpec) -> int:
     """Validate and dispatch a run; returns the process exit code."""
     if spec.command not in _DISPATCH:
         raise SpecError(f"unknown command {spec.command!r}")
-    spec.config()       # exponents and tolerances, before any command reads them
+    spec.validate()
     out = _out_dir(spec)
     return _DISPATCH[spec.command](spec, out)
 
@@ -407,44 +506,21 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON/TOML config file")
         sp.add_argument("--domain", choices=["interval", "rectangle", "disk",
                                              "thin"])
-        sp.add_argument("--a", type=float)
-        sp.add_argument("--b", type=float)
-        sp.add_argument("--width", type=float)
-        sp.add_argument("--height", type=float)
-        sp.add_argument("--radius", type=float)
-        sp.add_argument("--mu", type=float)
         sp.add_argument("-p", type=float, dest="p")
         sp.add_argument("-q", type=float, dest="q")
-        sp.add_argument("--resolution", type=float)
-        sp.add_argument("--alpha", type=float)
-        sp.add_argument("--alphas", type=float, nargs="+")
-        sp.add_argument("--mu-values", type=float, nargs="+")
-        sp.add_argument("--hole-start", type=float)
-        sp.add_argument("--hole-length", type=float)
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--dof-tol", type=float)
-        sp.add_argument("--max-iter", type=int)
-        sp.add_argument("--n-cells", type=int)
-        sp.add_argument("--n-starts", type=int)
+        for flag in _DOMAIN_NUMBERS + ("resolution", "alpha", "hole-start",
+                                       "hole-length", "epsilon", "dof-tol",
+                                       "speed-amplitude"):
+            sp.add_argument("--" + flag, type=float)
+        for flag in ("alphas", "mu-values"):
+            sp.add_argument("--" + flag, type=float, nargs="+")
+        for flag in ("max-iter", "n-cells", "n-starts", "seed", "workers"):
+            sp.add_argument("--" + flag, type=int)
         sp.add_argument("--strategy", choices=["alternating", "shape_gradient",
                                                "combined"])
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--workers", type=int)
         sp.add_argument("--out")
         sp.add_argument("--run-id")
-        sp.add_argument("--speed-amplitude", type=float)
     return ap
-
-
-_FLAG_FIELDS = {
-    "p": "p", "q": "q", "resolution": "resolution", "alpha": "alpha",
-    "alphas": "alphas", "mu_values": "mu_values", "hole_start": "hole_start",
-    "hole_length": "hole_length", "epsilon": "epsilon",
-    "dof_tol": "dof_tolerance", "max_iter": "max_inner_iterations",
-    "n_cells": "n_cells", "n_starts": "n_starts", "strategy": "strategy",
-    "seed": "seed", "workers": "workers", "out": "out", "run_id": "run_id",
-    "speed_amplitude": "speed_amplitude",
-}
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
@@ -453,23 +529,21 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         payload.update(_load_config(args.config))
     spec = RunSpec(command=args.command)
     domain = dict(payload.pop("domain", {}))
-    if "resolution" in payload:
-        spec.resolution = float(payload.pop("resolution"))
     for key, value in payload.items():
         if not hasattr(spec, key):
             raise SpecError(f"unknown config field {key!r}")
         setattr(spec, key, value)
     if args.domain:
         domain = {"kind": args.domain}
-    for name in ("a", "b", "width", "height", "radius", "mu"):
-        val = getattr(args, name, None)
-        if val is not None:
-            domain[name] = val
+    renamed = {"dof_tol": "dof_tolerance", "max_iter": "max_inner_iterations"}
+    for flag, val in vars(args).items():
+        if val is None or flag in ("command", "config", "domain"):
+            continue
+        if flag in _DOMAIN_NUMBERS:
+            domain[flag] = val
+        else:
+            setattr(spec, renamed.get(flag, flag), val)
     spec.domain = domain
-    for flag, attr in _FLAG_FIELDS.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            setattr(spec, attr, val)
     return spec
 
 

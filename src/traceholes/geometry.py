@@ -669,14 +669,3 @@ def _tube_polygon(mesh, V, pts):
     DV[~active] = 0.0
     return np.where(active, div, 0.0), DV
 
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def mesh_to_json(mesh: Mesh) -> dict:
-    return {
-        "vertices": mesh.vertices.tolist(),
-        "cells": mesh.cells.tolist(),
-        "boundary": mesh.boundary.tolist(),
-    }

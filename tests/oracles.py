@@ -5,6 +5,10 @@ plain loops and scipy routines, not through the package's assembly code,
 so solver results are cross-checked by a genuinely different route.
 """
 
+import csv
+import io
+import json
+
 import numpy as np
 import scipy.integrate
 import scipy.linalg
@@ -113,3 +117,26 @@ def one_dim_limit_constant_reference(p, free_fraction, length=1.0):
     a = free_fraction
     return ((2 * np.pi) ** p * (p - 1)
             / (2 * a * length * p * np.sin(np.pi / p)) ** p) + 1.0
+
+
+def mesh_to_json(mesh):
+    """The mesh as nested lists, the JSON document mesh.json holds."""
+    return {
+        "vertices": mesh.vertices.tolist(),
+        "cells": mesh.cells.tolist(),
+        "boundary": mesh.boundary.tolist(),
+    }
+
+
+def json_text(payload):
+    """The text of a JSON artifact as the standard encoder writes it."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def csv_text(header, rows):
+    """The text of a CSV artifact as csv.writer writes it."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -2,9 +2,15 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from traceholes.cli import RunSpec, main, run
+from traceholes.cli import (
+    RunSpec, _mesh_arrays, _write_extremal, _write_json, main, run,
+)
+from traceholes.geometry import Disk, Interval, ThinRectangle, generate_mesh
+
+from oracles import csv_text, json_text, mesh_to_json
 
 
 def read_summary(out, run_id):
@@ -181,3 +187,87 @@ def test_invalid_problem_numbers_rejected(tmp_path, capsys, flags, config):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command,flags,config,field", [
+    ("optimize", [], {"alpha": "0.5"}, "alpha"),
+    ("solve", ["--resolution", "nan"], None, "resolution"),
+    ("solve", ["--radius", "nan"], None, "radius"),
+    ("optimize", ["--alpha", "0.25", "--n-starts", "0"], None, "n_starts"),
+    ("sweep-alpha", ["--alphas", "0.5", "1.5"], None, "alphas"),
+])
+def test_invalid_run_numbers_rejected(tmp_path, capsys, command, flags,
+                                      config, field):
+    args = [command, "--domain", "disk", "--radius", "1",
+            "--resolution", "0.3", "--out", str(tmp_path), "--run-id", "bad"]
+    if config is not None:
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps(config))
+        args += ["--config", str(cfgfile)]
+    assert main(args + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+    assert not (tmp_path / "bad").exists()
+
+
+def _special_values(n, seed=0):
+    """n floats across the whole exponent range, led by -0.0, subnormals
+    and negatives."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-310, 300, n)
+    lead = [-0.0, 0.0, 5e-324, -2.5e-310, -1.0, 1e16, 1e-5, 0.1]
+    v[:len(lead)] = lead[:n]
+    return v
+
+
+@pytest.mark.parametrize("domain,res", [
+    (Interval(0.0, 1.0), 0.05),
+    (Disk(1.0), 0.2),
+    (ThinRectangle(0.0, 1.0, 1 / 16), 1 / 64),
+])
+def test_artifact_writers_match_standard_formatters(tmp_path, domain, res):
+    mesh = generate_mesh(domain, res)
+    _write_json(tmp_path / "mesh.json", _mesh_arrays(mesh))
+    assert (tmp_path / "mesh.json").read_bytes() == \
+        json_text(mesh_to_json(mesh)).encode()
+
+    u = _special_values(mesh.n_vertices)
+    _write_extremal(tmp_path / "extremal.csv", mesh.vertices, u)
+    if mesh.dim == 1:
+        rows = [(x, 0.0, v) for x, v in zip(mesh.vertices[:, 0], u)]
+    else:
+        rows = [(x, y, v) for (x, y), v in zip(mesh.vertices, u)]
+    assert (tmp_path / "extremal.csv").read_bytes() == \
+        csv_text(("x", "y", "u"), rows).encode()
+
+    # a 1D extremal given as bare nodes, as verify-1d passes it
+    _write_extremal(tmp_path / "nodes.csv", mesh.vertices[:, 0], u)
+    rows = [(x, 0.0, v) for x, v in zip(mesh.vertices[:, 0], u)]
+    assert (tmp_path / "nodes.csv").read_bytes() == \
+        csv_text(("x", "y", "u"), rows).encode()
+
+    # arrays of special values, and of no values, in the JSON writer
+    arrays = {"vertices": _special_values(3 * mesh.dim, 1).reshape(3, -1),
+              "cells": -mesh.cells, "boundary": mesh.boundary[:0]}
+    _write_json(tmp_path / "arrays.json", arrays)
+    assert (tmp_path / "arrays.json").read_bytes() == json_text(
+        {k: a.tolist() for k, a in arrays.items()}).encode()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_artifact_writers_reject_non_finite(tmp_path, bad):
+    mesh = generate_mesh(Disk(1.0), 0.3)
+    arrays = _mesh_arrays(mesh)
+    arrays["vertices"] = mesh.vertices.copy()
+    arrays["vertices"][5, 1] = bad
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "mesh.json", arrays)
+    u = np.ones(mesh.n_vertices)
+    u[7] = bad
+    with pytest.raises(ValueError):
+        _write_extremal(tmp_path / "extremal.csv", mesh.vertices, u)
+    with pytest.raises(ValueError):
+        _write_extremal(tmp_path / "extremal.csv", arrays["vertices"],
+                        np.ones(mesh.n_vertices))
+    assert not list(tmp_path.iterdir())

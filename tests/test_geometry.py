@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from traceholes.geometry import (
     Disk, Interval, MeshResolutionError, Rectangle, ThinRectangle,
     boundary_measure, cell_volumes, generate_mesh, hole_arcs,
-    hole_from_facets, make_hole_from_arc, mesh_to_json,
+    hole_from_facets, make_hole_from_arc,
 )
 
-from oracles import inscribed_polygon_perimeter
+from oracles import inscribed_polygon_perimeter, mesh_to_json
 
 
 def edge_multiplicities(mesh):

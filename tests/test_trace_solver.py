@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from traceholes.fem import NotAdmissibleError, ProblemConfig
+from traceholes._descent import Preconditioner
+from traceholes.fem import NotAdmissibleError, ProblemConfig, h1_operator
 from traceholes.geometry import (
-    Disk, Interval, Rectangle, generate_mesh, hole_arcs, hole_from_facets,
-    make_hole_from_arc,
+    Disk, Interval, Rectangle, ThinRectangle, generate_mesh, hole_arcs,
+    hole_from_facets, make_hole_from_arc,
 )
 from traceholes.trace_solver import (
     el_residual, positivity_check, solve_trace_constant, solve_with_restarts,
@@ -213,3 +214,24 @@ def test_mesh_consistency_under_refinement():
     changes = [abs(b / a - 1.0) for a, b in zip(values, values[1:])]
     assert changes[-1] < changes[0]
     assert changes[-1] < 0.02
+
+
+@pytest.mark.parametrize("domain,res,fraction", [
+    (Disk(1), 0.05, 0.25),
+    (ThinRectangle(0, 1, 1 / 64), 1 / 256, 0.5),
+])
+def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
+    # the symmetric-mode factor of the restricted metric is an exact
+    # inverse, not an approximation: it must agree with a dense solve
+    mesh = generate_mesh(domain, res)
+    hole = make_hole_from_arc(mesh, 0.0, fraction * mesh.perimeter)
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[hole.vertex_indices(mesh)] = False
+    P = h1_operator(mesh).toarray()[np.ix_(free, free)]
+    pre = Preconditioner.restricted(h1_operator(mesh), free)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        b = rng.standard_normal(int(free.sum()))
+        x = np.linalg.solve(P, b)
+        assert np.linalg.norm(pre.solve(b) - x) <= 1e-10 * np.linalg.norm(x)
+        assert np.allclose(pre.matvec(b), P @ b, rtol=0, atol=1e-13 * np.abs(P).max())
