@@ -148,6 +148,19 @@ def _build_domain(block: dict):
     raise SpecError(f"unknown domain kind {kind!r}")
 
 
+def _base_interval(spec: RunSpec) -> Interval:
+    """The interval (a, b) of the one-dimensional commands: the domain
+    block's bounds, of an interval or a thin rectangle, each 0 and 1 by
+    default."""
+    block = {"kind": "interval", **spec.domain}
+    block["params"] = {"a": 0.0, "b": 1.0, **block.get("params", block)}
+    domain = _build_domain(block)
+    if not isinstance(domain, (Interval, ThinRectangle)):
+        raise SpecError(f"{spec.command} runs on an interval (a, b), "
+                        f"not on a {block['kind']} domain")
+    return Interval(domain.a, domain.b)
+
+
 def _out_dir(spec: RunSpec) -> Path:
     root = Path(spec.out or os.environ.get(OUTPUT_ROOT_ENV, "results"))
     run_id = spec.run_id or f"{spec.command}-p{spec.p}-q{spec.q}-seed{spec.seed}"
@@ -388,10 +401,7 @@ def _cmd_sweep_alpha(spec: RunSpec, out: Path) -> int:
 
 
 def _cmd_sweep_mu(spec: RunSpec, out: Path) -> int:
-    block = dict(spec.domain or {"kind": "interval", "a": 0.0, "b": 1.0})
-    block.setdefault("kind", "interval")
-    base = _build_domain({"kind": "interval",
-                          "a": block.get("a", 0.0), "b": block.get("b", 1.0)})
+    base = _base_interval(spec)
     if spec.alpha is None:
         raise SpecError("sweep-mu needs --alpha")
     cfg = spec.config()
@@ -422,21 +432,21 @@ def _cmd_sweep_mu(spec: RunSpec, out: Path) -> int:
 def _cmd_verify_1d(spec: RunSpec, out: Path) -> int:
     if spec.alpha is None:
         raise SpecError("verify-1d needs --alpha")
-    block = spec.domain or {}
-    a, b = float(block.get("a", 0.0)), float(block.get("b", 1.0))
+    base = _base_interval(spec)
+    a, b = base.a, base.b
     length = b - a
     # the closed form's alpha is the free fraction: pair formula(alpha)
     # with a hole covering the remaining (1 - alpha) of the interval
     closed = closed_form_limit_constant(spec.p, spec.alpha, length)
     hole_fraction = 1.0 - spec.alpha
     problem = OneDimProblem(a, b, spec.p, spec.p, hole_fraction,
+                            epsilon=spec.epsilon,
                             dof_tolerance=spec.dof_tolerance,
                             max_inner_iterations=spec.max_inner_iterations)
     fem_res = solve_limit_problem(
         problem, (a + spec.alpha * length, b), spec.n_cells)
     sweep_cells = min(spec.n_cells, 256)
-    sweep = optimize_limit_hole(
-        OneDimProblem(a, b, spec.p, spec.p, hole_fraction), sweep_cells)
+    sweep = optimize_limit_hole(problem, sweep_cells)
     lo, hi = sweep.best_hole
     abuts = (abs(lo - a) < 1.5 * length / sweep_cells
              or abs(hi - b) < 1.5 * length / sweep_cells)
@@ -452,12 +462,13 @@ def _cmd_verify_1d(spec: RunSpec, out: Path) -> int:
         "sweep_best_hole": [lo, hi],
         "sweep_endpoint_optimal": bool(abuts),
         "converged": fem_res.converged,
+        "sweep_converged": sweep.converged,
     }
     _write_json(out / "summary.json", summary)
     _write_csv(out / "data.csv", ("hole_start", "value"),
                list(zip(sweep.starts, sweep.values)))
     _write_extremal(out / "extremal.csv", fem_res.nodes, fem_res.extremal)
-    return 0 if fem_res.converged else 2
+    return 0 if fem_res.converged and sweep.converged else 2
 
 
 _DISPATCH = {

@@ -21,11 +21,14 @@ quadrature points of the denominator, and the lumped mass.  Then
     dE(u) = D^T (p vol (eps^2 + |D u|^2)^((p-2)/2) D u) + p m |u|^(p-2) u,
     B(u)  = w . |Q u|^q,    dB(u) = Q^T (q w |Q u|^(q-2) Q u),
 
-and the W^{1,2} metric is D^T diag(vol) D + diag(m).
+and the W^{1,2} metric is D^T diag(vol) D + diag(m).  For p != 2 the
+descent uses the lagged metric D^T diag(vol c) D + diag(m c_m), with the
+p-Laplacian's coefficients c, c_m frozen at an iterate (``lagged_metric``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import weakref
@@ -206,16 +209,49 @@ class Operators:
         w = self._point_weights(simplex_weights)
         return self.QT @ (q * w * _signed_power(self.Q @ u, q - 1.0))
 
+    def metric(self, c=None, c_m=None):
+        """D^T diag(vol c) D + diag(mass c_m): the W^{1,2} metric with cell
+        weights c and vertex weights c_m (both 1 when None)."""
+        vol = self.vol if c is None else self.vol * c
+        mass = self.mass if c_m is None else self.mass * c_m
+        row_vol = np.repeat(np.tile(vol, self.dim), self.dim + 1)
+        Dw = sp.csr_matrix((self.D.data * row_vol, self.D.indices,
+                            self.D.indptr), shape=self.D.shape)
+        K = self.DT @ Dw
+        K.setdiag(K.diagonal() + mass)
+        return K
+
     def h1(self):
-        """D^T diag(vol) D + diag(mass), assembled on first use and kept."""
+        """The unweighted metric, assembled on first use and kept."""
         if self._h1 is None:
-            row_vol = np.repeat(np.tile(self.vol, self.dim), self.dim + 1)
-            Dw = sp.csr_matrix((self.D.data * row_vol,
-                                self.D.indices, self.D.indptr), shape=self.D.shape)
-            K = self.DT @ Dw
-            K.setdiag(K.diagonal() + self.mass)
-            self._h1 = K
+            self._h1 = self.metric()
         return self._h1
+
+    def lagged_metric(self, cfg: ProblemConfig, u, delta: float):
+        """The metric with the p-Laplacian's coefficients frozen at u:
+
+            c   = (eps^2 + delta_D^2 + |D u|^2)^((p-2)/2)   per cell,
+            c_m = (delta_u^2 + |u|^2)^((p-2)/2)              per vertex,
+
+        where delta_D and delta_u are ``delta`` times the vol- and
+        mass-weighted RMS of |D u| and |u|, so the weights stay bounded
+        where the field is flat or small.
+        """
+        e = (cfg.p - 2.0) / 2.0
+        _, s = self.density(cfg, u)
+        g2 = s - cfg.eps**2
+        u2 = u * u
+        d2 = delta**2 * (self.vol @ g2) / self.vol.sum()
+        m2 = delta**2 * (self.mass @ u2) / self.mass.sum()
+        return self.metric((s + d2) ** e, (u2 + m2) ** e)
+
+    def descent_metric(self, cfg: ProblemConfig):
+        """The descent's metric callback (u, delta) -> lagged metric, or
+        None at p = 2, where the fixed W^{1,2} metric is the
+        p-Laplacian's own."""
+        if cfg.p == 2:
+            return None
+        return functools.partial(self.lagged_metric, cfg)
 
 
 _FORMS_CACHE: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()
@@ -299,7 +335,7 @@ def weak_form_vectors(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray):
 
 
 def h1_operator(mesh: Mesh):
-    """Sparse stiffness + lumped mass matrix (the W^{1,2} metric used to
-    precondition descent for every exponent p); cached with the mesh, so
-    callers must not modify it."""
+    """Sparse stiffness + lumped mass matrix (the W^{1,2} metric that
+    preconditions descent at p = 2 and cold starts at other p); cached
+    with the mesh, so callers must not modify it."""
     return forms(mesh).h1()

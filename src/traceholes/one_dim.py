@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._descent import Preconditioner, minimize_quotient
+from ._descent import minimize_quotient, starting_preconditioner
 from .fem import Operators, ProblemConfig
 
 
@@ -147,12 +147,15 @@ def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
     u0[constrained] = 0.0
     ops = _limit_operators(problem, x)
     cfg = problem.config()
+    metric = ops.descent_metric(cfg)
     res = minimize_quotient(
         lambda u: ops.energy(cfg, u), lambda u: ops.energy_gradient(cfg, u),
         lambda u: ops.norm(cfg, u), lambda u: ops.norm_gradient(cfg, u),
         problem.p, problem.q, free, u0,
         tol=problem.dof_tolerance, max_iter=problem.max_inner_iterations,
-        precond=Preconditioner.restricted(ops.h1(), free))
+        precond=starting_preconditioner(ops.h1(), free, metric,
+                                        warm=init is not None),
+        metric=metric)
     u = np.abs(res.u)
     u[constrained] = 0.0
     u = u * ops.norm(cfg, u) ** (-1.0 / problem.q)
@@ -168,6 +171,7 @@ class HoleSweep:
     best_result: LimitResult
     starts: np.ndarray
     values: np.ndarray
+    converged: bool             # every solve of the sweep converged
 
 
 def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
@@ -177,14 +181,16 @@ def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
     starts, values = [], []
     best = None
     init = None
+    converged = True
     for s in range(n_cells - c + 1):
         lo = problem.a + s * forms_h
         hi = problem.a + (s + c) * forms_h
         result = solve_limit_problem(problem, (lo, hi), n_cells, init=init)
         init = result.extremal
+        converged = converged and result.converged
         starts.append(lo)
         values.append(result.value)
         if best is None or result.value < best.value:
             best = result
     return HoleSweep(best.hole, best.value, best,
-                     np.array(starts), np.array(values))
+                     np.array(starts), np.array(values), converged)

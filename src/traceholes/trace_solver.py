@@ -18,7 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import fem
-from ._descent import Preconditioner, minimize_quotient
+from ._descent import (
+    Preconditioner, minimize_quotient, starting_preconditioner,
+)
 from .fem import NotAdmissibleError, ProblemConfig
 from .geometry import BoundaryHole, Mesh
 
@@ -83,6 +85,7 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
         lo = 1e-12 * max(float(u0.max()), 1.0)
         u0[free] = np.maximum(u0[free], lo)
     u0[~free] = 0.0
+    metric = fem.forms(mesh).descent_metric(cfg)
 
     res = minimize_quotient(
         lambda u: fem.energy(mesh, cfg, u),
@@ -91,7 +94,9 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
         lambda u: fem.boundary_norm_gradient(mesh, cfg, u),
         cfg.p, cfg.q, free, u0,
         tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
-        precond=_h1_preconditioner(mesh, free))
+        precond=starting_preconditioner(fem.h1_operator(mesh), free, metric,
+                                        warm=init is not None),
+        metric=metric)
 
     u = np.abs(res.u)
     u[~free] = 0.0

@@ -77,6 +77,54 @@ def assemble_p2_matrices(mesh):
     return K, Mdiag, B
 
 
+def _cell_gradients(mesh, cell):
+    """(measure, hat-function gradients as rows) of one P1 cell."""
+    pts = mesh.vertices[cell]
+    if mesh.dim == 1:
+        h = pts[1, 0] - pts[0, 0]
+        return h, np.array([[-1.0 / h], [1.0 / h]])
+    e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
+    area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+    b = np.array([pts[1][1] - pts[2][1], pts[2][1] - pts[0][1],
+                  pts[0][1] - pts[1][1]])
+    c = np.array([pts[2][0] - pts[1][0], pts[0][0] - pts[2][0],
+                  pts[1][0] - pts[0][0]])
+    return area, np.column_stack([b, c]) / (2 * area)
+
+
+def assemble_weighted_metric(mesh, c, c_m):
+    """Dense sum over cells of |cell| c_cell grad phi_i . grad phi_j plus
+    the lumped mass times c_m on the diagonal, with plain loops."""
+    nv = mesh.n_vertices
+    A = np.zeros((nv, nv))
+    for k, cell in enumerate(mesh.cells):
+        measure, grads = _cell_gradients(mesh, cell)
+        for a, i in enumerate(cell):
+            A[i, i] += measure / len(cell) * c_m[i]
+            for b, j in enumerate(cell):
+                A[i, j] += measure * c[k] * float(grads[a] @ grads[b])
+    return A
+
+
+def lagged_weights(mesh, u, p, eps, delta):
+    """Cell weights (eps^2 + delta_D^2 + |grad u|^2)^((p-2)/2) and vertex
+    weights (delta_u^2 + u^2)^((p-2)/2), with delta_D and delta_u delta
+    times the measure-weighted RMS of |grad u| and of |u|."""
+    measures, sq = [], []
+    mass = np.zeros(mesh.n_vertices)
+    for cell in mesh.cells:
+        measure, grads = _cell_gradients(mesh, cell)
+        g = grads.T @ u[cell]
+        measures.append(measure)
+        sq.append(float(g @ g))
+        mass[cell] += measure / len(cell)
+    measures, sq = np.array(measures), np.array(sq)
+    d2 = delta**2 * (measures @ sq) / measures.sum()
+    m2 = delta**2 * (mass @ u**2) / mass.sum()
+    e = (p - 2.0) / 2.0
+    return (eps**2 + d2 + sq) ** e, (m2 + u**2) ** e
+
+
 def dense_trace_eigenpair(mesh, hole):
     """Smallest generalized eigenvalue of (K + M) z = lambda B z on the
     free DOFs, via scipy's dense symmetric solver; returns (lambda, u)

@@ -137,6 +137,55 @@ def test_sweep_mu_summary(tmp_path):
     assert rows[0] == "mu,S_mu,rescaled,slope_estimate"
 
 
+def _write_config(tmp_path, payload):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(payload))
+    return str(cfgfile)
+
+
+NESTED_INTERVAL = {"domain": {"kind": "interval", "params": {"a": 0, "b": 2}}}
+
+
+def test_verify_1d_reads_nested_domain_params(tmp_path):
+    args = ["verify-1d", "-p", "2", "--alpha", "0.5", "--n-cells", "200",
+            "--out", str(tmp_path)]
+    assert main(args + ["--config", _write_config(tmp_path, NESTED_INTERVAL),
+                        "--run-id", "nested"]) == 0
+    assert main(args + ["--a", "0", "--b", "2", "--run-id", "flags"]) == 0
+    nested = read_summary(tmp_path, "nested")
+    flags = read_summary(tmp_path, "flags")
+    assert nested["closed_form"] == pytest.approx(3.4674, abs=1e-3)
+    assert nested == flags
+
+
+def test_sweep_mu_reads_nested_domain_params(tmp_path):
+    args = ["sweep-mu", "--alpha", "0.5", "-p", "2", "-q", "2",
+            "--mu-values", "0.5", "--n-starts", "1", "--out", str(tmp_path)]
+    assert main(args + ["--config", _write_config(tmp_path, NESTED_INTERVAL),
+                        "--run-id", "nested"]) == 0
+    assert main(args + ["--a", "0", "--b", "2", "--run-id", "flags"]) == 0
+    assert main(args + ["--run-id", "unit"]) == 0
+    nested = read_summary(tmp_path, "nested")
+    assert nested == read_summary(tmp_path, "flags")
+    assert nested["target_limit"] != read_summary(tmp_path, "unit")["target_limit"]
+
+
+def test_one_dim_commands_reject_other_domains(tmp_path, capsys):
+    assert main(["verify-1d", "-p", "2", "--alpha", "0.5", "--domain", "disk",
+                 "--radius", "1", "--out", str(tmp_path)]) == 1
+    assert "interval" in capsys.readouterr().err
+
+
+def test_verify_1d_flags_an_unconverged_sweep(tmp_path):
+    # the 1000-cell solve converges in 9 iterations, but the sweep's cold
+    # first hole needs more than 12: the sweep must be held to --max-iter
+    code = main(["verify-1d", "-p", "2", "--alpha", "0.5", "--max-iter", "12",
+                 "--out", str(tmp_path), "--run-id", "cap"])
+    assert code == 2
+    payload = read_summary(tmp_path, "cap")
+    assert payload["converged"] and not payload["sweep_converged"]
+
+
 def test_run_spec_api(tmp_path):
     spec = RunSpec(command="verify-1d", p=3, alpha=0.5, n_cells=500,
                    out=str(tmp_path), run_id="api")

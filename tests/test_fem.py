@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 
 from traceholes.fem import (
     NotAdmissibleError, ProblemConfig, boundary_norm_q, energy,
-    energy_gradient, h1_operator, quotient_gradient, rayleigh_quotient,
+    energy_gradient, forms, h1_operator, quotient_gradient,
+    rayleigh_quotient,
 )
-from traceholes.geometry import Disk, Interval, Rectangle, generate_mesh
+from traceholes.geometry import (
+    Disk, Interval, Rectangle, ThinRectangle, generate_mesh,
+)
 
-from oracles import assemble_p2_matrices, central_difference_gradient
+from oracles import (
+    assemble_p2_matrices, assemble_weighted_metric,
+    central_difference_gradient, lagged_weights,
+)
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +172,42 @@ def test_cached_operators_do_not_keep_the_mesh_alive():
     del mesh
     gc.collect()
     assert ref() is None
+
+
+METRIC_MESHES = [(Disk(1), 0.25), (ThinRectangle(0, 1, 1 / 16), 1 / 32),
+                 (Interval(0, 1), 0.05)]
+
+
+@pytest.mark.parametrize("domain,res", METRIC_MESHES)
+def test_weighted_metric_matches_dense_assembly(domain, res):
+    mesh = generate_mesh(domain, res)
+    rng = np.random.default_rng(1)
+    c = rng.uniform(0.1, 10.0, len(mesh.cells))
+    c_m = rng.uniform(0.1, 10.0, mesh.n_vertices)
+    P = forms(mesh).metric(c, c_m).toarray()
+    A = assemble_weighted_metric(mesh, c, c_m)
+    assert np.abs(P - A).max() <= 1e-12 * np.abs(A).max()
+    assert np.abs(P - P.T).max() <= 1e-14 * np.abs(P).max()
+    assert np.linalg.eigvalsh(P)[0] > 0
+
+
+@pytest.mark.parametrize("domain,res", METRIC_MESHES)
+def test_unit_weights_give_the_h1_metric(domain, res):
+    mesh = generate_mesh(domain, res)
+    ones = np.ones(len(mesh.cells)), np.ones(mesh.n_vertices)
+    assert np.array_equal(forms(mesh).metric(*ones).toarray(),
+                          h1_operator(mesh).toarray())
+
+
+@pytest.mark.parametrize("domain,res", METRIC_MESHES)
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_lagged_metric_matches_dense_assembly(domain, res, p):
+    mesh = generate_mesh(domain, res)
+    cfg = ProblemConfig(p, 2)
+    x = mesh.vertices[:, 0]
+    u = np.abs(np.sin(3 * x + 0.5)) + 0.1 * x**2
+    c, c_m = lagged_weights(mesh, u, p, cfg.eps, 1e-2)
+    P = forms(mesh).lagged_metric(cfg, u, 1e-2).toarray()
+    A = assemble_weighted_metric(mesh, c, c_m)
+    assert np.abs(P - A).max() <= 1e-12 * np.abs(A).max()
+    assert np.linalg.eigvalsh(P)[0] > 0

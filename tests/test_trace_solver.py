@@ -235,3 +235,78 @@ def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
         x = np.linalg.solve(P, b)
         assert np.linalg.norm(pre.solve(b) - x) <= 1e-10 * np.linalg.norm(x)
         assert np.allclose(pre.matvec(b), P @ b, rtol=0, atol=1e-13 * np.abs(P).max())
+
+
+def _thin_half_hole(mu, res):
+    mesh = generate_mesh(ThinRectangle(0, 1, mu), res)
+    return mesh, make_hole_from_arc(mesh, 0.0, 0.5 * mesh.perimeter)
+
+
+@pytest.mark.parametrize("mu,res,p,max_iterations", [
+    (1 / 16, 1 / 64, 1.5, 1500),
+    (1 / 16, 1 / 64, 3, 200),
+    (1 / 64, 1 / 256, 3, 500),
+])
+def test_lagged_metric_converges_on_thin_meshes(mu, res, p, max_iterations):
+    # the fixed W^{1,2} metric took 7761, 2056 and (unconverged) 9066
+    # iterations on these anisotropic meshes
+    mesh, hole = _thin_half_hole(mu, res)
+    result = solve_trace_constant(mesh, ProblemConfig(p, p), hole)
+    assert result.converged
+    assert result.iterations <= max_iterations
+    assert abs(result.lam - result.s_value) <= 1e-6 * result.s_value
+
+
+def test_thinnest_mesh_at_p_below_two_meets_multiplier_check():
+    mesh, hole = _thin_half_hole(1 / 64, 1 / 256)
+    result = solve_trace_constant(mesh, ProblemConfig(1.5, 1.5), hole)
+    assert abs(result.lam - result.s_value) <= 1e-6 * result.s_value
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_disk_cold_starts_stay_short(p):
+    # a cold start begins on the W^{1,2} metric: on the disk it converges
+    # before the first refresh of the lagged metric
+    mesh = generate_mesh(Disk(1), 0.05)
+    hole = make_hole_from_arc(mesh, 0.0, 0.25 * mesh.perimeter)
+    result = solve_trace_constant(mesh, ProblemConfig(p, 2), hole)
+    assert result.converged
+    assert result.iterations <= 30
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    restricted = Preconditioner.restricted.__func__
+
+    def counted(cls, metric, free):
+        calls.append(metric)
+        return restricted(cls, metric, free)
+    monkeypatch.setattr(Preconditioner, "restricted", classmethod(counted))
+    return calls
+
+
+def test_p2_solve_factors_the_h1_metric_once(monkeypatch, disk_coarse):
+    calls = _count_factorizations(monkeypatch)
+    hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
+    cfg = ProblemConfig(2, 2)
+    cold = solve_trace_constant(disk_coarse, cfg, hole)
+    solve_trace_constant(disk_coarse, cfg, hole, init=cold.extremal)
+    assert len(calls) == 2
+    assert all(metric is h1_operator(disk_coarse) for metric in calls)
+
+
+def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
+    mesh, hole = _thin_half_hole(1 / 16, 1 / 64)
+    cfg = ProblemConfig(3, 3)
+    calls = _count_factorizations(monkeypatch)
+    cold = solve_trace_constant(mesh, cfg, hole)
+    # a cold start begins on the W^{1,2} metric, then refreshes
+    assert calls[0] is h1_operator(mesh)
+    assert len(calls) == 1 + cold.iterations // 30
+    del calls[:]
+    shifted = make_hole_from_arc(mesh, 0.05, 0.5 * mesh.perimeter)
+    warm = solve_trace_constant(mesh, cfg, shifted, init=cold.extremal)
+    # a warm start begins on the lagged metric at its init
+    assert warm.converged and warm.iterations > 0
+    assert len(calls) == 1 + warm.iterations // 30
+    assert all(metric is not h1_operator(mesh) for metric in calls)

@@ -7,7 +7,8 @@ a JUnit XML report, and exits 0 only when the set of failing tests is
 exactly ``EXPECTED_RED``.  A new failure fails the gate, and so does an
 expected-red test turning green: criterion 5's windows are unattainable at
 the thicknesses it tests (see README, "Expected suite state"), so a pass
-there means the test or its windows changed.
+there means the test or its windows changed.  The verdict line also gives
+the line count of ``src/traceholes/``, the code size the roadmap tracks.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ def outcomes(report: Path):
     return ran, failed
 
 
+def source_lines() -> int:
+    return sum(len(path.read_text().splitlines())
+               for path in (ROOT / "src" / "traceholes").glob("*.py"))
+
+
 def main(argv) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -54,9 +60,12 @@ def main(argv) -> int:
                  for name in sorted((EXPECTED_RED & ran) - failed)]
     for line in problems:
         print(f"check_suite: {line}")
+    size = f"src/traceholes: {source_lines()} lines"
     if problems:
+        print(f"check_suite: FAIL ({size})")
         return 1
-    print(f"check_suite: {len(ran)} tests, failures exactly {sorted(EXPECTED_RED)}")
+    print(f"check_suite: {len(ran)} tests, failures exactly "
+          f"{sorted(EXPECTED_RED)} ({size})")
     return 0
 
 
