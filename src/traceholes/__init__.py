@@ -8,9 +8,8 @@ and verify the one-dimensional and thin-domain limit laws.
 
 from .geometry import (
     BoundaryHole, Disk, Interval, Mesh, MeshResolutionError, Rectangle,
-    TangentialField, ThinRectangle, boundary_measure, generate_mesh,
-    hole_from_facets, make_hole_from_arc, plateau_speed, rotation_field,
-    tangential_field,
+    TangentialField, ThinRectangle, generate_mesh, hole_from_facets,
+    make_hole_from_arc, plateau_speed, tangential_field,
 )
 from .fem import (
     NotAdmissibleError, ProblemConfig, boundary_norm_q, energy,
@@ -18,7 +17,6 @@ from .fem import (
 )
 from .trace_solver import (
     TraceResult, el_residual, positivity_check, solve_trace_constant,
-    solve_with_restarts,
 )
 from .shape_derivative import (
     ShapeDerivativeResult, evaluate_shape_derivative, fd_check,
@@ -32,6 +30,6 @@ from .one_dim import (
     OneDimProblem, closed_form_for_hole_fraction, closed_form_limit_constant,
     optimize_limit_hole, solve_limit_problem,
 )
-from .thin_domain import MuSweep, project_to_limit, run_mu_sweep
+from .thin_domain import MuSweep, run_mu_sweep
 
 __version__ = "0.1.0"

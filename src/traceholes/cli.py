@@ -89,11 +89,9 @@ class RunSpec:
                 raise SpecError(f"{name} must be a nonempty list, got {values!r}")
             for value in values:
                 _check_number(name, value, low, high)
-        params = dict(self.domain)
-        params.update(params.pop("params", None) or {})
         for name in _DOMAIN_NUMBERS:
-            if name in params:
-                _check_number(f"domain {name}", params[name])
+            if name in self.domain:
+                _check_number(f"domain {name}", self.domain[name])
 
 
 class SpecError(ValueError):
@@ -128,11 +126,19 @@ def _check_number(name, value, low=-_INF, high=_INF, integer=False):
         raise SpecError(f"{name} must lie in ({low}, {high}), got {value!r}")
 
 
-def _build_domain(block: dict):
-    if not block or "kind" not in block:
+def _flat_domain(block: dict) -> dict:
+    """The domain block with its ``params`` table merged into the top
+    level, where an entry at the top level (a flag's) wins."""
+    params = block.get("params") or {}
+    if not isinstance(params, dict):
+        raise SpecError(f"domain params must be a table, got {params!r}")
+    return {**params, **{k: v for k, v in block.items() if k != "params"}}
+
+
+def _build_domain(params: dict):
+    if not params or "kind" not in params:
         raise SpecError("domain block must carry a 'kind' field")
-    kind = str(block["kind"]).lower()
-    params = block.get("params", block)
+    kind = str(params["kind"]).lower()
     try:
         if kind == "interval":
             return Interval(float(params["a"]), float(params["b"]))
@@ -152,8 +158,7 @@ def _base_interval(spec: RunSpec) -> Interval:
     """The interval (a, b) of the one-dimensional commands: the domain
     block's bounds, of an interval or a thin rectangle, each 0 and 1 by
     default."""
-    block = {"kind": "interval", **spec.domain}
-    block["params"] = {"a": 0.0, "b": 1.0, **block.get("params", block)}
+    block = {"kind": "interval", "a": 0.0, "b": 1.0, **spec.domain}
     domain = _build_domain(block)
     if not isinstance(domain, (Interval, ThinRectangle)):
         raise SpecError(f"{spec.command} runs on an interval (a, b), "
@@ -485,6 +490,7 @@ def run(spec: RunSpec) -> int:
     """Validate and dispatch a run; returns the process exit code."""
     if spec.command not in _DISPATCH:
         raise SpecError(f"unknown command {spec.command!r}")
+    spec.domain = _flat_domain(spec.domain)
     spec.validate()
     out = _out_dir(spec)
     return _DISPATCH[spec.command](spec, out)

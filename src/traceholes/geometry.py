@@ -265,15 +265,18 @@ def _mesh_disk(domain: Disk, resolution: float) -> Mesh:
                 domain, {"rings": m})
 
 
-def cell_volumes(mesh: Mesh) -> np.ndarray:
-    """Signed cell measures (positive for a correctly oriented mesh)."""
-    v = mesh.vertices
-    c = mesh.cells
-    if mesh.dim == 1:
-        return (v[c[:, 1], 0] - v[c[:, 0], 0])
-    e1 = v[c[:, 1]] - v[c[:, 0]]
-    e2 = v[c[:, 2]] - v[c[:, 0]]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+def symmetry_generators(mesh: Mesh) -> list:
+    """Generators of the mesh's symmetry group as facet permutations
+    (facet k maps to perm[k]): on the disk rings the rotation by 60 degrees
+    and the flip y -> -y, on a rectangle grid the rotation by 180 degrees
+    (its diagonals break both flips), on other meshes none."""
+    nf = mesh.n_facets
+    k = np.arange(nf)
+    if "rings" in mesh.meta:
+        return [(k + mesh.meta["rings"]) % nf, (-1 - k) % nf]
+    if "grid" in mesh.meta:
+        return [(k + nf // 2) % nf]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -305,14 +308,6 @@ def _facet_measure(mesh: Mesh, facet_indices) -> float:
     if not facet_indices:
         return 0.0
     return math.fsum(float(mesh.facet_lengths[i]) for i in sorted(facet_indices))
-
-
-def boundary_measure(mesh: Mesh, hole: BoundaryHole) -> float:
-    """Exact sum of the member facet measures."""
-    bad = [i for i in hole.facet_indices if i < 0 or i >= mesh.n_facets]
-    if bad:
-        raise ValueError(f"hole facets {bad} not valid for this mesh")
-    return _facet_measure(mesh, hole.facet_indices)
 
 
 def _arc_facet_set(mesh: Mesh, start: float, length: float) -> frozenset:
@@ -462,16 +457,6 @@ def tangential_field(mesh: Mesh, speed, dspeed=None, delta: float = None,
             raise ValueError("nodal speed must have one entry per boundary vertex")
         fn, dfn = None, None
     return TangentialField(nodal, extension, delta, fn, dfn)
-
-
-def rotation_field(mesh: Mesh, speed: float) -> TangentialField:
-    """Rigid rotation of a disk with constant boundary speed."""
-    if not isinstance(mesh.domain, Disk):
-        raise ValueError("rotation fields are defined for disks only")
-    nodal = np.full(mesh.n_facets, float(speed))
-    return TangentialField(nodal, "rotation", float("inf"),
-                           lambda s: np.full_like(np.asarray(s, dtype=float), float(speed)),
-                           lambda s: np.zeros_like(np.asarray(s, dtype=float)))
 
 
 def plateau_speed(mesh: Mesh, lo: float, hi: float, ramp: float,

@@ -13,10 +13,12 @@ Two strategies over whole-facet holes:
   memo breaks cycles.  A final polish slides a contiguous arc of the
   target measure around the whole boundary (warm-started solves), which
   certifies the result against any single-arc sweep at facet granularity.
-  The sweep is pruned exactly: S is monotone under inclusion of holes, so
-  one solve on the facets shared by a block of consecutive arcs bounds
-  every arc of the block from below, and a block whose bound clears the
-  current best cannot contain a better arc.
+  A mesh symmetry maps an arc to an arc of equal S, so the sweep solves
+  one arc per orbit of the mesh's symmetry group: the first in start
+  order.  It is also pruned exactly: S is monotone under inclusion of
+  holes, so one solve on the facets shared by a block of consecutive arcs
+  bounds every arc of the block from below, and a block whose bound clears
+  the current best cannot contain a better arc.
 
 * shape_gradient: for holes that are unions of arcs, descend on the arc
   endpoints using the assembled shape derivative with localized endpoint
@@ -39,7 +41,7 @@ from ._descent import minimize_quotient
 from .fem import ProblemConfig
 from .geometry import (
     BoundaryHole, Mesh, arc_interval, bump_speed, hole_arcs, hole_from_facets,
-    tangential_field,
+    symmetry_generators, tangential_field,
 )
 from .shape_derivative import evaluate_shape_derivative
 from .trace_solver import TraceResult, _h1_preconditioner, solve_trace_constant
@@ -132,10 +134,6 @@ def _random_hole(mesh: Mesh, rng: np.random.Generator,
                                      target))
 
 
-def is_contiguous_arc(mesh: Mesh, hole: BoundaryHole) -> bool:
-    return len(hole_arcs(mesh, hole)) == 1
-
-
 def _slide_candidates(mesh: Mesh, target: float) -> list:
     """Facet sets of every arc of the target measure starting at a facet
     boundary, in start order (the family any snapped single-arc sweep
@@ -148,6 +146,48 @@ def _slide_candidates(mesh: Mesh, target: float) -> list:
             seen.add(facets)
             out.append(facets)
     return out
+
+
+def _symmetry_group(mesh: Mesh) -> np.ndarray:
+    """Every facet permutation the mesh's symmetry generators span, one
+    per row, the identity included."""
+    gens = symmetry_generators(mesh)
+    group = {tuple(range(mesh.n_facets))}
+    while True:
+        images = {tuple(s[list(g)].tolist()) for g in group for s in gens}
+        if images <= group:
+            return np.array(sorted(group), dtype=np.intp)
+        group |= images
+
+
+def _key(n_facets: int, facets) -> bytes:
+    """A facet set as its packed membership mask: exact, and far smaller
+    than a frozenset of Python ints."""
+    mask = np.zeros(n_facets, dtype=bool)
+    mask[list(facets)] = True
+    return np.packbits(mask).tobytes()
+
+
+def _orbit(group: np.ndarray, facets) -> set:
+    """Keys of the facet sets a hole maps to under the group."""
+    idx = list(facets)
+    return {_key(group.shape[1], g[idx]) for g in group}
+
+
+def _orbit_representatives(group: np.ndarray, candidates) -> list:
+    """The candidates, in order, that are not the exact image of an
+    earlier kept one: one per orbit the candidates meet."""
+    masks = np.zeros((len(candidates), group.shape[1]), dtype=bool)
+    for row, facets in zip(masks, candidates):
+        row[list(facets)] = True
+    # column k of an image's mask is column g^-1[k] of the arc's own mask
+    images = [np.packbits(masks[:, np.argsort(g)], axis=1) for g in group]
+    covered, kept = set(), []
+    for c, own in enumerate(np.packbits(masks, axis=1)):
+        if own.tobytes() not in covered:
+            kept.append(candidates[c])
+            covered.update(image[c].tobytes() for image in images)
+    return kept
 
 
 def make_arc_facets(mesh: Mesh, first_facet: int, target: float):
@@ -239,7 +279,11 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
 
     if polish:
         warm = best_res.extremal
-        candidates = _slide_candidates(mesh, target)
+        group = _symmetry_group(mesh)
+        # mirror images of the best hole tie with it up to rounding
+        mirrors = _orbit(group, best_hole.facet_indices)
+        candidates = _orbit_representatives(
+            group, _slide_candidates(mesh, target))
         for i in range(0, len(candidates), _SLIDE_BLOCK):
             block = candidates[i:i + _SLIDE_BLOCK]
             core = frozenset.intersection(*block)
@@ -253,13 +297,14 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
                         best_res.s_value * (1.0 + _PRUNE_MARGIN):
                     continue
             for facets in block:
-                if facets == best_hole.facet_indices:
+                if _key(mesh.n_facets, facets) in mirrors:
                     continue
                 cand_hole = hole_from_facets(mesh, facets)
                 cand = solve_trace_constant(mesh, cfg, cand_hole, init=warm)
                 n_solves += 1
                 if cand.s_value < best_res.s_value:
                     best_hole, best_res = cand_hole, cand
+                    mirrors = _orbit(group, facets)
                     warm = cand.extremal
                     step += 1
                     history.append((step, cand_hole.measure, cand.s_value))

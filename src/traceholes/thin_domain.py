@@ -145,26 +145,3 @@ def _richardson(records) -> Optional[float]:
     if not 0 < ratio < 1:
         return f3
     return float(f3 + d2 * ratio / (1.0 - ratio))
-
-
-@dataclass
-class FiberProjection:
-    x: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
-
-    @property
-    def max_relative_std(self) -> float:
-        scale = float(np.max(np.abs(self.mean)))
-        return float(np.max(self.std)) / max(scale, 1e-300)
-
-
-def project_to_limit(mesh: Mesh, u: np.ndarray) -> FiberProjection:
-    """Average a thin-rectangle field over vertical fibers; the spread per
-    fiber measures how far the field is from its y-independent limit."""
-    if "grid" not in mesh.meta:
-        raise ValueError("fiber projection needs a structured rectangle mesh")
-    nx, ny = mesh.meta["grid"]
-    grid = np.asarray(u).reshape(ny + 1, nx + 1)
-    x = mesh.vertices[: nx + 1, 0]
-    return FiberProjection(x, grid.mean(axis=0), grid.std(axis=0))

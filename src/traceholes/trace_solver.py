@@ -160,18 +160,3 @@ def positivity_check(result: TraceResult, hole: BoundaryHole) -> PositivityRepor
     max_on = float(np.abs(u[hole_verts]).max()) if hole_verts.size else 0.0
     return PositivityReport(min_off, min_free, max_on,
                             violation=bool(min_off < 0))
-
-
-def solve_with_restarts(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
-                        restarts: int = 3, seed: int = 0):
-    """Verification mode: random positive restarts; returns the best result
-    and the relative spread of the values found."""
-    rng = np.random.default_rng(seed)
-    results = [solve_trace_constant(mesh, cfg, hole)]
-    for _ in range(restarts):
-        u0 = rng.uniform(0.5, 1.5, size=mesh.n_vertices)
-        results.append(solve_trace_constant(mesh, cfg, hole, init=u0))
-    values = [r.s_value for r in results]
-    best = results[int(np.argmin(values))]
-    spread = (max(values) - min(values)) / max(abs(best.s_value), 1e-300)
-    return best, spread, values

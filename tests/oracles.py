@@ -8,10 +8,15 @@ so solver results are cross-checked by a genuinely different route.
 import csv
 import io
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+from traceholes.geometry import Disk, TangentialField, hole_arcs
+from traceholes.trace_solver import solve_trace_constant
 
 
 def inscribed_polygon_perimeter(n, radius=1.0):
@@ -188,3 +193,73 @@ def csv_text(header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def cell_volumes(mesh):
+    """Signed cell measures (positive for a correctly oriented mesh)."""
+    v = mesh.vertices
+    c = mesh.cells
+    if mesh.dim == 1:
+        return (v[c[:, 1], 0] - v[c[:, 0], 0])
+    e1 = v[c[:, 1]] - v[c[:, 0]]
+    e2 = v[c[:, 2]] - v[c[:, 0]]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def boundary_measure(mesh, hole):
+    """Exactly rounded sum of the member facet measures."""
+    bad = [i for i in hole.facet_indices if i < 0 or i >= mesh.n_facets]
+    if bad:
+        raise ValueError(f"hole facets {bad} not valid for this mesh")
+    return math.fsum(float(mesh.facet_lengths[i]) for i in hole.facet_indices)
+
+
+def rotation_field(mesh, speed):
+    """Rigid rotation of a disk with constant boundary speed."""
+    if not isinstance(mesh.domain, Disk):
+        raise ValueError("rotation fields are defined for disks only")
+    nodal = np.full(mesh.n_facets, float(speed))
+    return TangentialField(nodal, "rotation", float("inf"),
+                           lambda s: np.full_like(np.asarray(s, dtype=float), float(speed)),
+                           lambda s: np.zeros_like(np.asarray(s, dtype=float)))
+
+
+def is_contiguous_arc(mesh, hole):
+    return len(hole_arcs(mesh, hole)) == 1
+
+
+def solve_with_restarts(mesh, cfg, hole, restarts=3, seed=0):
+    """A cold solve plus random positive restarts: the best result, the
+    relative spread of the values found, and the values."""
+    rng = np.random.default_rng(seed)
+    results = [solve_trace_constant(mesh, cfg, hole)]
+    for _ in range(restarts):
+        u0 = rng.uniform(0.5, 1.5, size=mesh.n_vertices)
+        results.append(solve_trace_constant(mesh, cfg, hole, init=u0))
+    values = [r.s_value for r in results]
+    best = results[int(np.argmin(values))]
+    spread = (max(values) - min(values)) / max(abs(best.s_value), 1e-300)
+    return best, spread, values
+
+
+@dataclass
+class FiberProjection:
+    x: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
+
+    @property
+    def max_relative_std(self):
+        scale = float(np.max(np.abs(self.mean)))
+        return float(np.max(self.std)) / max(scale, 1e-300)
+
+
+def project_to_limit(mesh, u):
+    """Average a thin-rectangle field over vertical fibers; the spread per
+    fiber measures how far the field is from its y-independent limit."""
+    if "grid" not in mesh.meta:
+        raise ValueError("fiber projection needs a structured rectangle mesh")
+    nx, ny = mesh.meta["grid"]
+    grid = np.asarray(u).reshape(ny + 1, nx + 1)
+    x = mesh.vertices[: nx + 1, 0]
+    return FiberProjection(x, grid.mean(axis=0), grid.std(axis=0))

@@ -16,11 +16,9 @@ import pytest
 from traceholes.fem import ProblemConfig, quotient_gradient, rayleigh_quotient
 from traceholes.geometry import (
     Disk, Interval, Rectangle, generate_mesh, hole_from_facets,
-    make_hole_from_arc, plateau_speed, rotation_field, tangential_field,
+    make_hole_from_arc, plateau_speed, tangential_field,
 )
-from traceholes.hole_optimizer import (
-    is_contiguous_arc, optimize_hole_alternating, zero_set_measure,
-)
+from traceholes.hole_optimizer import optimize_hole_alternating, zero_set_measure
 from traceholes.one_dim import (
     OneDimProblem, closed_form_limit_constant, optimize_limit_hole,
     solve_limit_problem,
@@ -29,7 +27,10 @@ from traceholes.shape_derivative import evaluate_shape_derivative, fd_check
 from traceholes.thin_domain import run_mu_sweep
 from traceholes.trace_solver import positivity_check, solve_trace_constant
 
-from oracles import central_difference_gradient, dense_trace_eigenpair
+from oracles import (
+    central_difference_gradient, dense_trace_eigenpair, is_contiguous_arc,
+    rotation_field,
+)
 
 
 def _report(lines, ok, label):

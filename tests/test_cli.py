@@ -170,6 +170,25 @@ def test_sweep_mu_reads_nested_domain_params(tmp_path):
     assert nested["target_limit"] != read_summary(tmp_path, "unit")["target_limit"]
 
 
+def test_flags_override_nested_domain_params(tmp_path):
+    nested = _write_config(tmp_path, {
+        "domain": {"kind": "disk", "params": {"radius": 1.0}}})
+    solve = ["solve", "--resolution", "0.25", "--out", str(tmp_path)]
+    assert main(solve + ["--config", nested, "--radius", "2",
+                         "--run-id", "solve-nested"]) == 0
+    assert main(solve + ["--domain", "disk", "--radius", "2",
+                         "--run-id", "solve-flags"]) == 0
+    assert read_summary(tmp_path, "solve-nested") \
+        == read_summary(tmp_path, "solve-flags")
+    verify = ["verify-1d", "-p", "2", "--alpha", "0.5", "--n-cells", "200",
+              "--out", str(tmp_path)]
+    assert main(verify + ["--config", _write_config(tmp_path, NESTED_INTERVAL),
+                          "--b", "3", "--run-id", "1d-nested"]) == 0
+    assert main(verify + ["--a", "0", "--b", "3", "--run-id", "1d-flags"]) == 0
+    assert read_summary(tmp_path, "1d-nested") \
+        == read_summary(tmp_path, "1d-flags")
+
+
 def test_one_dim_commands_reject_other_domains(tmp_path, capsys):
     assert main(["verify-1d", "-p", "2", "--alpha", "0.5", "--domain", "disk",
                  "--radius", "1", "--out", str(tmp_path)]) == 1

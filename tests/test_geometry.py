@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 
 from traceholes.geometry import (
     Disk, Interval, MeshResolutionError, Rectangle, ThinRectangle,
-    boundary_measure, cell_volumes, generate_mesh, hole_arcs,
-    hole_from_facets, make_hole_from_arc,
+    generate_mesh, hole_arcs, hole_from_facets, make_hole_from_arc,
+    symmetry_generators,
 )
 
-from oracles import inscribed_polygon_perimeter, mesh_to_json
+from oracles import (
+    boundary_measure, cell_volumes, inscribed_polygon_perimeter,
+    mesh_to_json,
+)
 
 
 def edge_multiplicities(mesh):
@@ -185,3 +188,41 @@ def test_mesh_immutable_and_json():
     blob = mesh_to_json(mesh)
     assert set(blob) == {"vertices", "cells", "boundary"}
     assert len(blob["vertices"]) == mesh.n_vertices
+
+
+def _isometries(mesh):
+    """The maps the generators stand for, from the mesh coordinates: the
+    disk's rotation by 60 degrees and flip y -> -y, and a rectangle's
+    rotation by 180 degrees about its centre."""
+    if isinstance(mesh.domain, Disk):
+        c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
+        return [lambda x: x @ np.array([[c, s], [-s, c]]),
+                lambda x: x * np.array([1.0, -1.0])]
+    centre = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
+    return [lambda x: 2.0 * centre - x]
+
+
+@pytest.mark.parametrize("domain,resolution", [
+    (Disk(1), 0.2), (Disk(1), 0.1), (Disk(1), 0.05), (Rectangle(2, 1), 0.1),
+    (ThinRectangle(0, 1, 1 / 16), 1 / 64),
+    (ThinRectangle(0, 1, 1 / 64), 1 / 256)])
+def test_symmetry_generators_are_mesh_isometries(domain, resolution):
+    mesh = generate_mesh(domain, resolution)
+    generators = symmetry_generators(mesh)
+    maps = _isometries(mesh)
+    assert len(generators) == len(maps)
+    cells = {frozenset(c) for c in mesh.cells.tolist()}
+    for perm, isometry in zip(generators, maps):
+        image = isometry(mesh.vertices)
+        dist = np.linalg.norm(image[:, None, :] - mesh.vertices[None], axis=2)
+        vmap = dist.argmin(axis=1)
+        assert dist[np.arange(mesh.n_vertices), vmap].max() <= 1e-14
+        assert np.unique(vmap).size == mesh.n_vertices
+        assert {frozenset(c) for c in vmap[mesh.cells].tolist()} == cells
+        assert sorted(perm.tolist()) == list(range(mesh.n_facets))
+        for k, facet in enumerate(mesh.boundary.tolist()):
+            assert set(vmap[facet]) == set(mesh.boundary[perm[k]].tolist())
+
+
+def test_meshes_without_symmetry_generators():
+    assert symmetry_generators(generate_mesh(Interval(0, 1), 0.25)) == []

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from traceholes.fem import ProblemConfig
@@ -6,10 +7,13 @@ from traceholes.geometry import (
     make_hole_from_arc,
 )
 from traceholes.hole_optimizer import (
-    _SLIDE_BLOCK, _slide_candidates, is_contiguous_arc, make_arc_facets,
-    optimize_hole_alternating, optimize_hole_shape_gradient, zero_set_measure,
+    _SLIDE_BLOCK, _orbit_representatives, _slide_candidates, _symmetry_group,
+    make_arc_facets, optimize_hole_alternating, optimize_hole_shape_gradient,
+    zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
+
+from oracles import is_contiguous_arc
 
 
 @pytest.fixture(scope="module")
@@ -185,21 +189,36 @@ def test_arc_facets_match_running_sum_loop(domain, resolution):
         assert _slide_candidates(mesh, target) == expected
 
 
-def _exhaustive_polish(mesh, cfg, alpha, **kwargs):
-    """Reference slide polish that solves every candidate arc, from the
-    same alternating-loop state: (best hole, best value, history, solves)."""
+def _images(group, facets):
+    """The facet sets a hole maps to under a group of facet permutations."""
+    return {frozenset(g[sorted(facets)].tolist()) for g in group}
+
+
+def _exhaustive_polish(mesh, cfg, alpha, full_family=False, **kwargs):
+    """Reference slide polish that solves every orbit representative, or
+    with ``full_family`` every candidate arc, from the same alternating-loop
+    state, skipping the best hole's orbit: (best hole, best value, history,
+    solves)."""
     run = optimize_hole_alternating(mesh, cfg, alpha, polish=False, **kwargs)
     hole, best = run.best_hole, run.best_result
     history, n_solves = list(run.history), run.n_solves
     warm = best.extremal
-    for facets in _slide_candidates(mesh, alpha * mesh.perimeter):
-        if facets == hole.facet_indices:
+    candidates = _slide_candidates(mesh, alpha * mesh.perimeter)
+    if full_family:         # every arc stands alone: the trivial group
+        group = np.arange(mesh.n_facets)[None, :]
+    else:
+        group = _symmetry_group(mesh)
+        candidates = _orbit_representatives(group, candidates)
+    mirrors = _images(group, hole.facet_indices)
+    for facets in candidates:
+        if facets in mirrors:
             continue
         cand_hole = hole_from_facets(mesh, facets)
         cand = solve_trace_constant(mesh, cfg, cand_hole, init=warm)
         n_solves += 1
         if cand.s_value < best.s_value:
             hole, best, warm = cand_hole, cand, cand.extremal
+            mirrors = _images(group, facets)
             history.append((len(history) + 1, cand_hole.measure, cand.s_value))
     return hole, best.s_value, history, n_solves
 
@@ -211,12 +230,18 @@ def _assert_same_as_exhaustive(run, reference):
     assert run.history == history
 
 
-def test_pruned_polish_equals_exhaustive_sweep_thin(thin, cfg):
-    run = optimize_hole_alternating(thin, cfg, 0.5, n_starts=2, seed=0)
+@pytest.fixture(scope="module")
+def thin_run(thin, cfg):
+    return optimize_hole_alternating(thin, cfg, 0.5, n_starts=2, seed=0)
+
+
+def test_pruned_polish_equals_exhaustive_sweep_thin(thin, cfg, thin_run):
     reference = _exhaustive_polish(thin, cfg, 0.5, n_starts=2, seed=0)
-    _assert_same_as_exhaustive(run, reference)
+    _assert_same_as_exhaustive(thin_run, reference)
     # most blocks are skipped on their core bound
-    assert run.n_solves < thin.n_facets < reference[3]
+    representatives = _orbit_representatives(
+        _symmetry_group(thin), _slide_candidates(thin, 0.5 * thin.perimeter))
+    assert thin_run.n_solves < len(representatives) < reference[3]
 
 
 def test_pruned_polish_equals_exhaustive_sweep_while_improving(thin, cfg):
@@ -238,6 +263,45 @@ def test_pruned_polish_equals_exhaustive_sweep_disk(disk, cfg, disk_run):
     reference = _exhaustive_polish(disk, cfg, 0.25, n_starts=3, seed=1)
     _assert_same_as_exhaustive(disk_run, reference)
     assert reference[3] < disk_run.n_solves
+
+
+@pytest.mark.parametrize("mesh_name,alpha,kwargs", [
+    ("disk", 0.25, dict(n_starts=3, seed=1)),
+    ("thin", 0.5, dict(n_starts=2, seed=0))])
+def test_reduced_polish_matches_full_family_sweep(request, cfg, mesh_name,
+                                                  alpha, kwargs):
+    mesh = request.getfixturevalue(mesh_name)
+    run = request.getfixturevalue(mesh_name + "_run")
+    hole, value, _, n_solves = _exhaustive_polish(
+        mesh, cfg, alpha, full_family=True, **kwargs)
+    assert run.best_value == pytest.approx(value, rel=1e-12, abs=0)
+    group = _symmetry_group(mesh)
+    assert run.best_hole.facet_indices in _images(group, hole.facet_indices)
+    assert run.n_solves < n_solves
+    # the kept arcs' orbits are exactly the full family
+    candidates = _slide_candidates(mesh, alpha * mesh.perimeter)
+    kept = _orbit_representatives(group, candidates)
+    assert set().union(*(_images(group, arc) for arc in kept)) \
+        == set(candidates)
+
+
+@pytest.mark.parametrize("domain,resolution,alpha,first", [
+    (Disk(1), 0.1, 0.25, 3), (Disk(1), 0.1, 0.4, 17),
+    (ThinRectangle(0, 1, 1 / 16), 1 / 64, 0.5, 5),
+    (ThinRectangle(0, 1, 1 / 16), 1 / 64, 0.2, 70),
+    (Rectangle(2, 1), 0.1, 0.3, 11)])
+def test_symmetric_images_of_an_arc_share_its_value(cfg, domain, resolution,
+                                                     alpha, first):
+    mesh = generate_mesh(domain, resolution)
+    arc = make_arc_facets(mesh, first, alpha * mesh.perimeter)
+    images = _images(_symmetry_group(mesh), arc)
+    assert len(images) == (12 if isinstance(domain, Disk) else 2)
+    value = solve_trace_constant(mesh, cfg,
+                                 hole_from_facets(mesh, arc)).s_value
+    for image in images:
+        other = solve_trace_constant(mesh, cfg, hole_from_facets(mesh, image))
+        assert other.converged
+        assert other.s_value == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def test_block_core_bounds_its_arcs(thin, cfg):

@@ -3,13 +3,14 @@ import pytest
 
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import (
-    Disk, generate_mesh, make_hole_from_arc, plateau_speed,
-    rotation_field, tangential_field,
+    Disk, generate_mesh, make_hole_from_arc, plateau_speed, tangential_field,
 )
 from traceholes.shape_derivative import (
     evaluate_shape_derivative, fd_check, transport_hole,
 )
 from traceholes.trace_solver import solve_trace_constant
+
+from oracles import rotation_field
 
 
 @pytest.fixture(scope="module")

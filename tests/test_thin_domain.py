@@ -4,9 +4,9 @@ import pytest
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import Interval, ThinRectangle, generate_mesh
 from traceholes.one_dim import OneDimProblem, solve_limit_problem
-from traceholes.thin_domain import (
-    project_to_limit, reference_limit, run_mu_sweep, scaling_exponent,
-)
+from traceholes.thin_domain import reference_limit, run_mu_sweep, scaling_exponent
+
+from oracles import project_to_limit
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,13 @@ from traceholes.geometry import (
     hole_from_facets, make_hole_from_arc,
 )
 from traceholes.trace_solver import (
-    el_residual, positivity_check, solve_trace_constant, solve_with_restarts,
+    el_residual, positivity_check, solve_trace_constant,
 )
 
-from oracles import dense_trace_eigenpair, interval_trace_constant_shooting
+from oracles import (
+    dense_trace_eigenpair, interval_trace_constant_shooting,
+    solve_with_restarts,
+)
 
 # frozen output of the shooting oracle (= coth(1)); the guard assertion in
 # test_interval_against_shooting_oracle recomputes it
