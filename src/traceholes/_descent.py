@@ -81,7 +81,6 @@ class DescentResult:
     value: float
     iterations: int
     converged: bool
-    grad_norm: float
     values: list
 
 
@@ -139,7 +138,7 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, u0,
     values = [E]
     best_u, best_val = u.copy(), E
     if gnorm <= tol:
-        return DescentResult(best_u, best_val, 0, True, gnorm, values)
+        return DescentResult(best_u, best_val, 0, True, values)
     gnorm0 = gnorm
     if metric is not None and precond is None:
         precond = Preconditioner.restricted(metric(u, DELTA_MAX), free)
@@ -191,5 +190,5 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, u0,
         if gnorm <= tol and len(values) > window:
             drop = (max(values[-window:]) - values[-1]) / max(abs(values[-1]), 1e-300)
             if drop <= tol:
-                return DescentResult(u, E, it, True, gnorm, values)
-    return DescentResult(best_u, best_val, it, False, gnorm, values)
+                return DescentResult(u, E, it, True, values)
+    return DescentResult(best_u, best_val, it, False, values)

@@ -26,8 +26,8 @@ import numpy as np
 from .fem import NotAdmissibleError, ProblemConfig
 from .geometry import (
     Disk, Interval, MeshResolutionError, Rectangle, ThinRectangle,
-    arc_interval, generate_mesh, hole_arcs, make_hole_from_arc,
-    plateau_speed, tangential_field,
+    generate_mesh, hole_intervals, make_hole_from_arc, plateau_speed,
+    tangential_field,
 )
 from .hole_optimizer import (
     optimize_hole_alternating, optimize_hole_shape_gradient, zero_set_measure,
@@ -40,8 +40,6 @@ from .shape_derivative import fd_check
 from .thin_domain import run_mu_sweep
 from .trace_solver import solve_trace_constant
 
-COMMANDS = ("solve", "optimize", "shape-grad-check", "sweep-alpha",
-            "sweep-mu", "verify-1d")
 OUTPUT_ROOT_ENV = "TRACEHOLES_RESULTS"
 
 
@@ -77,7 +75,8 @@ class RunSpec:
 
     def validate(self) -> None:
         """Type, finiteness and range of every numeric field and domain
-        parameter, before any command reads them."""
+        parameter, and the alpha of the commands that need one, before any
+        command reads them."""
         self.config()
         for name, (low, high, integer) in _NUMBERS.items():
             value = getattr(self, name)
@@ -92,6 +91,8 @@ class RunSpec:
         for name in _DOMAIN_NUMBERS:
             if name in self.domain:
                 _check_number(f"domain {name}", self.domain[name])
+        if self.alpha is None and self.command in _NEEDS_ALPHA:
+            raise SpecError(f"{self.command} needs --alpha")
 
 
 class SpecError(ValueError):
@@ -112,6 +113,7 @@ _NUMBERS = {
 _NUMBER_LISTS = {"alphas": (0, 1), "mu_values": (0, 1),
                  "fd_steps_rel": (0, _INF)}
 _DOMAIN_NUMBERS = ("a", "b", "width", "height", "radius", "mu")
+_NEEDS_ALPHA = ("optimize", "sweep-mu", "verify-1d")
 
 
 def _check_number(name, value, low=-_INF, high=_INF, integer=False):
@@ -154,6 +156,14 @@ def _build_domain(params: dict):
     raise SpecError(f"unknown domain kind {kind!r}")
 
 
+def _mesh_and_config(spec: RunSpec):
+    """The run's mesh and problem config, with q subcritical on it."""
+    mesh = generate_mesh(_build_domain(spec.domain), spec.resolution)
+    cfg = spec.config()
+    cfg.validate_subcritical(mesh.dim)
+    return mesh, cfg
+
+
 def _base_interval(spec: RunSpec) -> Interval:
     """The interval (a, b) of the one-dimensional commands: the domain
     block's bounds, of an interval or a thin rectangle, each 0 and 1 by
@@ -164,12 +174,6 @@ def _base_interval(spec: RunSpec) -> Interval:
         raise SpecError(f"{spec.command} runs on an interval (a, b), "
                         f"not on a {block['kind']} domain")
     return Interval(domain.a, domain.b)
-
-
-def _out_dir(spec: RunSpec) -> Path:
-    root = Path(spec.out or os.environ.get(OUTPUT_ROOT_ENV, "results"))
-    run_id = spec.run_id or f"{spec.command}-p{spec.p}-q{spec.q}-seed{spec.seed}"
-    return root / run_id
 
 
 # rows per formatted block of extremal.csv: a whole-file block held about
@@ -247,19 +251,24 @@ def _mesh_arrays(mesh) -> dict:
 
 
 def _cmd_solve(spec: RunSpec, out: Path) -> int:
-    domain = _build_domain(spec.domain)
-    mesh = generate_mesh(domain, spec.resolution)
-    cfg = spec.config()
-    cfg.validate_subcritical(mesh.dim)
+    mesh, cfg = _mesh_and_config(spec)
     if spec.hole_length is None:
         hole = make_hole_from_arc(mesh, 0.0, 0.0)
     else:
         hole = make_hole_from_arc(mesh, spec.hole_start or 0.0,
                                   spec.hole_length)
     result = solve_trace_constant(mesh, cfg, hole)
-    summary = result.export(cfg)
-    summary["converged"] = result.converged
-    summary["hole_measure"] = hole.measure
+    summary = {
+        "p": spec.p, "q": spec.q,
+        "alpha_or_hole": sorted(hole.facet_indices),
+        "s_value": result.s_value,
+        "lambda": result.lam,
+        "el_residual": result.el_residual,
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "hole_measure": hole.measure,
+        "mesh": {"resolution": mesh.resolution, "n_vertices": mesh.n_vertices},
+    }
     _write_json(out / "summary.json", summary)
     _write_json(out / "mesh.json", _mesh_arrays(mesh))
     _write_extremal(out / "extremal.csv", mesh.vertices, result.extremal)
@@ -271,12 +280,7 @@ def _cmd_solve(spec: RunSpec, out: Path) -> int:
 
 
 def _cmd_optimize(spec: RunSpec, out: Path) -> int:
-    if spec.alpha is None:
-        raise SpecError("optimize needs --alpha")
-    domain = _build_domain(spec.domain)
-    mesh = generate_mesh(domain, spec.resolution)
-    cfg = spec.config()
-    cfg.validate_subcritical(mesh.dim)
+    mesh, cfg = _mesh_and_config(spec)
     if spec.strategy == "shape_gradient":
         init = make_hole_from_arc(mesh, spec.hole_start or 0.0,
                                   spec.alpha * mesh.perimeter)
@@ -294,14 +298,12 @@ def _cmd_optimize(spec: RunSpec, out: Path) -> int:
         run = optimize_hole_alternating(mesh, cfg, spec.alpha,
                                         n_starts=spec.n_starts,
                                         seed=spec.seed)
-    intervals = [list(arc_interval(mesh, a, c))
-                 for a, c in hole_arcs(mesh, run.best_hole)]
     summary = {
         "p": spec.p, "q": spec.q, "alpha": run.alpha,
         "alpha_effective": run.alpha_effective,
         "strategy": run.strategy,
         "best_value": run.best_value,
-        "hole_intervals": intervals,
+        "hole_intervals": hole_intervals(mesh, run.best_hole),
         "hole_facets": sorted(run.best_hole.facet_indices),
         "zero_set_measure": zero_set_measure(mesh, run.best_result),
         "n_solves": run.n_solves,
@@ -318,20 +320,16 @@ def _cmd_optimize(spec: RunSpec, out: Path) -> int:
 
 
 def _cmd_shape_grad_check(spec: RunSpec, out: Path) -> int:
-    domain = _build_domain(spec.domain)
-    if not isinstance(domain, Disk):
+    if not isinstance(_build_domain(spec.domain), Disk):
         raise SpecError("shape-grad-check runs on disk domains")
-    mesh = generate_mesh(domain, spec.resolution)
-    cfg = spec.config()
-    cfg.validate_subcritical(mesh.dim)
+    mesh, cfg = _mesh_and_config(spec)
     P = mesh.perimeter
     length = spec.hole_length if spec.hole_length is not None else 0.25 * P
     hole = make_hole_from_arc(mesh, spec.hole_start or 0.0, length)
     fmid = float(np.max(mesh.facet_lengths))
     steps = sorted(h * P for h in spec.fd_steps_rel)
     h_mid, h_max = steps[len(steps) // 2], steps[-1]
-    (first, count), = hole_arcs(mesh, hole)
-    s_start, s_end = arc_interval(mesh, first, count)
+    (s_start, s_end), = hole_intervals(mesh, hole)
     arc_len = s_end - s_start
     amp = spec.speed_amplitude
     if amp is None:
@@ -365,31 +363,21 @@ def _cmd_shape_grad_check(spec: RunSpec, out: Path) -> int:
     return 0
 
 
-def _sweep_alpha_one(args):
-    (domain_block, resolution, p, q, epsilon, dof_tol, max_iter, alpha,
-     n_starts, seed) = args
-    domain = _build_domain(domain_block)
-    mesh = generate_mesh(domain, resolution)
-    cfg = ProblemConfig(p, q, epsilon=epsilon, dof_tolerance=dof_tol,
-                        max_inner_iterations=max_iter)
-    run = optimize_hole_alternating(mesh, cfg, alpha, n_starts=n_starts,
-                                    seed=seed)
+def _sweep_alpha_one(spec: RunSpec, alpha: float):
+    mesh, cfg = _mesh_and_config(spec)
+    run = optimize_hole_alternating(mesh, cfg, alpha, n_starts=spec.n_starts,
+                                    seed=spec.seed)
     return alpha, run.best_value, run.alpha_effective, run.converged
 
 
 def _cmd_sweep_alpha(spec: RunSpec, out: Path) -> int:
-    cfg = spec.config()
-    domain = _build_domain(spec.domain)
-    mesh = generate_mesh(domain, spec.resolution)
-    cfg.validate_subcritical(mesh.dim)
-    jobs = [(spec.domain, spec.resolution, spec.p, spec.q, spec.epsilon,
-             spec.dof_tolerance, spec.max_inner_iterations, a,
-             spec.n_starts, spec.seed) for a in spec.alphas]
+    mesh, _ = _mesh_and_config(spec)
+    specs = [spec] * len(spec.alphas)
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_sweep_alpha_one, jobs))
+            rows = list(pool.map(_sweep_alpha_one, specs, spec.alphas))
     else:
-        rows = [_sweep_alpha_one(j) for j in jobs]
+        rows = list(map(_sweep_alpha_one, specs, spec.alphas))
     _write_csv(out / "data.csv",
                ("alpha", "s_alpha", "alpha_effective", "converged"), rows)
     summary = {
@@ -407,8 +395,6 @@ def _cmd_sweep_alpha(spec: RunSpec, out: Path) -> int:
 
 def _cmd_sweep_mu(spec: RunSpec, out: Path) -> int:
     base = _base_interval(spec)
-    if spec.alpha is None:
-        raise SpecError("sweep-mu needs --alpha")
     cfg = spec.config()
     sweep = run_mu_sweep(base, spec.alpha, cfg, spec.mu_values,
                          n_starts=spec.n_starts, seed=spec.seed)
@@ -435,8 +421,6 @@ def _cmd_sweep_mu(spec: RunSpec, out: Path) -> int:
 
 
 def _cmd_verify_1d(spec: RunSpec, out: Path) -> int:
-    if spec.alpha is None:
-        raise SpecError("verify-1d needs --alpha")
     base = _base_interval(spec)
     a, b = base.a, base.b
     length = b - a
@@ -492,8 +476,9 @@ def run(spec: RunSpec) -> int:
         raise SpecError(f"unknown command {spec.command!r}")
     spec.domain = _flat_domain(spec.domain)
     spec.validate()
-    out = _out_dir(spec)
-    return _DISPATCH[spec.command](spec, out)
+    root = Path(spec.out or os.environ.get(OUTPUT_ROOT_ENV, "results"))
+    run_id = spec.run_id or f"{spec.command}-p{spec.p}-q{spec.q}-seed{spec.seed}"
+    return _DISPATCH[spec.command](spec, root / run_id)
 
 
 def _load_config(path: str) -> dict:
@@ -518,7 +503,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Trace constants with boundary holes: solve, optimize, "
                     "and verify.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON/TOML config file")
         sp.add_argument("--domain", choices=["interval", "rectangle", "disk",
@@ -541,11 +526,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    payload = {}
-    if args.config:
-        payload.update(_load_config(args.config))
+    payload = _load_config(args.config) if args.config else {}
+    if not isinstance(payload, dict):
+        raise SpecError(f"config must be a table, got {payload!r}")
     spec = RunSpec(command=args.command)
-    domain = dict(payload.pop("domain", {}))
+    domain = payload.pop("domain", {})
+    if not isinstance(domain, dict):
+        raise SpecError(f"domain must be a table, got {domain!r}")
     for key, value in payload.items():
         if not hasattr(spec, key):
             raise SpecError(f"unknown config field {key!r}")

@@ -322,18 +322,6 @@ def quotient_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarr
     return dE / B**r - r * E * dB / B ** (r + 1.0)
 
 
-def weak_form_vectors(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray):
-    """Euler-Lagrange pairing vectors (a_i, b_i) against all nodal hats:
-
-    a_i = int (eps^2+|grad u|^2)^((p-2)/2) grad u . grad phi_i + |u|^{p-2} u phi_i
-    b_i = int_boundary |u|^{q-2} u phi_i
-
-    so stationarity of the quotient reads a = lambda b on free DOFs.
-    """
-    return (energy_gradient(mesh, cfg, u) / cfg.p,
-            boundary_norm_gradient(mesh, cfg, u) / cfg.q)
-
-
 def h1_operator(mesh: Mesh):
     """Sparse stiffness + lumped mass matrix (the W^{1,2} metric that
     preconditions descent at p = 2 and cold starts at other p); cached

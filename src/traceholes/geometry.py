@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -127,9 +127,6 @@ class Mesh:
     def boundary_vertex_indices(self) -> np.ndarray:
         return np.unique(self.boundary)
 
-    def facet_set(self) -> frozenset:
-        return frozenset(range(self.n_facets))
-
 
 def generate_mesh(domain: Domain, resolution: float) -> Mesh:
     """Mesh a domain with target edge length ``resolution``.
@@ -183,28 +180,18 @@ def _mesh_rectangle(width, height, resolution, domain, x0=0.0, ny=None) -> Mesh:
     X, Y = np.meshgrid(xs, ys)
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # vertex (i, j) has index j * (nx + 1) + i; each grid square, row by
+    # row, gives the cells (v00, v10, v11) and (v00, v11, v01)
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+    cells = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
 
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    cells = np.array(cells)
-
-    facets = []
-    for i in range(nx):                       # bottom, x increasing
-        facets.append((vid(i, 0), vid(i + 1, 0)))
-    for j in range(ny):                       # right, y increasing
-        facets.append((vid(nx, j), vid(nx, j + 1)))
-    for i in range(nx, 0, -1):                # top, x decreasing
-        facets.append((vid(i, ny), vid(i - 1, ny)))
-    for j in range(ny, 0, -1):                # left, y decreasing
-        facets.append((vid(0, j), vid(0, j - 1)))
-    boundary = np.array(facets)
+    # boundary walk: bottom (x increasing), right (y increasing), top (x
+    # decreasing), left (y decreasing); facet k runs from walk[k] to the next
+    walk = np.concatenate([np.arange(nx), nx + (nx + 1) * np.arange(ny),
+                           ny * (nx + 1) + np.arange(nx, 0, -1),
+                           (nx + 1) * np.arange(ny, 0, -1)])
+    boundary = np.column_stack([walk, np.roll(walk, -1)])
     lengths = np.linalg.norm(
         vertices[boundary[:, 1]] - vertices[boundary[:, 0]], axis=1)
     arclen = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
@@ -301,13 +288,8 @@ def hole_from_facets(mesh: Mesh, facet_indices) -> BoundaryHole:
     idx = frozenset(int(i) for i in facet_indices)
     if idx and (min(idx) < 0 or max(idx) >= mesh.n_facets):
         raise ValueError("facet index out of range")
-    return BoundaryHole(idx, _facet_measure(mesh, idx))
-
-
-def _facet_measure(mesh: Mesh, facet_indices) -> float:
-    if not facet_indices:
-        return 0.0
-    return math.fsum(float(mesh.facet_lengths[i]) for i in sorted(facet_indices))
+    return BoundaryHole(idx, math.fsum(
+        float(mesh.facet_lengths[i]) for i in sorted(idx)))
 
 
 def _arc_facet_set(mesh: Mesh, start: float, length: float) -> frozenset:
@@ -315,7 +297,7 @@ def _arc_facet_set(mesh: Mesh, start: float, length: float) -> frozenset:
     P = mesh.perimeter
     eps = 1e-12 * P
     if length >= P - eps:
-        return mesh.facet_set()
+        return frozenset(range(mesh.n_facets))
     s0 = float(start) % P
     # walk offset of each facet relative to the arc start; a facet starting
     # within eps before s0 starts at s0 (its offset would otherwise wrap to
@@ -356,25 +338,17 @@ def hole_arcs(mesh: Mesh, hole: BoundaryHole):
     if not hole.facet_indices:
         return []
     nf = mesh.n_facets
-    idx = sorted(hole.facet_indices)
-    if len(idx) == nf:
+    if len(hole.facet_indices) == nf:
         return [(0, nf)]
     member = np.zeros(nf, dtype=bool)
-    member[idx] = True
-    runs = []
-    i = 0
-    while i < nf:
-        if member[i] and not member[(i - 1) % nf]:
-            j = i
-            count = 0
-            while member[j % nf]:
-                count += 1
-                j += 1
-            runs.append((i, count))
-            i += count
-        else:
-            i += 1
-    return runs
+    member[list(hole.facet_indices)] = True
+    firsts = np.flatnonzero(member & ~np.roll(member, 1))
+    lasts = np.flatnonzero(member & ~np.roll(member, -1))
+    if lasts[0] < firsts[0]:
+        # a run wrapping past the last facet ends at lasts[0] but starts
+        # at firsts[-1]
+        lasts = np.roll(lasts, -1)
+    return list(zip(firsts.tolist(), ((lasts - firsts) % nf + 1).tolist()))
 
 
 def arc_interval(mesh: Mesh, first_facet: int, count: int):
@@ -386,6 +360,12 @@ def arc_interval(mesh: Mesh, first_facet: int, count: int):
     return s_a, s_b
 
 
+def hole_intervals(mesh: Mesh, hole: BoundaryHole) -> list:
+    """Arclength interval [s_a, s_b] of every maximal arc of the hole."""
+    return [list(arc_interval(mesh, first, count))
+            for first, count in hole_arcs(mesh, hole)]
+
+
 # ---------------------------------------------------------------------------
 # tangential boundary fields
 
@@ -394,9 +374,9 @@ def arc_interval(mesh: Mesh, first_facet: int, count: int):
 class TangentialField:
     """Tangential velocity of the boundary, with an interior extension rule.
 
-    The speed is a signed arclength velocity sampled at boundary vertices
-    (walk order); closed-form speed/derivative callables are kept when
-    available and preferred over nodal finite differences.  Extensions:
+    The speed is a signed arclength velocity, given with its arclength
+    derivative (the tangential divergence of V on the boundary) as
+    closed-form callables of arclength.  Extensions:
 
     * "tube": V(x) = speed(s(x)) * chi(dist(x, boundary)/delta) * tangent,
       with chi a C1 smoothed hat, so spt(V) stays in the delta-tube.
@@ -404,11 +384,10 @@ class TangentialField:
       divergence free, antisymmetric Jacobian).
     """
 
-    nodal_speed: np.ndarray
-    extension: str
+    speed: Callable
+    dspeed: Callable
     delta: float
-    speed_fn: Optional[Callable] = None
-    dspeed_fn: Optional[Callable] = None
+    extension: str = "tube"
 
 
 def _cutoff(t):
@@ -434,10 +413,10 @@ def max_tube_width(mesh: Mesh) -> float:
     return float("inf")
 
 
-def tangential_field(mesh: Mesh, speed, dspeed=None, delta: float = None,
-                     extension: str = "tube") -> TangentialField:
-    """Build a tangential field from a speed function of arclength (or a
-    nodal array in boundary-walk order)."""
+def tangential_field(mesh: Mesh, speed, dspeed,
+                     delta: float = None) -> TangentialField:
+    """Build a tube field from a speed function of arclength and its
+    arclength derivative."""
     if mesh.dim != 2:
         raise ValueError("tangential fields need a 2D mesh")
     if delta is None:
@@ -447,16 +426,7 @@ def tangential_field(mesh: Mesh, speed, dspeed=None, delta: float = None,
         delta = 3.0 * mesh.resolution
         if not delta < limit:
             delta = 0.5 * limit
-    s_nodes = mesh.facet_arclength
-    if callable(speed):
-        nodal = np.asarray(speed(s_nodes), dtype=float)
-        fn, dfn = speed, dspeed
-    else:
-        nodal = np.asarray(speed, dtype=float)
-        if nodal.shape != s_nodes.shape:
-            raise ValueError("nodal speed must have one entry per boundary vertex")
-        fn, dfn = None, None
-    return TangentialField(nodal, extension, delta, fn, dfn)
+    return TangentialField(speed, dspeed, delta)
 
 
 def plateau_speed(mesh: Mesh, lo: float, hi: float, ramp: float,
@@ -499,46 +469,6 @@ def plateau_speed(mesh: Mesh, lo: float, hi: float, ramp: float,
     return speed, dspeed
 
 
-def bump_speed(mesh: Mesh, center: float, width: float, amplitude: float = 1.0):
-    """C1 cosine bump of given half-width centered at an arclength."""
-    return plateau_speed(mesh, center, center, width, amplitude)
-
-
-def _nodal_speed_interp(mesh: Mesh, V: TangentialField, s):
-    s = np.asarray(s, dtype=float) % mesh.perimeter
-    nodes = np.concatenate([mesh.facet_arclength, [mesh.perimeter]])
-    vals = np.concatenate([V.nodal_speed, [V.nodal_speed[0]]])
-    return np.interp(s, nodes, vals)
-
-
-def _nodal_dspeed(mesh: Mesh, V: TangentialField):
-    s = mesh.facet_arclength
-    P = mesh.perimeter
-    v = V.nodal_speed
-    ds = (np.roll(s, -1) - np.roll(s, 1)) % P
-    return (np.roll(v, -1) - np.roll(v, 1)) / ds
-
-
-def speed_at(mesh: Mesh, V: TangentialField, s):
-    if V.speed_fn is not None:
-        return V.speed_fn(s)
-    return _nodal_speed_interp(mesh, V, s)
-
-
-def dspeed_at(mesh: Mesh, V: TangentialField, s):
-    """Arclength derivative of the tangential speed; this is the tangential
-    divergence of V on the boundary."""
-    if V.dspeed_fn is not None:
-        return V.dspeed_fn(s)
-    if V.speed_fn is not None:
-        h = 1e-6 * mesh.perimeter
-        return (V.speed_fn(np.asarray(s) + h) - V.speed_fn(np.asarray(s) - h)) / (2 * h)
-    nodes = np.concatenate([mesh.facet_arclength, [mesh.perimeter]])
-    dv = _nodal_dspeed(mesh, V)
-    vals = np.concatenate([dv, [dv[0]]])
-    return np.interp(np.asarray(s, dtype=float) % mesh.perimeter, nodes, vals)
-
-
 def field_divergence_and_jacobian(mesh: Mesh, V: TangentialField,
                                   points: np.ndarray):
     """div V and the Jacobian DV of the extended field at interior points.
@@ -551,7 +481,7 @@ def field_divergence_and_jacobian(mesh: Mesh, V: TangentialField,
     n = pts.shape[0]
     if V.extension == "rotation":
         r = mesh.domain.radius
-        w = float(V.nodal_speed[0]) / r
+        w = float(V.speed(0.0)) / r
         div = np.zeros(n)
         DV = np.zeros((n, 2, 2))
         DV[:, 0, 1] = -w
@@ -583,8 +513,8 @@ def _tube_disk(mesh, V, pts):
     h = np.where(active, _cutoff(t), 0.0)
     hp = np.where(active, _cutoff_derivative(t) * (-1.0 / delta), 0.0)
 
-    v = np.asarray(speed_at(mesh, V, s), dtype=float)
-    vp = np.asarray(dspeed_at(mesh, V, s), dtype=float)
+    v = np.asarray(V.speed(s), dtype=float)
+    vp = np.asarray(V.dspeed(s), dtype=float)
 
     # V = g(rho, theta) * (-y, x) with g = v(s(theta)) h(rho) / rho
     g = v * h / rho_safe
@@ -604,47 +534,34 @@ def _tube_disk(mesh, V, pts):
     return div, DV
 
 
-def _rectangle_frame(domain):
-    if isinstance(domain, ThinRectangle):
-        x0, w, h = domain.a, domain.b - domain.a, domain.mu
-    else:
-        x0, w, h = 0.0, domain.width, domain.height
-    # side order matches the boundary walk: bottom, right, top, left
-    # rows: (arclength offset, tangent, inward normal)
-    return x0, w, h, [
-        (0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-        (w, np.array([0.0, 1.0]), np.array([-1.0, 0.0])),
-        (w + h, np.array([-1.0, 0.0]), np.array([0.0, -1.0])),
-        (2 * w + h, np.array([0.0, -1.0]), np.array([1.0, 0.0])),
-    ]
-
-
 def _tube_polygon(mesh, V, pts):
-    x0, w, h, sides = _rectangle_frame(mesh.domain)
+    dom = mesh.domain
+    if isinstance(dom, ThinRectangle):
+        x0, w, h = dom.a, dom.b - dom.a, dom.mu
+    else:
+        x0, w, h = 0.0, dom.width, dom.height
     delta = V.delta
     x = pts[:, 0] - x0
     y = pts[:, 1]
+    # sides in boundary-walk order: bottom, right, top, left; per side the
+    # distance, the parameter from the side's start, its arclength offset,
+    # tangent and inward normal
     dists = np.stack([y, w - x, h - y, x], axis=1)
     params = np.stack([x, y, w - x, h - y], axis=1)
     side = np.argmin(dists, axis=1)
     ar = np.arange(pts.shape[0])
     d = dists[ar, side]
-    s_local = params[ar, side]
-
-    offsets = np.array([s[0] for s in sides])
-    tangents = np.array([s[1] for s in sides])
-    inward = np.array([s[2] for s in sides])
-    s = offsets[side] + s_local
-    tau = tangents[side]
-    nin = inward[side]
+    s = np.array([0.0, w, w + h, 2 * w + h])[side] + params[ar, side]
+    tau = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])[side]
+    nin = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])[side]
 
     active = d < delta
     t = d / delta
     chi = np.where(active, _cutoff(t), 0.0)
     chi_p = np.where(active, _cutoff_derivative(t) / delta, 0.0)
 
-    v = np.asarray(speed_at(mesh, V, s), dtype=float)
-    vp = np.asarray(dspeed_at(mesh, V, s), dtype=float)
+    v = np.asarray(V.speed(s), dtype=float)
+    vp = np.asarray(V.dspeed(s), dtype=float)
 
     # V = v(s) chi(d/delta) tau;  grad(v chi) = v' chi tau + v chi' grad d,
     # and grad d is the inward normal.

@@ -40,8 +40,8 @@ from . import fem
 from ._descent import minimize_quotient
 from .fem import ProblemConfig
 from .geometry import (
-    BoundaryHole, Mesh, arc_interval, bump_speed, hole_arcs, hole_from_facets,
-    symmetry_generators, tangential_field,
+    BoundaryHole, Mesh, arc_interval, hole_arcs, hole_from_facets,
+    plateau_speed, symmetry_generators, tangential_field,
 )
 from .shape_derivative import evaluate_shape_derivative
 from .trace_solver import TraceResult, _h1_preconditioner, solve_trace_constant
@@ -68,13 +68,6 @@ def _target_measure(mesh: Mesh, alpha: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     return alpha * mesh.perimeter
-
-
-def _greedy_select(mesh: Mesh, scores: np.ndarray, target: float) -> frozenset:
-    """Smallest-score facets first until the measure snaps to the target;
-    ties break on the lower facet index for determinism."""
-    return _snap_select(mesh, np.lexsort((np.arange(mesh.n_facets), scores)),
-                        target)
 
 
 def _snap_select(mesh: Mesh, order, target: float) -> frozenset:
@@ -235,11 +228,10 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
     else:
         starts = [_random_hole(mesh, rng, target) for _ in range(n_starts)]
 
-    history: List[Tuple[int, float, float]] = []
+    history: List[Tuple[float, float]] = []   # (measure, value) per step
     n_solves = 0
     best_hole = None
     best_res = None
-    step = 0
     converged_any = False
 
     for start in starts:
@@ -249,8 +241,7 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
         visited = {hole.facet_indices}
         if best_res is None or res.s_value < best_res.s_value:
             best_hole, best_res = hole, res
-            step += 1
-            history.append((step, hole.measure, res.s_value))
+            history.append((hole.measure, res.s_value))
         run_hole, run_res = hole, res
         ranking_init = None
         for _ in range(max_outer):
@@ -258,7 +249,9 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
             ranking_init = w
             n_solves += 1
             scores = fem.facet_boundary_energy(mesh, cfg, w)
-            proposal = _greedy_select(mesh, scores, target)
+            # smallest scores first, ties on the lower facet index
+            proposal = _snap_select(
+                mesh, np.lexsort((np.arange(mesh.n_facets), scores)), target)
             if proposal == run_hole.facet_indices:
                 converged_any = True
                 break
@@ -274,8 +267,7 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
             run_hole, run_res = cand_hole, cand
             if run_res.s_value < best_res.s_value:
                 best_hole, best_res = run_hole, run_res
-                step += 1
-                history.append((step, run_hole.measure, run_res.s_value))
+                history.append((run_hole.measure, run_res.s_value))
 
     if polish:
         warm = best_res.extremal
@@ -306,9 +298,9 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
                     best_hole, best_res = cand_hole, cand
                     mirrors = _orbit(group, facets)
                     warm = cand.extremal
-                    step += 1
-                    history.append((step, cand_hole.measure, cand.s_value))
+                    history.append((cand_hole.measure, cand.s_value))
 
+    history = [(i, m, v) for i, (m, v) in enumerate(history, 1)]
     return OptimizationRun(
         alpha, best_hole, best_res.s_value, history, "alternating",
         best_hole.measure / mesh.perimeter, best_res, n_solves,
@@ -324,27 +316,19 @@ def _endpoint_gradients(mesh, cfg, hole, trace, endpoints):
     grads = []
     width = 4.0 * float(np.max(mesh.facet_lengths))
     for s in endpoints:
-        speed, dspeed = bump_speed(mesh, s % mesh.perimeter, width, 1.0)
+        c = s % mesh.perimeter
+        speed, dspeed = plateau_speed(mesh, c, c, width, 1.0)
         V = tangential_field(mesh, speed, dspeed)
         grads.append(evaluate_shape_derivative(mesh, cfg, hole, V, trace).ds_dt)
     return np.array(grads)
 
 
-def _arcs_to_facets(mesh, arcs_idx):
-    """(first_facet, count) runs -> facet set, merging overlaps."""
-    facets = set()
-    for first, count in arcs_idx:
-        for k in range(count):
-            facets.add((first + k) % mesh.n_facets)
-    return frozenset(facets)
-
-
 def optimize_hole_shape_gradient(mesh: Mesh, cfg: ProblemConfig, alpha: float,
                                  init_hole: BoundaryHole,
-                                 max_steps: int = 40,
-                                 balance_tolerance: float = 0.05) -> OptimizationRun:
+                                 max_steps: int = 40) -> OptimizationRun:
     """Slide arc endpoints along the measure-preserving component of the
-    endpoint shape gradient, one whole facet at a time."""
+    endpoint shape gradient, one whole facet at a time, until that
+    component falls to 5% of the gradient."""
     target = _target_measure(mesh, alpha)
     if abs(init_hole.measure - target) > float(np.max(mesh.facet_lengths)):
         raise ValueError("initial hole measure must be within one facet of target")
@@ -375,10 +359,9 @@ def optimize_hole_shape_gradient(mesh: Mesh, cfg: ProblemConfig, alpha: float,
         proj = g - sigma * float(sigma @ g) / float(sigma @ sigma)
         gmax = float(np.max(np.abs(proj)))
         if gmax == 0.0 or float(np.linalg.norm(proj)) <= \
-                balance_tolerance * max(float(np.linalg.norm(g)), 1e-300):
+                0.05 * max(float(np.linalg.norm(g)), 1e-300):
             converged = True
             break
-        fbar = float(np.mean(mesh.facet_lengths))
         moves = -proj / gmax * step_facets          # in arclength facets
         shift = np.rint(moves).astype(int)
         drift = int(np.round(float(sigma @ shift)))
@@ -404,8 +387,10 @@ def optimize_hole_shape_gradient(mesh: Mesh, cfg: ProblemConfig, alpha: float,
         if not ok:
             step_facets //= 2
             continue
-        facets = _arcs_to_facets(mesh, new_arcs)   # merges colliding arcs
-        cand_hole = hole_from_facets(mesh, facets)
+        # the union merges colliding arcs
+        cand_hole = hole_from_facets(mesh, {
+            (first + k) % mesh.n_facets
+            for first, count in new_arcs for k in range(count)})
         if abs(cand_hole.measure - target) > float(np.max(mesh.facet_lengths)) + 1e-12:
             step_facets //= 2
             continue
@@ -421,13 +406,10 @@ def optimize_hole_shape_gradient(mesh: Mesh, cfg: ProblemConfig, alpha: float,
                            converged or step_facets < 1)
 
 
-def zero_set_measure(mesh: Mesh, result: TraceResult,
-                     threshold: Optional[float] = None) -> float:
+def zero_set_measure(mesh: Mesh, result: TraceResult) -> float:
     """Boundary measure of the facets on which the extremal vanishes
-    (both endpoint values at or below the threshold)."""
+    (both endpoint values at most 1e-8 times its maximum)."""
     u = result.extremal
-    if threshold is None:
-        threshold = 1e-8 * float(np.max(np.abs(u)))
-    small = np.abs(u) <= threshold
+    small = np.abs(u) <= 1e-8 * float(np.max(np.abs(u)))
     facets = np.where(np.all(small[mesh.boundary], axis=1))[0]
     return hole_from_facets(mesh, facets).measure

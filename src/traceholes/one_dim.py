@@ -49,10 +49,7 @@ class OneDimProblem:
             raise ValueError("need a < b")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.p <= 1:
-            raise ValueError("exponent p must exceed 1")
-        if self.q < 1:
-            raise ValueError("exponent q must be at least 1")
+        self.config()       # ProblemConfig checks p, q and the tolerances
 
     @property
     def length(self) -> float:
@@ -113,12 +110,6 @@ def _limit_operators(problem: OneDimProblem, x: np.ndarray) -> Operators:
                      rho=rho_n, beta=beta_n)
 
 
-def _hole_mask(x, hole, h):
-    lo, hi = hole
-    tol = 1e-9 * h
-    return (x >= lo - tol) & (x <= hi + tol)
-
-
 def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
                         n_cells: int,
                         init: Optional[np.ndarray] = None) -> LimitResult:
@@ -135,7 +126,8 @@ def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
     if abs((hi - lo) - target) > h + 1e-9 * h:
         raise ValueError(
             f"hole measure {hi - lo} does not match alpha within one cell")
-    constrained = _hole_mask(x, hole, h)
+    tol = 1e-9 * h
+    constrained = (x >= lo - tol) & (x <= hi + tol)
     free = ~constrained
     if not np.any(free):
         raise ValueError("hole covers the whole interval")
@@ -168,7 +160,6 @@ def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
 class HoleSweep:
     best_hole: Tuple[float, float]
     best_value: float
-    best_result: LimitResult
     starts: np.ndarray
     values: np.ndarray
     converged: bool             # every solve of the sweep converged
@@ -192,5 +183,5 @@ def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
         values.append(result.value)
         if best is None or result.value < best.value:
             best = result
-    return HoleSweep(best.hole, best.value, best,
+    return HoleSweep(best.hole, best.value,
                      np.array(starts), np.array(values), converged)

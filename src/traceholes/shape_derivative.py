@@ -21,7 +21,7 @@ displacement well above one facet (or an exact multiple of it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -29,9 +29,9 @@ import numpy as np
 from . import fem
 from .fem import ProblemConfig
 from .geometry import (
-    BoundaryHole, Mesh, TangentialField, arc_interval, dspeed_at,
+    BoundaryHole, Mesh, TangentialField, arc_interval,
     field_divergence_and_jacobian, hole_arcs, hole_from_facets,
-    make_hole_from_arc, speed_at,
+    make_hole_from_arc,
 )
 from .trace_solver import TraceResult, solve_trace_constant
 
@@ -41,7 +41,6 @@ class ShapeDerivativeResult:
     ds_dt: float
     boundary_term: float
     volume_term: float
-    fd_estimates: list = field(default_factory=list)
 
 
 def evaluate_shape_derivative(mesh: Mesh, cfg: ProblemConfig,
@@ -59,7 +58,7 @@ def evaluate_shape_derivative(mesh: Mesh, cfg: ProblemConfig,
     ops = fem.forms(mesh)
 
     # boundary term: -(p/q) S  int |u|^q div_tau V, with div_tau V = v'(s)
-    dv = np.asarray(dspeed_at(mesh, V, fem.boundary_arclengths(mesh)), dtype=float)
+    dv = np.asarray(V.dspeed(fem.boundary_arclengths(mesh)), dtype=float)
     bint = float(ops.point_integrand(cfg, u) @ dv)
     boundary_term = -(p / q) * trace.s_value * bint
 
@@ -94,8 +93,8 @@ def transport_hole(mesh: Mesh, hole: BoundaryHole, V: TangentialField,
     moved = []
     for first, count in arcs:
         s_a, s_b = arc_interval(mesh, first, count)
-        va = float(np.asarray(speed_at(mesh, V, s_a % P)))
-        vb = float(np.asarray(speed_at(mesh, V, s_b % P)))
+        va = float(V.speed(s_a % P))
+        vb = float(V.speed(s_b % P))
         na, nb = s_a + t * va, s_b + t * vb
         if nb - na <= 0:
             raise ValueError(f"arc collapsed under transport at t={t}")
@@ -116,7 +115,6 @@ def transport_hole(mesh: Mesh, hole: BoundaryHole, V: TangentialField,
 class FDCheck:
     analytic: float
     rows: List[Tuple[float, float, float]]   # (h, fd_value, relative_error)
-    derivative: ShapeDerivativeResult
 
 
 def fd_check(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
@@ -127,8 +125,7 @@ def fd_check(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
     from the base extremal."""
     if trace is None:
         trace = solve_trace_constant(mesh, cfg, hole)
-    derivative = evaluate_shape_derivative(mesh, cfg, hole, V, trace)
-    analytic = derivative.ds_dt
+    analytic = evaluate_shape_derivative(mesh, cfg, hole, V, trace).ds_dt
     rows = []
     for h in steps:
         values = {}
@@ -142,5 +139,4 @@ def fd_check(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
         fd = (values[1.0] - values[-1.0]) / (2.0 * h)
         rel = abs(fd - analytic) / max(abs(analytic), 1e-300)
         rows.append((float(h), fd, rel))
-        derivative.fd_estimates.append((float(h), fd))
-    return FDCheck(analytic, rows, derivative)
+    return FDCheck(analytic, rows)

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .fem import ProblemConfig
-from .geometry import Interval, Mesh, ThinRectangle, arc_interval, generate_mesh, hole_arcs
+from .geometry import Interval, ThinRectangle, generate_mesh, hole_intervals
 from .hole_optimizer import OptimizationRun, optimize_hole_alternating
 from .one_dim import OneDimProblem, solve_limit_problem
 
@@ -43,7 +43,6 @@ class MuRecord:
     hole_intervals: list
     alpha_effective: float
     converged: bool
-    n_vertices: int
 
 
 @dataclass
@@ -72,11 +71,6 @@ def reference_limit(base: Interval, alpha: float, cfg: ProblemConfig,
     hole = (base.b - alpha * length, base.b)
     res = solve_limit_problem(problem, hole, n_cells)
     return res.value / 2.0 ** (cfg.p / cfg.q)
-
-
-def _hole_intervals(mesh: Mesh, hole) -> list:
-    return [list(arc_interval(mesh, first, count))
-            for first, count in hole_arcs(mesh, hole)]
 
 
 def run_mu_sweep(base: Interval, alpha: float, cfg: ProblemConfig,
@@ -114,8 +108,8 @@ def run_mu_sweep(base: Interval, alpha: float, cfg: ProblemConfig,
                                         n_starts=n_starts, seed=seed)
         records.append(MuRecord(
             mu, run.best_value, run.best_value / mu**expo,
-            _hole_intervals(mesh, run.best_hole), run.alpha_effective,
-            run.converged, mesh.n_vertices))
+            hole_intervals(mesh, run.best_hole), run.alpha_effective,
+            run.converged))
         runs.append(run)
 
     slope = _loglog_slope(records)

@@ -36,35 +36,10 @@ class TraceResult:
     mesh: Mesh
     hole: BoundaryHole
 
-    def export(self, cfg: Optional[ProblemConfig] = None,
-               alpha: Optional[float] = None) -> dict:
-        """Result record in the documented JSON schema."""
-        return {
-            "p": cfg.p if cfg else None,
-            "q": cfg.q if cfg else None,
-            "alpha_or_hole": alpha if alpha is not None else
-            sorted(self.hole.facet_indices),
-            "s_value": self.s_value,
-            "lambda": self.lam,
-            "el_residual": self.el_residual,
-            "iterations": self.iterations,
-            "mesh": {"resolution": self.mesh.resolution,
-                     "n_vertices": self.mesh.n_vertices},
-        }
-
 
 def free_dof_mask(mesh: Mesh, hole: BoundaryHole) -> np.ndarray:
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[hole.vertex_indices(mesh)] = False
-    return free
-
-
-def _validate(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole) -> np.ndarray:
-    cfg.validate_subcritical(mesh.dim)
-    free = free_dof_mask(mesh, hole)
-    if not np.any(free[mesh.boundary_vertex_indices()]):
-        raise NotAdmissibleError(
-            "hole covers every boundary vertex: empty admissible class")
     return free
 
 
@@ -75,7 +50,11 @@ def _h1_preconditioner(mesh: Mesh, free: np.ndarray) -> Preconditioner:
 def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
                          init: Optional[np.ndarray] = None) -> TraceResult:
     """Minimize the discrete quotient over fields vanishing on the hole."""
-    free = _validate(mesh, cfg, hole)
+    cfg.validate_subcritical(mesh.dim)
+    free = free_dof_mask(mesh, hole)
+    if not np.any(free[mesh.boundary_vertex_indices()]):
+        raise NotAdmissibleError(
+            "hole covers every boundary vertex: empty admissible class")
     if init is None:
         u0 = np.ones(mesh.n_vertices)
     else:
@@ -109,8 +88,12 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
 
 
 def _multiplier_and_residual(mesh, cfg, u, free):
-    a_vec, b_vec = fem.weak_form_vectors(mesh, cfg, u)
-    a, b = a_vec[free], b_vec[free]
+    # Euler-Lagrange pairings against the free nodal hats,
+    #   a_i = int (eps^2+|grad u|^2)^((p-2)/2) grad u . grad phi_i + |u|^{p-2} u phi_i
+    #   b_i = int_boundary |u|^{q-2} u phi_i,
+    # so stationarity of the quotient reads a = lambda b on free DOFs
+    a = fem.energy_gradient(mesh, cfg, u)[free] / cfg.p
+    b = fem.boundary_norm_gradient(mesh, cfg, u)[free] / cfg.q
     bb = float(b @ b)
     if bb <= 0:
         raise NotAdmissibleError("boundary pairing vanished on free DOFs")

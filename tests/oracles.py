@@ -218,10 +218,69 @@ def rotation_field(mesh, speed):
     """Rigid rotation of a disk with constant boundary speed."""
     if not isinstance(mesh.domain, Disk):
         raise ValueError("rotation fields are defined for disks only")
-    nodal = np.full(mesh.n_facets, float(speed))
-    return TangentialField(nodal, "rotation", float("inf"),
-                           lambda s: np.full_like(np.asarray(s, dtype=float), float(speed)),
-                           lambda s: np.zeros_like(np.asarray(s, dtype=float)))
+    return TangentialField(
+        lambda s: np.full_like(np.asarray(s, dtype=float), float(speed)),
+        lambda s: np.zeros_like(np.asarray(s, dtype=float)),
+        float("inf"), "rotation")
+
+
+def hole_arcs_loop(mesh, hole):
+    """Maximal cyclic runs of hole facets as (first_facet, count) pairs,
+    found by walking the facets one at a time."""
+    if not hole.facet_indices:
+        return []
+    nf = mesh.n_facets
+    idx = sorted(hole.facet_indices)
+    if len(idx) == nf:
+        return [(0, nf)]
+    member = np.zeros(nf, dtype=bool)
+    member[idx] = True
+    runs = []
+    i = 0
+    while i < nf:
+        if member[i] and not member[(i - 1) % nf]:
+            j = i
+            count = 0
+            while member[j % nf]:
+                count += 1
+                j += 1
+            runs.append((i, count))
+            i += count
+        else:
+            i += 1
+    return runs
+
+
+def rectangle_mesh_loops(mesh):
+    """Cells, boundary facets and facet arclength offsets of a structured
+    rectangle mesh, built square by square and facet by facet from its
+    grid size and vertices."""
+    nx, ny = mesh.meta["grid"]
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    cells = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+    facets = []
+    for i in range(nx):                       # bottom, x increasing
+        facets.append((vid(i, 0), vid(i + 1, 0)))
+    for j in range(ny):                       # right, y increasing
+        facets.append((vid(nx, j), vid(nx, j + 1)))
+    for i in range(nx, 0, -1):                # top, x decreasing
+        facets.append((vid(i, ny), vid(i - 1, ny)))
+    for j in range(ny, 0, -1):                # left, y decreasing
+        facets.append((vid(0, j), vid(0, j - 1)))
+    boundary = np.array(facets)
+    v = mesh.vertices
+    lengths = np.linalg.norm(v[boundary[:, 1]] - v[boundary[:, 0]], axis=1)
+    arclength = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
+    return np.array(cells), boundary, arclength
 
 
 def is_contiguous_arc(mesh, hole):

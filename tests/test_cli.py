@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from traceholes import cli
 from traceholes.cli import (
     RunSpec, _mesh_arrays, _write_extremal, _write_json, main, run,
 )
@@ -122,6 +123,32 @@ def test_sweep_alpha_curve(tmp_path):
     assert code == 0
     payload = read_summary(tmp_path, "sa")
     assert payload["strictly_increasing"]
+
+
+def test_sweep_alpha_pool_matches_serial(tmp_path, monkeypatch):
+    pools, spawned = [], []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            spawned.append(len(self._processes))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    args = ["sweep-alpha", "--domain", "disk", "--radius", "1",
+            "--resolution", "0.25", "-p", "2", "-q", "2",
+            "--alphas", "0.2", "0.4", "0.6", "--n-starts", "2",
+            "--out", str(tmp_path)]
+    assert main(args + ["--workers", "1", "--run-id", "serial"]) == 0
+    assert pools == []
+    assert main(args + ["--workers", "2", "--run-id", "pool"]) == 0
+    assert pools == [2] and 1 <= spawned[0] <= 2
+    for name in ("data.csv", "summary.json"):
+        assert (tmp_path / "pool" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes()
 
 
 def test_sweep_mu_summary(tmp_path):
@@ -263,6 +290,9 @@ def test_invalid_problem_numbers_rejected(tmp_path, capsys, flags, config):
     ("solve", ["--radius", "nan"], None, "radius"),
     ("optimize", ["--alpha", "0.25", "--n-starts", "0"], None, "n_starts"),
     ("sweep-alpha", ["--alphas", "0.5", "1.5"], None, "alphas"),
+    ("solve", [], {"domain": 3}, "domain"),
+    ("solve", [], {"domain": "disk"}, "domain"),
+    ("solve", [], [1, 2], "config"),
 ])
 def test_invalid_run_numbers_rejected(tmp_path, capsys, command, flags,
                                       config, field):

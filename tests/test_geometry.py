@@ -10,8 +10,8 @@ from traceholes.geometry import (
 )
 
 from oracles import (
-    boundary_measure, cell_volumes, inscribed_polygon_perimeter,
-    mesh_to_json,
+    boundary_measure, cell_volumes, hole_arcs_loop,
+    inscribed_polygon_perimeter, mesh_to_json, rectangle_mesh_loops,
 )
 
 
@@ -171,6 +171,37 @@ def test_arc_exactly_aligned_roundtrip():
         start = mesh.facet_arclength[first]
         rebuilt = make_hole_from_arc(mesh, start, hole.measure)
         assert rebuilt.facet_indices == facets
+
+
+@pytest.mark.parametrize("resolution", [0.5, 0.2, 0.1])
+def test_hole_arcs_match_facet_walk(resolution):
+    mesh = generate_mesh(Disk(1), resolution)
+    nf = mesh.n_facets
+    rng = np.random.default_rng(5)
+    holes = [set(), set(range(nf)), set(range(nf)) - {4},  # empty, (nearly) full
+             {nf - 2, nf - 1, 0, 1}, {0, nf - 1}, {nf - 1, 0, 3},  # wrap
+             set(range(3, 9)), {0}, {nf - 1}, set(range(nf - 5)),   # runs
+             set(range(0, nf, 2)), set(range(1, nf, 3))]            # scattered
+    holes += [set(np.flatnonzero(rng.random(nf) < f).tolist())
+              for f in (0.2, 0.5, 0.8) for _ in range(4)]
+    for facets in holes:
+        hole = hole_from_facets(mesh, facets)
+        arcs = hole_arcs(mesh, hole)
+        assert arcs == hole_arcs_loop(mesh, hole)
+        assert all(type(v) is int for arc in arcs for v in arc)
+
+
+@pytest.mark.parametrize("domain,resolution", [
+    (Rectangle(2, 1), 0.1), (Rectangle(1, 1), 0.1), (Rectangle(1, 1), 1.0),
+    (ThinRectangle(0, 1, 1 / 16), 1 / 64),
+    (ThinRectangle(0, 1, 1 / 64), 1 / 256)])
+def test_rectangle_mesh_matches_loop_construction(domain, resolution):
+    mesh = generate_mesh(domain, resolution)
+    cells, boundary, arclength = rectangle_mesh_loops(mesh)
+    for built, reference in ((mesh.cells, cells), (mesh.boundary, boundary),
+                             (mesh.facet_arclength, arclength)):
+        assert built.dtype == reference.dtype
+        assert np.array_equal(built, reference)
 
 
 def test_hole_vertices_and_invalid_facets():

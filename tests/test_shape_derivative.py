@@ -69,8 +69,8 @@ def test_decomposition_and_linearity(disk, disk_setup):
     r2 = evaluate_shape_derivative(disk, cfg, hole, V2, trace)
     both = tangential_field(
         disk,
-        lambda s: V1.speed_fn(s) + V2.speed_fn(s),
-        lambda s: V1.dspeed_fn(s) + V2.dspeed_fn(s))
+        lambda s: V1.speed(s) + V2.speed(s),
+        lambda s: V1.dspeed(s) + V2.dspeed(s))
     rb = evaluate_shape_derivative(disk, cfg, hole, both, trace)
     assert rb.ds_dt == pytest.approx(r1.ds_dt + r2.ds_dt, rel=1e-10)
 
