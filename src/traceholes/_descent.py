@@ -1,12 +1,14 @@
 """Projected Barzilai-Borwein descent for 0-homogeneous quotients E/B^(p/q).
 
+Every quotient solve of the package starts here: the descent builds the
+start field from the caller's ``init`` and factors the starting metric.
 The iterate lives on the positive cone intersected with the unit-B sphere:
 after every step the field is replaced by its absolute value (the quotient
 never distinguishes u from |u| and the extremal has a sign) and rescaled
 so B = 1, which is exact because both forms are homogeneous.
 
 Steps go along the gradient preconditioned by an SPD elliptic metric
-(stiffness plus lumped mass, passed in factorized form); without it the
+(stiffness plus lumped mass, passed as a sparse matrix); without it the
 raw quotient gradient needs O(1/h^2) iterations on fine meshes.  At
 p = 2 the metric is fixed.  Otherwise the caller passes a callback for
 the lagged metric, whose weights are the p-Laplacian's coefficients
@@ -63,18 +65,6 @@ class Preconditioner:
         return cls(solve=lu.solve, matvec=lambda x: P @ x)
 
 
-def starting_preconditioner(fixed, free: np.ndarray, metric: Optional[Callable],
-                            warm: bool) -> Optional[Preconditioner]:
-    """The factor a descent starts on: the fixed metric's, except for a
-    warm start with a lagged metric, which the descent builds at u0 (None
-    here).  The lagged metric at a cold start's constant field is a poor
-    model: on disks (p = 1.5, 3) it raised solves from 22-32 to 59-95
-    iterations."""
-    if metric is not None and warm:
-        return None
-    return Preconditioner.restricted(fixed, free)
-
-
 @dataclass
 class DescentResult:
     u: np.ndarray
@@ -91,28 +81,43 @@ def _normalize(u, b_fn, q):
     return u * B ** (-1.0 / q)
 
 
-def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, u0,
-                      tol, max_iter, precond: Optional[Preconditioner] = None,
-                      metric: Optional[Callable] = None,
+def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
+                      tol, max_iter, metric: Optional[Callable] = None,
                       window=5, max_halvings=40) -> DescentResult:
     """Minimize E(u)/B(u)^(p/q) over the free DOFs.
+
+    The start is the constant field when ``init`` is None, otherwise
+    ``|init|`` with free entries floored at ``1e-12 max(max|init|, 1)``;
+    fixed DOFs start (and stay) at zero.  ``fixed`` is the SPD metric of
+    the preconditioner, a sparse matrix on all DOFs.
 
     Convergence requires both the free-DOF gradient norm (scaled by 1/p,
     the Euler-Lagrange residual scale) to fall below ``tol`` and the
     relative quotient decrease over the trailing window to stall at
     ``tol``.  Returns the iterate that passed that test, or the best
     iterate seen when none did: under the nonmonotone window the two can
-    differ, and only the former carries the stated gradient bound.
+    differ, and only the former carries the stated gradient bound.  Either
+    is nonnegative, zero on fixed DOFs and normalized to B = 1.
 
     ``metric(u, delta)``, when given, returns the lagged metric at u (a
     sparse SPD matrix on all DOFs, regularized by ``delta``); it is
-    refactored every ``REFRESH`` iterations, starting from ``precond``, or
-    from the metric at u0 when ``precond`` is None.
+    refactored every ``REFRESH`` iterations.  A cold start begins on
+    ``fixed``, a warm start on the metric at its start field: the lagged
+    metric at the constant field is a poor model, and on disks (p = 1.5,
+    3) it raised cold solves from 22-32 to 59-95 iterations.
     """
     r = p / q
-    u = np.abs(np.asarray(u0, dtype=float)).copy()
+    if init is None:
+        u = np.ones(free.size)
+    else:
+        u = np.abs(np.asarray(init, dtype=float))
+        if u.shape != free.shape:
+            raise ValueError("init field has the wrong length")
+        u[free] = np.maximum(u[free], 1e-12 * max(float(u.max()), 1.0))
     u[~free] = 0.0
     u = _normalize(u, b_fn, q)
+    precond = None if metric is not None and init is not None \
+        else Preconditioner.restricted(fixed, free)
 
     def grad_at(u, E):
         # B = 1 on the sphere, so dQ = dE - (p/q) E dB there
@@ -121,15 +126,11 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, u0,
         return g
 
     def direction(g):
-        if precond is None:
-            return g
         d = np.zeros_like(g)
         d[free] = precond.solve(g[free])
         return d
 
     def metric_norm2(s):
-        if precond is None:
-            return float(s @ s)
         return float(s[free] @ precond.matvec(s[free]))
 
     E = e_fn(u)
@@ -140,7 +141,7 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, u0,
     if gnorm <= tol:
         return DescentResult(best_u, best_val, 0, True, values)
     gnorm0 = gnorm
-    if metric is not None and precond is None:
+    if precond is None:
         precond = Preconditioner.restricted(metric(u, DELTA_MAX), free)
 
     d = direction(g)

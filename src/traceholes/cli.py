@@ -128,9 +128,11 @@ def _check_number(name, value, low=-_INF, high=_INF, integer=False):
         raise SpecError(f"{name} must lie in ({low}, {high}), got {value!r}")
 
 
-def _flat_domain(block: dict) -> dict:
+def _flat_domain(block) -> dict:
     """The domain block with its ``params`` table merged into the top
-    level, where an entry at the top level (a flag's) wins."""
+    level, where an entry at the top level wins."""
+    if not isinstance(block, dict):
+        raise SpecError(f"domain must be a table, got {block!r}")
     params = block.get("params") or {}
     if not isinstance(params, dict):
         raise SpecError(f"domain params must be a table, got {params!r}")
@@ -530,15 +532,13 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
     if not isinstance(payload, dict):
         raise SpecError(f"config must be a table, got {payload!r}")
     spec = RunSpec(command=args.command)
-    domain = payload.pop("domain", {})
-    if not isinstance(domain, dict):
-        raise SpecError(f"domain must be a table, got {domain!r}")
+    domain = _flat_domain(payload.pop("domain", {}))
     for key, value in payload.items():
         if not hasattr(spec, key):
             raise SpecError(f"unknown config field {key!r}")
         setattr(spec, key, value)
     if args.domain:
-        domain = {"kind": args.domain}
+        domain["kind"] = args.domain
     renamed = {"dof_tol": "dof_tolerance", "max_iter": "max_inner_iterations"}
     for flag, val in vars(args).items():
         if val is None or flag in ("command", "config", "domain"):

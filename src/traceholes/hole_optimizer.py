@@ -44,7 +44,7 @@ from .geometry import (
     plateau_speed, symmetry_generators, tangential_field,
 )
 from .shape_derivative import evaluate_shape_derivative
-from .trace_solver import TraceResult, _h1_preconditioner, solve_trace_constant
+from .trace_solver import TraceResult, solve_trace_constant
 
 
 _SLIDE_BLOCK = 16       # consecutive slide arcs bounded by one core solve
@@ -94,18 +94,16 @@ def _relaxed_ranking_field(mesh: Mesh, cfg: ProblemConfig,
     weights = np.ones(mesh.n_facets)
     if hole.facet_indices:
         weights[sorted(hole.facet_indices)] = 0.0
-    free = np.ones(mesh.n_vertices, dtype=bool)
-    u0 = np.ones(mesh.n_vertices) if init is None else \
-        np.maximum(np.abs(init), 1e-6 * float(np.abs(init).max() or 1.0))
+    if init is not None:
+        init = np.maximum(np.abs(init), 1e-6 * float(np.abs(init).max() or 1.0))
     res = minimize_quotient(
         lambda u: fem.energy(mesh, cfg, u),
         lambda u: fem.energy_gradient(mesh, cfg, u),
         lambda u: fem.boundary_norm_q(mesh, cfg, u, facet_weights=weights),
         lambda u: fem.boundary_norm_gradient(mesh, cfg, u, facet_weights=weights),
-        cfg.p, cfg.q, free, u0,
-        tol=max(cfg.dof_tolerance, 1e-7),
-        max_iter=cfg.max_inner_iterations,
-        precond=_h1_preconditioner(mesh, free))
+        cfg.p, cfg.q, np.ones(mesh.n_vertices, dtype=bool), init,
+        fem.h1_operator(mesh), tol=max(cfg.dof_tolerance, 1e-7),
+        max_iter=cfg.max_inner_iterations)
     return res.u
 
 

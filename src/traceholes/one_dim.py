@@ -27,7 +27,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._descent import minimize_quotient, starting_preconditioner
+from ._descent import minimize_quotient
 from .fem import Operators, ProblemConfig
 
 
@@ -131,26 +131,15 @@ def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
     free = ~constrained
     if not np.any(free):
         raise ValueError("hole covers the whole interval")
-    if init is None:
-        u0 = np.ones(x.size)
-    else:
-        u0 = np.abs(np.asarray(init, dtype=float)).copy()
-        u0[free] = np.maximum(u0[free], 1e-12 * max(float(u0.max()), 1.0))
-    u0[constrained] = 0.0
     ops = _limit_operators(problem, x)
     cfg = problem.config()
-    metric = ops.descent_metric(cfg)
     res = minimize_quotient(
         lambda u: ops.energy(cfg, u), lambda u: ops.energy_gradient(cfg, u),
         lambda u: ops.norm(cfg, u), lambda u: ops.norm_gradient(cfg, u),
-        problem.p, problem.q, free, u0,
+        problem.p, problem.q, free, init, ops.h1(),
         tol=problem.dof_tolerance, max_iter=problem.max_inner_iterations,
-        precond=starting_preconditioner(ops.h1(), free, metric,
-                                        warm=init is not None),
-        metric=metric)
-    u = np.abs(res.u)
-    u[constrained] = 0.0
-    u = u * ops.norm(cfg, u) ** (-1.0 / problem.q)
+        metric=ops.descent_metric(cfg))
+    u = res.u * ops.norm(cfg, res.u) ** (-1.0 / problem.q)
     value = ops.energy(cfg, u)
     return LimitResult(value, u, x, (lo, hi), res.iterations,
                        res.converged)

@@ -18,9 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import fem
-from ._descent import (
-    Preconditioner, minimize_quotient, starting_preconditioner,
-)
+from ._descent import minimize_quotient
 from .fem import NotAdmissibleError, ProblemConfig
 from .geometry import BoundaryHole, Mesh
 
@@ -43,10 +41,6 @@ def free_dof_mask(mesh: Mesh, hole: BoundaryHole) -> np.ndarray:
     return free
 
 
-def _h1_preconditioner(mesh: Mesh, free: np.ndarray) -> Preconditioner:
-    return Preconditioner.restricted(fem.h1_operator(mesh), free)
-
-
 def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
                          init: Optional[np.ndarray] = None) -> TraceResult:
     """Minimize the discrete quotient over fields vanishing on the hole."""
@@ -55,32 +49,15 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
     if not np.any(free[mesh.boundary_vertex_indices()]):
         raise NotAdmissibleError(
             "hole covers every boundary vertex: empty admissible class")
-    if init is None:
-        u0 = np.ones(mesh.n_vertices)
-    else:
-        u0 = np.abs(np.asarray(init, dtype=float)).copy()
-        if u0.shape != (mesh.n_vertices,):
-            raise ValueError("init field has the wrong length")
-        lo = 1e-12 * max(float(u0.max()), 1.0)
-        u0[free] = np.maximum(u0[free], lo)
-    u0[~free] = 0.0
-    metric = fem.forms(mesh).descent_metric(cfg)
-
     res = minimize_quotient(
         lambda u: fem.energy(mesh, cfg, u),
         lambda u: fem.energy_gradient(mesh, cfg, u),
         lambda u: fem.boundary_norm_q(mesh, cfg, u),
         lambda u: fem.boundary_norm_gradient(mesh, cfg, u),
-        cfg.p, cfg.q, free, u0,
+        cfg.p, cfg.q, free, init, fem.h1_operator(mesh),
         tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
-        precond=starting_preconditioner(fem.h1_operator(mesh), free, metric,
-                                        warm=init is not None),
-        metric=metric)
-
-    u = np.abs(res.u)
-    u[~free] = 0.0
-    B = fem.boundary_norm_q(mesh, cfg, u)
-    u = u * B ** (-1.0 / cfg.q)
+        metric=fem.forms(mesh).descent_metric(cfg))
+    u = res.u * fem.boundary_norm_q(mesh, cfg, res.u) ** (-1.0 / cfg.q)
     s_value = fem.energy(mesh, cfg, u)
     lam, residual = _multiplier_and_residual(mesh, cfg, u, free)
     return TraceResult(s_value, u, lam, residual, res.iterations,

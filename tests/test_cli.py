@@ -207,6 +207,14 @@ def test_flags_override_nested_domain_params(tmp_path):
                          "--run-id", "solve-flags"]) == 0
     assert read_summary(tmp_path, "solve-nested") \
         == read_summary(tmp_path, "solve-flags")
+    # --domain sets only the kind: the config's radius stays, and the
+    # --resolution flag still wins over the config's
+    flat = _write_config(tmp_path, {
+        "domain": {"kind": "disk", "radius": 2.0}, "resolution": 0.3})
+    assert main(solve + ["--config", flat, "--domain", "disk",
+                         "--run-id", "solve-kind"]) == 0
+    assert read_summary(tmp_path, "solve-kind") \
+        == read_summary(tmp_path, "solve-flags")
     verify = ["verify-1d", "-p", "2", "--alpha", "0.5", "--n-cells", "200",
               "--out", str(tmp_path)]
     assert main(verify + ["--config", _write_config(tmp_path, NESTED_INTERVAL),
@@ -238,6 +246,8 @@ def test_run_spec_api(tmp_path):
     assert run(spec) == 0
     payload = read_summary(tmp_path, "api")
     assert payload["closed_form"] == pytest.approx(29.2888, abs=1e-3)
+    with pytest.raises(cli.SpecError, match="domain must be a table, got 3"):
+        run(RunSpec(command="solve", domain=3))
 
 
 def test_optimize_combined_strategy(tmp_path):

@@ -7,6 +7,8 @@ from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh, hole_arcs,
     hole_from_facets, make_hole_from_arc,
 )
+from traceholes.hole_optimizer import _relaxed_ranking_field
+from traceholes.one_dim import OneDimProblem, solve_limit_problem
 from traceholes.trace_solver import (
     el_residual, positivity_check, solve_trace_constant,
 )
@@ -313,3 +315,33 @@ def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
     assert warm.converged and warm.iterations > 0
     assert len(calls) == 1 + warm.iterations // 30
     assert all(metric is not h1_operator(mesh) for metric in calls)
+
+
+def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
+    problem = OneDimProblem(0, 1, 3, 3, 0.5)
+    calls = _count_factorizations(monkeypatch)
+    cold = solve_limit_problem(problem, (0.5, 1.0), 128)
+    assert cold.iterations >= 30
+    assert len(calls) == 1 + cold.iterations // 30
+    del calls[:]
+    warm = solve_limit_problem(problem, (0.25, 0.75), 128, init=cold.extremal)
+    assert warm.converged and warm.iterations >= 30
+    assert len(calls) == 1 + warm.iterations // 30
+
+
+def test_ranking_field_factors_the_h1_metric_once(monkeypatch, disk_coarse):
+    # the ranking solve runs on the fixed metric at every p
+    hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
+    calls = _count_factorizations(monkeypatch)
+    _relaxed_ranking_field(disk_coarse, ProblemConfig(3, 3), hole, None)
+    assert len(calls) == 1 and calls[0] is h1_operator(disk_coarse)
+
+
+def test_wrong_length_init_is_rejected(disk_coarse):
+    hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
+    with pytest.raises(ValueError, match="wrong length"):
+        solve_trace_constant(disk_coarse, ProblemConfig(2, 2), hole,
+                             init=np.ones(disk_coarse.n_vertices + 1))
+    with pytest.raises(ValueError, match="wrong length"):
+        solve_limit_problem(OneDimProblem(0, 1, 2, 2, 0.5), (0.5, 1.0), 64,
+                            init=np.ones(64))
