@@ -15,7 +15,9 @@ the lagged metric, whose weights are the p-Laplacian's coefficients
 frozen at the iterate, and the descent refactors it every REFRESH
 iterations (a relaxed Kacanov iteration: Diening, Fornasier, Tomasi and
 Wank, Numer. Math. 145, 2020).  Step lengths are Barzilai-Borwein in the
-current metric with a nonmonotone (5-value window) halving line search.
+current metric with a nonmonotone halving line search: a step is accepted
+when its value is at most the largest of the last WINDOW values, and the
+search gives up after MAX_HALVINGS halvings.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ import scipy.sparse.linalg as spla
 REFRESH = 30
 DELTA_MAX = 1e-2
 DELTA_MIN = 1e-8
+WINDOW = 5
+MAX_HALVINGS = 40
 
 
 def _delta(rel_gnorm: float) -> float:
@@ -82,8 +86,8 @@ def _normalize(u, b_fn, q):
 
 
 def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
-                      tol, max_iter, metric: Optional[Callable] = None,
-                      window=5, max_halvings=40) -> DescentResult:
+                      tol, max_iter, metric: Optional[Callable] = None
+                      ) -> DescentResult:
     """Minimize E(u)/B(u)^(p/q) over the free DOFs.
 
     The start is the constant field when ``init`` is None, otherwise
@@ -149,10 +153,10 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
     it = 0
     while it < max_iter:
         it += 1
-        ref = max(values[-window:])
+        ref = max(values[-WINDOW:])
         step = alpha
         accepted = False
-        for _ in range(max_halvings):
+        for _ in range(MAX_HALVINGS):
             cand = np.abs(u - step * d)
             cand[~free] = 0.0
             try:
@@ -188,8 +192,8 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
         values.append(E)
         if E < best_val:
             best_val, best_u = E, u.copy()
-        if gnorm <= tol and len(values) > window:
-            drop = (max(values[-window:]) - values[-1]) / max(abs(values[-1]), 1e-300)
+        if gnorm <= tol and len(values) > WINDOW:
+            drop = (max(values[-WINDOW:]) - values[-1]) / max(abs(values[-1]), 1e-300)
             if drop <= tol:
                 return DescentResult(u, E, it, True, values)
     return DescentResult(best_u, best_val, it, False, values)

@@ -254,11 +254,8 @@ def _mesh_arrays(mesh) -> dict:
 
 def _cmd_solve(spec: RunSpec, out: Path) -> int:
     mesh, cfg = _mesh_and_config(spec)
-    if spec.hole_length is None:
-        hole = make_hole_from_arc(mesh, 0.0, 0.0)
-    else:
-        hole = make_hole_from_arc(mesh, spec.hole_start or 0.0,
-                                  spec.hole_length)
+    hole = make_hole_from_arc(mesh, spec.hole_start or 0.0,
+                              spec.hole_length or 0.0)
     result = solve_trace_constant(mesh, cfg, hole)
     summary = {
         "p": spec.p, "q": spec.q,

@@ -88,21 +88,28 @@ class Mesh:
     """Conforming simplicial mesh with an arclength-parameterized boundary.
 
     boundary[i] holds the vertex indices of the i-th boundary facet in
-    counterclockwise walk order; facet_lengths and facet_arclength
-    (cumulative start offset) line up with it.
+    counterclockwise walk order; the mesh derives facet_lengths (1 per
+    endpoint in 1D) and facet_arclength (start offsets) to line up with it.
     """
 
     dim: int
     vertices: np.ndarray          # (nv, dim)
     cells: np.ndarray             # (nc, dim + 1)
     boundary: np.ndarray          # (nf, dim)  vertex indices per facet
-    facet_lengths: np.ndarray     # (nf,)
-    facet_arclength: np.ndarray   # (nf,) start offset of each facet
+    facet_lengths: np.ndarray = field(init=False)     # (nf,)
+    facet_arclength: np.ndarray = field(init=False)   # (nf,) start offsets
     resolution: float
     domain: Domain
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.dim == 1:
+            self.facet_lengths = np.ones(self.n_facets)
+        else:
+            ends = self.vertices[self.boundary]
+            self.facet_lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        self.facet_arclength = np.concatenate(
+            [[0.0], np.cumsum(self.facet_lengths)[:-1]])
         for arr in (self.vertices, self.cells, self.boundary,
                     self.facet_lengths, self.facet_arclength):
             arr.setflags(write=False)
@@ -132,9 +139,9 @@ def generate_mesh(domain: Domain, resolution: float) -> Mesh:
     """Mesh a domain with target edge length ``resolution``.
 
     Disk meshes use a concentric-ring triangulation (ring i carries 6i
-    vertices) with boundary vertices exactly on the circle; boundary
-    measure is that of the inscribed polygon.  Thin rectangles always get
-    at least two cell layers across the thickness.
+    vertices from index 1 + 3i(i-1)) with boundary vertices exactly on the
+    circle; boundary measure is that of the inscribed polygon.  Thin
+    rectangles always get at least two cell layers across the thickness.
     """
     if resolution <= 0:
         raise MeshResolutionError("resolution must be positive")
@@ -162,10 +169,7 @@ def _mesh_interval(domain: Interval, resolution: float) -> Mesh:
     x = np.linspace(domain.a, domain.b, n + 1).reshape(-1, 1)
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     boundary = np.array([[0], [n]])
-    # counting-measure convention: each endpoint is a point mass of size 1
-    lengths = np.ones(2)
-    arclen = np.array([0.0, 1.0])
-    return Mesh(1, x, cells, boundary, lengths, arclen, resolution, domain)
+    return Mesh(1, x, cells, boundary, resolution, domain)
 
 
 def _mesh_rectangle(width, height, resolution, domain, x0=0.0, ny=None) -> Mesh:
@@ -192,14 +196,8 @@ def _mesh_rectangle(width, height, resolution, domain, x0=0.0, ny=None) -> Mesh:
                            ny * (nx + 1) + np.arange(nx, 0, -1),
                            (nx + 1) * np.arange(ny, 0, -1)])
     boundary = np.column_stack([walk, np.roll(walk, -1)])
-    lengths = np.linalg.norm(
-        vertices[boundary[:, 1]] - vertices[boundary[:, 0]], axis=1)
-    arclen = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
-    meta = {"grid": (nx, ny)}
-    if isinstance(domain, ThinRectangle):
-        meta["mu"] = domain.mu
-    return Mesh(2, vertices, cells, boundary, lengths, arclen, resolution,
-                domain, meta)
+    return Mesh(2, vertices, cells, boundary, resolution, domain,
+                {"grid": (nx, ny)})
 
 
 def _mesh_disk(domain: Disk, resolution: float) -> Mesh:
@@ -210,46 +208,34 @@ def _mesh_disk(domain: Disk, resolution: float) -> Mesh:
             f"resolution {resolution} too coarse for {domain}: "
             "fewer than 4 boundary facets")
 
-    # ring i (1..m) holds 6i vertices at radius r*i/m; sectors of 60 degrees
-    # share their boundary rays across rings, so the zigzag triangulation
-    # below is conforming.
-    ring_start = [0, 1]
-    for i in range(1, m + 1):
-        ring_start.append(ring_start[-1] + 6 * i)
-    verts = [(0.0, 0.0)]
-    for i in range(1, m + 1):
-        rho = r * i / m
-        ang = 2.0 * np.pi * np.arange(6 * i) / (6 * i)
-        verts.extend(zip(rho * np.cos(ang), rho * np.sin(ang)))
-    vertices = np.array(verts)
+    # ring i (1..m) holds 6i vertices at radius r*i/m, starting at index
+    # 1 + 3i(i-1) with the centre at index 0
+    ring = np.repeat(np.arange(1, m + 1), 6 * np.arange(1, m + 1))
+    rho = r * ring / m
+    j = np.arange(ring.size) - 3 * ring * (ring - 1)    # index on the ring
+    ang = 2.0 * np.pi * j / (6 * ring)
+    vertices = np.vstack([[0.0, 0.0], np.column_stack([rho * np.cos(ang),
+                                                       rho * np.sin(ang)])])
 
-    def ring_vertex(i, j):
-        if i == 0:
-            return 0
-        return ring_start[i] + (j % (6 * i))
-
+    # sectors of 60 degrees share their boundary rays across rings, so the
+    # zigzag triangulation is conforming.  outer[s, k] is vertex s*i + k of
+    # ring i; sector s holds the i cells (outer[k], outer[k+1], inner[k]),
+    # then the i-1 cells (inner[k], outer[k+1], inner[k+1]) between rings
     cells = []
+    inner = np.zeros((6, 1), dtype=int)       # the centre, for ring 1
     for i in range(1, m + 1):
-        for s in range(6):
-            outer = [ring_vertex(i, s * i + k) for k in range(i + 1)]
-            inner = [ring_vertex(i - 1, s * (i - 1) + k) for k in range(max(i, 1))]
-            if i == 1:
-                inner = [0]
-            for k in range(i):
-                cells.append((outer[k], outer[k + 1], inner[k]))
-            for k in range(i - 1):
-                cells.append((inner[k], outer[k + 1], inner[k + 1]))
-    cells = np.array(cells)
+        outer = 1 + 3 * i * (i - 1) + (
+            i * np.arange(6)[:, None] + np.arange(i + 1)) % (6 * i)
+        on_ring = np.stack([outer[:, :-1], outer[:, 1:], inner], axis=-1)
+        between = np.stack([inner[:, :-1], outer[:, 1:-1], inner[:, 1:]], axis=-1)
+        cells.append(np.concatenate([on_ring, between], axis=1).reshape(-1, 3))
+        inner = outer
+    cells = np.concatenate(cells)
 
-    nb = 6 * m
-    b0 = ring_start[m]
-    boundary = np.column_stack([b0 + np.arange(nb),
-                                b0 + (np.arange(nb) + 1) % nb])
-    lengths = np.linalg.norm(
-        vertices[boundary[:, 1]] - vertices[boundary[:, 0]], axis=1)
-    arclen = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
-    return Mesh(2, vertices, cells, boundary, lengths, arclen, resolution,
-                domain, {"rings": m})
+    # the boundary walk is ring m, counterclockwise from angle 0
+    walk = inner[:, :-1].ravel()
+    boundary = np.column_stack([walk, np.roll(walk, -1)])
+    return Mesh(2, vertices, cells, boundary, resolution, domain, {"rings": m})
 
 
 def symmetry_generators(mesh: Mesh) -> list:

@@ -20,7 +20,7 @@ a Richardson extrapolation of the last three rescaled values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -74,30 +74,22 @@ def reference_limit(base: Interval, alpha: float, cfg: ProblemConfig,
 
 
 def run_mu_sweep(base: Interval, alpha: float, cfg: ProblemConfig,
-                 mu_values, resolution_rule: Optional[Callable] = None,
-                 n_starts: int = 3, seed: int = 0,
+                 mu_values, n_starts: int = 3, seed: int = 0,
                  max_vertices: int = 200_000) -> MuSweep:
-    """Optimize the hole on each thin rectangle and record the rescaled
-    constants; mu values must be strictly decreasing in (0, 1)."""
+    """Optimize the hole on each thin rectangle, meshed at resolution mu/4,
+    and record the rescaled constants; mu must strictly decrease in (0, 1)."""
     mu_values = [float(m) for m in mu_values]
     if not all(0 < m < 1 for m in mu_values):
         raise ValueError("mu values must lie in (0, 1)")
     if not all(a > b for a, b in zip(mu_values, mu_values[1:])):
         raise ValueError("mu values must be strictly decreasing")
-    if resolution_rule is None:
-        resolution_rule = lambda mu: mu / 4.0
     expo = scaling_exponent(cfg.p, cfg.q)
     target = reference_limit(base, alpha, cfg)
 
     records: List[MuRecord] = []
     runs: List[OptimizationRun] = []
     for mu in mu_values:
-        res = resolution_rule(mu)
-        if res > mu / 2.0:
-            raise ValueError(
-                f"resolution {res} leaves fewer than 2 layers across mu={mu}")
-        domain = ThinRectangle(base.a, base.b, mu)
-        mesh = generate_mesh(domain, res)
+        mesh = generate_mesh(ThinRectangle(base.a, base.b, mu), mu / 4.0)
         if mesh.n_vertices > max_vertices:
             import warnings
             warnings.warn(

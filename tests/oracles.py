@@ -283,6 +283,54 @@ def rectangle_mesh_loops(mesh):
     return np.array(cells), boundary, arclength
 
 
+def disk_mesh_loops(mesh):
+    """Vertices, cells, boundary facets and facet arclength offsets of a
+    concentric-ring disk mesh, built ring by ring and cell by cell from its
+    radius and ring count."""
+    r = mesh.domain.radius
+    m = mesh.meta["rings"]
+
+    # ring i (1..m) holds 6i vertices at radius r*i/m; sectors of 60 degrees
+    # share their boundary rays across rings, so the zigzag triangulation
+    # below is conforming.
+    ring_start = [0, 1]
+    for i in range(1, m + 1):
+        ring_start.append(ring_start[-1] + 6 * i)
+    verts = [(0.0, 0.0)]
+    for i in range(1, m + 1):
+        rho = r * i / m
+        ang = 2.0 * np.pi * np.arange(6 * i) / (6 * i)
+        verts.extend(zip(rho * np.cos(ang), rho * np.sin(ang)))
+    vertices = np.array(verts)
+
+    def ring_vertex(i, j):
+        if i == 0:
+            return 0
+        return ring_start[i] + (j % (6 * i))
+
+    cells = []
+    for i in range(1, m + 1):
+        for s in range(6):
+            outer = [ring_vertex(i, s * i + k) for k in range(i + 1)]
+            inner = [ring_vertex(i - 1, s * (i - 1) + k) for k in range(max(i, 1))]
+            if i == 1:
+                inner = [0]
+            for k in range(i):
+                cells.append((outer[k], outer[k + 1], inner[k]))
+            for k in range(i - 1):
+                cells.append((inner[k], outer[k + 1], inner[k + 1]))
+    cells = np.array(cells)
+
+    nb = 6 * m
+    b0 = ring_start[m]
+    boundary = np.column_stack([b0 + np.arange(nb),
+                                b0 + (np.arange(nb) + 1) % nb])
+    lengths = np.linalg.norm(
+        vertices[boundary[:, 1]] - vertices[boundary[:, 0]], axis=1)
+    arclength = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
+    return vertices, cells, boundary, arclength
+
+
 def is_contiguous_arc(mesh, hole):
     return len(hole_arcs(mesh, hole)) == 1
 

@@ -10,7 +10,7 @@ from traceholes.geometry import (
 )
 
 from oracles import (
-    boundary_measure, cell_volumes, hole_arcs_loop,
+    boundary_measure, cell_volumes, disk_mesh_loops, hole_arcs_loop,
     inscribed_polygon_perimeter, mesh_to_json, rectangle_mesh_loops,
 )
 
@@ -31,6 +31,7 @@ def test_interval_mesh_example():
     assert mesh.n_facets == 2
     # point-mass convention: each endpoint carries measure 1
     assert mesh.facet_lengths.tolist() == [1.0, 1.0]
+    assert mesh.facet_arclength.tolist() == [0.0, 1.0]
     assert mesh.perimeter == 2.0
     assert mesh.vertices[mesh.boundary[0, 0], 0] == 0.0
     assert mesh.vertices[mesh.boundary[1, 0], 0] == 1.0
@@ -194,12 +195,20 @@ def test_hole_arcs_match_facet_walk(resolution):
 @pytest.mark.parametrize("domain,resolution", [
     (Rectangle(2, 1), 0.1), (Rectangle(1, 1), 0.1), (Rectangle(1, 1), 1.0),
     (ThinRectangle(0, 1, 1 / 16), 1 / 64),
-    (ThinRectangle(0, 1, 1 / 64), 1 / 256)])
-def test_rectangle_mesh_matches_loop_construction(domain, resolution):
+    (ThinRectangle(0, 1, 1 / 64), 1 / 256),
+    (Disk(1), 1.0), (Disk(1), 0.5), (Disk(1), 0.2), (Disk(1), 0.05),
+    (Disk(1.3), 0.34)])
+def test_mesh_matches_loop_construction(domain, resolution):
     mesh = generate_mesh(domain, resolution)
-    cells, boundary, arclength = rectangle_mesh_loops(mesh)
-    for built, reference in ((mesh.cells, cells), (mesh.boundary, boundary),
-                             (mesh.facet_arclength, arclength)):
+    if "rings" in mesh.meta:
+        vertices, cells, boundary, arclength = disk_mesh_loops(mesh)
+        pairs = [(mesh.vertices, vertices)]
+    else:
+        cells, boundary, arclength = rectangle_mesh_loops(mesh)
+        pairs = []
+    pairs += [(mesh.cells, cells), (mesh.boundary, boundary),
+              (mesh.facet_arclength, arclength)]
+    for built, reference in pairs:
         assert built.dtype == reference.dtype
         assert np.array_equal(built, reference)
 
@@ -216,6 +225,11 @@ def test_mesh_immutable_and_json():
     mesh = generate_mesh(Rectangle(1, 1), 0.5)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 5.0
+    for derived in (generate_mesh(Interval(0, 1), 0.25),
+                    generate_mesh(Disk(1), 0.5)):
+        for arr in (derived.facet_lengths, derived.facet_arclength):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
     blob = mesh_to_json(mesh)
     assert set(blob) == {"vertices", "cells", "boundary"}
     assert len(blob["vertices"]) == mesh.n_vertices

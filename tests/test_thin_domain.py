@@ -72,9 +72,6 @@ def test_mu_validation(cfg):
         run_mu_sweep(Interval(0, 1), 0.5, cfg, [0.5, 0.5])
     with pytest.raises(ValueError):
         run_mu_sweep(Interval(0, 1), 0.5, cfg, [1.5, 0.5])
-    with pytest.raises(ValueError):
-        run_mu_sweep(Interval(0, 1), 0.5, cfg, [0.5],
-                     resolution_rule=lambda mu: mu)
 
 
 def test_vertex_budget_truncates_sweep(cfg):
