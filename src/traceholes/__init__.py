@@ -23,8 +23,7 @@ from .shape_derivative import (
     transport_hole,
 )
 from .hole_optimizer import (
-    OptimizationRun, optimize_hole_alternating, optimize_hole_shape_gradient,
-    zero_set_measure,
+    OptimizationRun, optimize_hole_alternating, zero_set_measure,
 )
 from .one_dim import (
     OneDimProblem, closed_form_for_hole_fraction, closed_form_limit_constant,

@@ -29,9 +29,7 @@ from .geometry import (
     generate_mesh, hole_intervals, make_hole_from_arc, plateau_speed,
     tangential_field,
 )
-from .hole_optimizer import (
-    optimize_hole_alternating, optimize_hole_shape_gradient, zero_set_measure,
-)
+from .hole_optimizer import optimize_hole_alternating, zero_set_measure
 from .one_dim import (
     OneDimProblem, closed_form_limit_constant, optimize_limit_hole,
     solve_limit_problem,
@@ -60,7 +58,6 @@ class RunSpec:
     workers: int = 1
     out: Optional[str] = None
     run_id: Optional[str] = None
-    strategy: str = "alternating"
     n_starts: int = 5
     alphas: list = field(default_factory=lambda: [round(0.1 * k, 1) for k in range(1, 10)])
     mu_values: list = field(default_factory=lambda: [0.5, 0.25, 0.125, 0.0625])
@@ -97,6 +94,13 @@ class RunSpec:
 
 class SpecError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are input errors: one line, exit 1."""
+
+    def error(self, message):
+        raise SpecError(message)
 
 
 # field: (low, high, integer).  Reals must lie in (low, high), integers
@@ -280,27 +284,12 @@ def _cmd_solve(spec: RunSpec, out: Path) -> int:
 
 def _cmd_optimize(spec: RunSpec, out: Path) -> int:
     mesh, cfg = _mesh_and_config(spec)
-    if spec.strategy == "shape_gradient":
-        init = make_hole_from_arc(mesh, spec.hole_start or 0.0,
-                                  spec.alpha * mesh.perimeter)
-        run = optimize_hole_shape_gradient(mesh, cfg, spec.alpha, init)
-    elif spec.strategy == "combined":
-        warm = optimize_hole_alternating(mesh, cfg, spec.alpha,
-                                         n_starts=spec.n_starts,
-                                         seed=spec.seed)
-        run = optimize_hole_shape_gradient(mesh, cfg, spec.alpha,
-                                           warm.best_hole)
-        run.history = warm.history + [
-            (i + len(warm.history), m, v) for i, m, v in run.history]
-        run.strategy = "combined"
-    else:
-        run = optimize_hole_alternating(mesh, cfg, spec.alpha,
-                                        n_starts=spec.n_starts,
-                                        seed=spec.seed)
+    run = optimize_hole_alternating(mesh, cfg, spec.alpha,
+                                    n_starts=spec.n_starts, seed=spec.seed)
     summary = {
         "p": spec.p, "q": spec.q, "alpha": run.alpha,
         "alpha_effective": run.alpha_effective,
-        "strategy": run.strategy,
+        "strategy": "alternating",
         "best_value": run.best_value,
         "hole_intervals": hole_intervals(mesh, run.best_hole),
         "hole_facets": sorted(run.best_hole.facet_indices),
@@ -497,7 +486,7 @@ def _load_config(path: str) -> dict:
 
 
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="traceholes",
         description="Trace constants with boundary holes: solve, optimize, "
                     "and verify.")
@@ -517,8 +506,6 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--" + flag, type=float, nargs="+")
         for flag in ("max-iter", "n-cells", "n-starts", "seed", "workers"):
             sp.add_argument("--" + flag, type=int)
-        sp.add_argument("--strategy", choices=["alternating", "shape_gradient",
-                                               "combined"])
         sp.add_argument("--out")
         sp.add_argument("--run-id")
     return ap
@@ -549,8 +536,8 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         spec = _spec_from_args(args)
         return run(spec)
     except (SpecError, NotAdmissibleError, MeshResolutionError,

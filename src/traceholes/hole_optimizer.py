@@ -1,29 +1,23 @@
 """Search for optimal boundary holes of prescribed measure.
 
-Two strategies over whole-facet holes:
-
-* alternating: iterate (i) solve the constrained problem on the current
-  hole, (ii) re-select the facets with the smallest boundary energy
-  int_facet |w|^q of a ranking field w, projected to the target measure.
-  The ranking field comes from a relaxed solve in which the hole facets
-  are dropped from the denominator but the field is NOT pinned there:
-  the constrained extremal itself vanishes identically on the hole, so
-  ranking by it would re-select the current hole at every step.  Proposals
-  are accepted only if the re-solved constant decreases; a visited-set
-  memo breaks cycles.  A final polish slides a contiguous arc of the
-  target measure around the whole boundary (warm-started solves), which
-  certifies the result against any single-arc sweep at facet granularity.
-  A mesh symmetry maps an arc to an arc of equal S, so the sweep solves
-  one arc per orbit of the mesh's symmetry group: the first in start
-  order.  It is also pruned exactly: S is monotone under inclusion of
-  holes, so one solve on the facets shared by a block of consecutive arcs
-  bounds every arc of the block from below, and a block whose bound clears
-  the current best cannot contain a better arc.
-
-* shape_gradient: for holes that are unions of arcs, descend on the arc
-  endpoints using the assembled shape derivative with localized endpoint
-  bump fields, moving endpoints in whole facets with the total measure
-  held fixed.
+An alternating search over whole-facet holes: iterate (i) solve the
+constrained problem on the current hole, (ii) re-select the facets with
+the smallest boundary energy int_facet |w|^q of a ranking field w,
+projected to the target measure.  The ranking field comes from a relaxed
+solve in which the hole facets are dropped from the denominator but the
+field is NOT pinned there: the constrained extremal itself vanishes
+identically on the hole, so ranking by it would re-select the current
+hole at every step.  Proposals are accepted only if the re-solved
+constant decreases; a visited-set memo breaks cycles.  A final polish
+slides a contiguous arc of the target measure around the whole boundary
+(warm-started solves), which certifies the result against any single-arc
+sweep at facet granularity.  A mesh symmetry maps an arc to an arc of
+equal S, so the sweep solves one arc per orbit of the mesh's symmetry
+group: the first in start order.  It is also pruned exactly: S is
+monotone under inclusion of holes, so one solve on the facets shared by
+a block of consecutive arcs bounds every arc of the block from below,
+and a block whose bound clears the current best cannot contain a better
+arc.
 
 Measure bookkeeping is honest about facet quantization: every hole is
 within one facet length of the target and alpha_effective is reported.
@@ -39,11 +33,7 @@ import numpy as np
 from . import fem
 from ._descent import minimize_quotient
 from .fem import ProblemConfig
-from .geometry import (
-    BoundaryHole, Mesh, arc_interval, hole_arcs, hole_from_facets,
-    plateau_speed, symmetry_generators, tangential_field,
-)
-from .shape_derivative import evaluate_shape_derivative
+from .geometry import BoundaryHole, Mesh, hole_from_facets, symmetry_generators
 from .trace_solver import TraceResult, solve_trace_constant
 
 
@@ -57,7 +47,6 @@ class OptimizationRun:
     best_hole: BoundaryHole
     best_value: float
     history: List[Tuple[int, float, float]]   # (iteration, measure, value)
-    strategy: str
     alpha_effective: float
     best_result: TraceResult
     n_solves: int       # every quotient solve: holes, rankings, core bounds
@@ -300,108 +289,9 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
 
     history = [(i, m, v) for i, (m, v) in enumerate(history, 1)]
     return OptimizationRun(
-        alpha, best_hole, best_res.s_value, history, "alternating",
+        alpha, best_hole, best_res.s_value, history,
         best_hole.measure / mesh.perimeter, best_res, n_solves,
         converged_any and best_res.converged)
-
-
-# ---------------------------------------------------------------------------
-# shape-gradient descent on arc endpoints
-
-
-def _endpoint_gradients(mesh, cfg, hole, trace, endpoints):
-    """dS/d(endpoint arclength) via localized unit-speed bump fields."""
-    grads = []
-    width = 4.0 * float(np.max(mesh.facet_lengths))
-    for s in endpoints:
-        c = s % mesh.perimeter
-        speed, dspeed = plateau_speed(mesh, c, c, width, 1.0)
-        V = tangential_field(mesh, speed, dspeed)
-        grads.append(evaluate_shape_derivative(mesh, cfg, hole, V, trace).ds_dt)
-    return np.array(grads)
-
-
-def optimize_hole_shape_gradient(mesh: Mesh, cfg: ProblemConfig, alpha: float,
-                                 init_hole: BoundaryHole,
-                                 max_steps: int = 40) -> OptimizationRun:
-    """Slide arc endpoints along the measure-preserving component of the
-    endpoint shape gradient, one whole facet at a time, until that
-    component falls to 5% of the gradient."""
-    target = _target_measure(mesh, alpha)
-    if abs(init_hole.measure - target) > float(np.max(mesh.facet_lengths)):
-        raise ValueError("initial hole measure must be within one facet of target")
-    arcs = hole_arcs(mesh, init_hole)
-    if not arcs:
-        raise ValueError("shape-gradient descent needs a nonempty hole")
-
-    hole = init_hole
-    res = solve_trace_constant(mesh, cfg, hole)
-    n_solves = 1
-    history = [(0, hole.measure, res.s_value)]
-    step_facets = 4
-    converged = False
-    it = 0
-    while it < max_steps and step_facets >= 1:
-        it += 1
-        arcs = hole_arcs(mesh, hole)
-        # endpoint arclengths and their measure signature: moving a start
-        # forward removes measure, moving an end forward adds it
-        endpoints, sigma = [], []
-        for first, count in arcs:
-            s_a, s_b = arc_interval(mesh, first, count)
-            endpoints.extend([s_a, s_b])
-            sigma.extend([-1.0, +1.0])
-        endpoints = np.array(endpoints)
-        sigma = np.array(sigma)
-        g = _endpoint_gradients(mesh, cfg, hole, res, endpoints)
-        proj = g - sigma * float(sigma @ g) / float(sigma @ sigma)
-        gmax = float(np.max(np.abs(proj)))
-        if gmax == 0.0 or float(np.linalg.norm(proj)) <= \
-                0.05 * max(float(np.linalg.norm(g)), 1e-300):
-            converged = True
-            break
-        moves = -proj / gmax * step_facets          # in arclength facets
-        shift = np.rint(moves).astype(int)
-        drift = int(np.round(float(sigma @ shift)))
-        if drift != 0:
-            # repair the measure by backing off the endpoint with the
-            # largest rounding slack
-            slack = np.abs(moves - shift)
-            k = int(np.argmax(slack))
-            shift[k] -= drift * int(sigma[k])
-        if not np.any(shift):
-            step_facets //= 2
-            continue
-        new_arcs = []
-        ok = True
-        for a_i, (first, count) in enumerate(arcs):
-            da, db = shift[2 * a_i], shift[2 * a_i + 1]
-            nf_first = (first + da) % mesh.n_facets
-            n_count = count - da + db
-            if n_count < 1 or n_count >= mesh.n_facets:
-                ok = False
-                break
-            new_arcs.append((nf_first, n_count))
-        if not ok:
-            step_facets //= 2
-            continue
-        # the union merges colliding arcs
-        cand_hole = hole_from_facets(mesh, {
-            (first + k) % mesh.n_facets
-            for first, count in new_arcs for k in range(count)})
-        if abs(cand_hole.measure - target) > float(np.max(mesh.facet_lengths)) + 1e-12:
-            step_facets //= 2
-            continue
-        cand = solve_trace_constant(mesh, cfg, cand_hole, init=res.extremal)
-        n_solves += 1
-        if cand.s_value < res.s_value:
-            hole, res = cand_hole, cand
-            history.append((it, hole.measure, res.s_value))
-        else:
-            step_facets //= 2
-    return OptimizationRun(alpha, hole, res.s_value, history, "shape_gradient",
-                           hole.measure / mesh.perimeter, res, n_solves,
-                           converged or step_facets < 1)
 
 
 def zero_set_measure(mesh: Mesh, result: TraceResult) -> float:

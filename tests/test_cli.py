@@ -1,5 +1,4 @@
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -250,32 +249,6 @@ def test_run_spec_api(tmp_path):
         run(RunSpec(command="solve", domain=3))
 
 
-def test_optimize_combined_strategy(tmp_path):
-    code = main(["optimize", "--domain", "disk", "--radius", "1",
-                 "--resolution", "0.3", "-p", "2", "-q", "2",
-                 "--alpha", "0.25", "--strategy", "combined",
-                 "--n-starts", "1", "--out", str(tmp_path),
-                 "--run-id", "comb"])
-    assert code in (0, 2)
-    payload = read_summary(tmp_path, "comb")
-    assert payload["strategy"] == "combined"
-    assert payload["hole_intervals"]
-
-
-@pytest.mark.parametrize("strategy", ["shape_gradient", "combined"])
-def test_optimize_shape_gradient_on_thin_domain(tmp_path, strategy):
-    # three cells of tube do not fit across mu = 1/16 at this resolution;
-    # the default field width must shrink to fit instead of failing
-    code = main(["optimize", "--domain", "thin", "--a", "0", "--b", "1",
-                 "--mu", "0.0625", "--resolution", "0.015625",
-                 "-p", "2", "-q", "2", "--alpha", "0.5",
-                 "--strategy", strategy, "--n-starts", "1",
-                 "--out", str(tmp_path), "--run-id", strategy])
-    assert code in (0, 2)
-    payload = read_summary(tmp_path, strategy)
-    assert math.isfinite(payload["best_value"]) and payload["best_value"] > 0
-
-
 @pytest.mark.parametrize("flags,config", [
     (["-p", "inf"], None),
     (["--epsilon", "nan"], None),
@@ -303,6 +276,11 @@ def test_invalid_problem_numbers_rejected(tmp_path, capsys, flags, config):
     ("solve", [], {"domain": 3}, "domain"),
     ("solve", [], {"domain": "disk"}, "domain"),
     ("solve", [], [1, 2], "config"),
+    ("optimize", ["--bogus", "1"], None, "--bogus"),
+    ("solve", ["--resolution", "abc"], None, "resolution"),
+    ("optimize", ["--alpha", "0.25", "--strategy", "combined"], None,
+     "--strategy"),
+    ("optimize", ["--alpha", "0.25"], {"strategy": "combined"}, "strategy"),
 ])
 def test_invalid_run_numbers_rejected(tmp_path, capsys, command, flags,
                                       config, field):

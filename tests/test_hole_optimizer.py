@@ -8,8 +8,7 @@ from traceholes.geometry import (
 )
 from traceholes.hole_optimizer import (
     _SLIDE_BLOCK, _orbit_representatives, _slide_candidates, _symmetry_group,
-    make_arc_facets, optimize_hole_alternating, optimize_hole_shape_gradient,
-    zero_set_measure,
+    make_arc_facets, optimize_hole_alternating, zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
 
@@ -103,55 +102,6 @@ def test_zero_set_measure_matches_hole(disk, cfg, disk_run):
     assert zs == pytest.approx(disk_run.best_hole.measure, abs=1e-12)
     res = solve_trace_constant(disk, cfg, hole_from_facets(disk, []))
     assert zero_set_measure(disk, res) == 0.0
-
-
-def test_shape_gradient_disk_stationary(disk, cfg):
-    arc = make_hole_from_arc(disk, 1.0, 0.25 * disk.perimeter)
-    run = optimize_hole_shape_gradient(disk, cfg, 0.25, arc)
-    # every arc position is optimal up to mesh anisotropy: at most a
-    # one-facet adjustment
-    diff = run.best_hole.facet_indices ^ arc.facet_indices
-    assert len(diff) <= 2
-    assert run.converged
-
-
-def test_shape_gradient_rectangle_matches_sweep(cfg):
-    mesh = generate_mesh(Rectangle(2, 1), 0.1)
-    alpha = 0.2
-    target = alpha * mesh.perimeter
-    best = None
-    warm = None
-    for k in range(mesh.n_facets):
-        hole = hole_from_facets(mesh, make_arc_facets(mesh, k, target))
-        r = solve_trace_constant(mesh, cfg, hole, init=warm)
-        warm = r.extremal
-        best = r.s_value if best is None else min(best, r.s_value)
-    start = make_hole_from_arc(mesh, 0.7, target)
-    run = optimize_hole_shape_gradient(mesh, cfg, alpha, start, max_steps=60)
-    assert run.best_value <= best * 1.005
-    values = [v for _, _, v in run.history]
-    assert all(a >= b for a, b in zip(values, values[1:]))
-
-
-def test_shape_gradient_validates_measure(disk, cfg):
-    tiny = make_hole_from_arc(disk, 0.0, 0.05 * disk.perimeter)
-    with pytest.raises(ValueError):
-        optimize_hole_shape_gradient(disk, cfg, 0.5, tiny)
-
-
-def test_shape_gradient_multi_arc(disk, cfg):
-    # two antipodal arcs: symmetric, so the projected endpoint gradient
-    # balances; descent must handle the 4-endpoint parameterization and
-    # keep the total measure within one facet
-    P = disk.perimeter
-    both = hole_from_facets(
-        disk,
-        make_hole_from_arc(disk, 0.0, P / 8).facet_indices
-        | make_hole_from_arc(disk, P / 2, P / 8).facet_indices)
-    run = optimize_hole_shape_gradient(disk, cfg, 0.25, both, max_steps=10)
-    fmax = float(disk.facet_lengths.max())
-    assert abs(run.best_hole.measure - 0.25 * P) <= fmax
-    assert run.best_value <= solve_trace_constant(disk, cfg, both).s_value
 
 
 def _running_sum_arc(mesh, first, target):

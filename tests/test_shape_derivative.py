@@ -3,7 +3,8 @@ import pytest
 
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import (
-    Disk, generate_mesh, make_hole_from_arc, plateau_speed, tangential_field,
+    Disk, Rectangle, ThinRectangle, generate_mesh, make_hole_from_arc,
+    max_tube_width, plateau_speed, tangential_field,
 )
 from traceholes.shape_derivative import (
     evaluate_shape_derivative, fd_check, transport_hole,
@@ -52,26 +53,38 @@ def test_rotation_invariance(disk, p, q):
     assert res.boundary_term == pytest.approx(0.0, abs=1e-15)
 
 
-def test_decomposition_and_linearity(disk, disk_setup):
-    cfg, hole, trace = disk_setup
-    P = disk.perimeter
+@pytest.mark.parametrize("domain,res", [
+    (Disk(1), 0.1),
+    (Rectangle(2, 1), 0.1),
+    (ThinRectangle(0, 1, 1 / 16), 1 / 64),
+])
+def test_decomposition_and_linearity(domain, res):
+    # the rectangles run the polygon tube; on the thin mesh the default
+    # tube width 3h does not fit and falls back to half the widest tube
+    mesh = generate_mesh(domain, res)
+    cfg = ProblemConfig(2, 2, dof_tolerance=1e-10)
+    P = mesh.perimeter
     end = 0.25 * P
-    V1 = _end_plateau_field(disk, end, 1.0)
-    V3 = _end_plateau_field(disk, end, 3.0)
-    r1 = evaluate_shape_derivative(disk, cfg, hole, V1, trace)
-    r3 = evaluate_shape_derivative(disk, cfg, hole, V3, trace)
+    hole = make_hole_from_arc(mesh, 0.0, end)
+    trace = solve_trace_constant(mesh, cfg, hole)
+    V1 = _end_plateau_field(mesh, end, 1.0)
+    V3 = _end_plateau_field(mesh, end, 3.0)
+    if isinstance(domain, ThinRectangle):
+        assert V1.delta == 0.5 * max_tube_width(mesh)
+    r1 = evaluate_shape_derivative(mesh, cfg, hole, V1, trace)
+    r3 = evaluate_shape_derivative(mesh, cfg, hole, V3, trace)
     assert r1.ds_dt == pytest.approx(r1.boundary_term + r1.volume_term, abs=0)
     # 1-homogeneity in the speed
     assert r3.ds_dt == pytest.approx(3.0 * r1.ds_dt, rel=1e-12)
     # additivity against a second profile
-    s2, d2 = plateau_speed(disk, 0.6 * P, 0.7 * P, 0.05 * P, 0.8)
-    V2 = tangential_field(disk, s2, d2)
-    r2 = evaluate_shape_derivative(disk, cfg, hole, V2, trace)
+    s2, d2 = plateau_speed(mesh, 0.6 * P, 0.7 * P, 0.05 * P, 0.8)
+    V2 = tangential_field(mesh, s2, d2)
+    r2 = evaluate_shape_derivative(mesh, cfg, hole, V2, trace)
     both = tangential_field(
-        disk,
+        mesh,
         lambda s: V1.speed(s) + V2.speed(s),
         lambda s: V1.dspeed(s) + V2.dspeed(s))
-    rb = evaluate_shape_derivative(disk, cfg, hole, both, trace)
+    rb = evaluate_shape_derivative(mesh, cfg, hole, both, trace)
     assert rb.ds_dt == pytest.approx(r1.ds_dt + r2.ds_dt, rel=1e-10)
 
 
