@@ -1,8 +1,8 @@
 """Batch front end: config ingestion, experiment orchestration, and
 plot-ready result files.
 
-Every command writes results/<run-id>/summary.json plus CSV companions;
-identical inputs and seed produce byte-identical JSON (no timestamps).
+``run`` writes every artifact: results/<run-id>/summary.json plus CSV
+companions; identical inputs and seed produce byte-identical JSON.
 Exit codes: 0 converged, 2 finished without convergence (artifacts still
 written), 1 invalid input.
 """
@@ -217,7 +217,6 @@ def _write_json(path: Path, payload: dict):
     """``payload`` as json.dumps(indent=2, sort_keys=True) writes it.  A
     payload of arrays (mesh.json) is formatted from their ``tolist()``
     instead, because json's indenting encoder is pure Python."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     if payload and all(isinstance(v, np.ndarray) for v in payload.values()):
         text = "{\n%s\n}" % ",\n".join(
             f"  {json.dumps(key)}: " + _format(_json_template(a.shape),
@@ -229,7 +228,6 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -244,7 +242,6 @@ def _write_extremal(path: Path, points, u):
     points = np.asarray(points, dtype=float).reshape(len(u), -1)
     rows[:, :points.shape[1]], rows[:, 2] = points, u
     _finite(rows)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         fh.write("x,y,u\r\n")
         for block in np.split(rows, range(_CSV_BLOCK, len(rows), _CSV_BLOCK)):
@@ -256,7 +253,7 @@ def _mesh_arrays(mesh) -> dict:
             "boundary": mesh.boundary}
 
 
-def _cmd_solve(spec: RunSpec, out: Path) -> int:
+def _cmd_solve(spec: RunSpec):
     mesh, cfg = _mesh_and_config(spec)
     hole = make_hole_from_arc(mesh, spec.hole_start or 0.0,
                               spec.hole_length or 0.0)
@@ -270,19 +267,15 @@ def _cmd_solve(spec: RunSpec, out: Path) -> int:
         "iterations": result.iterations,
         "converged": result.converged,
         "hole_measure": hole.measure,
-        "mesh": {"resolution": mesh.resolution, "n_vertices": mesh.n_vertices},
     }
-    _write_json(out / "summary.json", summary)
-    _write_json(out / "mesh.json", _mesh_arrays(mesh))
-    _write_extremal(out / "extremal.csv", mesh.vertices, result.extremal)
-    _write_csv(out / "data.csv",
-               ("s_value", "lambda", "el_residual", "iterations"),
-               [(result.s_value, result.lam, result.el_residual,
-                 result.iterations)])
-    return 0 if result.converged else 2
+    table = (("s_value", "lambda", "el_residual", "iterations"),
+             [(result.s_value, result.lam, result.el_residual,
+               result.iterations)])
+    return (result.converged, mesh, summary, table,
+            (mesh.vertices, result.extremal))
 
 
-def _cmd_optimize(spec: RunSpec, out: Path) -> int:
+def _cmd_optimize(spec: RunSpec):
     mesh, cfg = _mesh_and_config(spec)
     run = optimize_hole_alternating(mesh, cfg, spec.alpha,
                                     n_starts=spec.n_starts, seed=spec.seed)
@@ -296,18 +289,13 @@ def _cmd_optimize(spec: RunSpec, out: Path) -> int:
         "zero_set_measure": zero_set_measure(mesh, run.best_result),
         "n_solves": run.n_solves,
         "converged": run.converged,
-        "mesh": {"resolution": mesh.resolution, "n_vertices": mesh.n_vertices},
     }
-    _write_json(out / "summary.json", summary)
-    _write_csv(out / "data.csv", ("iteration", "hole_measure", "s_value"),
-               run.history)
-    _write_json(out / "mesh.json", _mesh_arrays(mesh))
-    _write_extremal(out / "extremal.csv", mesh.vertices,
-                    run.best_result.extremal)
-    return 0 if run.converged else 2
+    return (run.converged, mesh, summary,
+            (("iteration", "hole_measure", "s_value"), run.history),
+            (mesh.vertices, run.best_result.extremal))
 
 
-def _cmd_shape_grad_check(spec: RunSpec, out: Path) -> int:
+def _cmd_shape_grad_check(spec: RunSpec):
     if not isinstance(_build_domain(spec.domain), Disk):
         raise SpecError("shape-grad-check runs on disk domains")
     mesh, cfg = _mesh_and_config(spec)
@@ -334,8 +322,6 @@ def _cmd_shape_grad_check(spec: RunSpec, out: Path) -> int:
     V = tangential_field(mesh, speed, dspeed)
     check = fd_check(mesh, cfg, hole, V, [h * P for h in spec.fd_steps_rel])
     rows = [(h, fd, check.analytic, rel) for h, fd, rel in check.rows]
-    _write_csv(out / "data.csv",
-               ("h", "fd_value", "analytic_value", "relative_error"), rows)
     best = min(check.rows, key=lambda r: r[2])
     summary = {
         "p": spec.p, "q": spec.q,
@@ -345,10 +331,10 @@ def _cmd_shape_grad_check(spec: RunSpec, out: Path) -> int:
                  for h, fd, rel in check.rows],
         "best_h": best[0],
         "best_relative_error": best[2],
-        "mesh": {"resolution": mesh.resolution, "n_vertices": mesh.n_vertices},
+        "converged": check.converged,
     }
-    _write_json(out / "summary.json", summary)
-    return 0
+    return (check.converged, mesh, summary,
+            (("h", "fd_value", "analytic_value", "relative_error"), rows), None)
 
 
 def _sweep_alpha_one(spec: RunSpec, alpha: float):
@@ -358,37 +344,33 @@ def _sweep_alpha_one(spec: RunSpec, alpha: float):
     return alpha, run.best_value, run.alpha_effective, run.converged
 
 
-def _cmd_sweep_alpha(spec: RunSpec, out: Path) -> int:
+def _cmd_sweep_alpha(spec: RunSpec):
     mesh, _ = _mesh_and_config(spec)
     specs = [spec] * len(spec.alphas)
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    # a pool forks all its workers at its first submit
+    workers = min(spec.workers, len(spec.alphas), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_alpha_one, specs, spec.alphas))
     else:
         rows = list(map(_sweep_alpha_one, specs, spec.alphas))
-    _write_csv(out / "data.csv",
-               ("alpha", "s_alpha", "alpha_effective", "converged"), rows)
+    values = [r[1] for r in rows]
     summary = {
         "p": spec.p, "q": spec.q,
         "alphas": [r[0] for r in rows],
-        "values": [r[1] for r in rows],
-        "strictly_increasing": all(a < b for a, b in
-                                   zip([r[1] for r in rows],
-                                       [r[1] for r in rows][1:])),
-        "mesh": {"resolution": spec.resolution, "n_vertices": mesh.n_vertices},
+        "values": values,
+        "strictly_increasing": all(a < b for a, b in zip(values, values[1:])),
     }
-    _write_json(out / "summary.json", summary)
-    return 0 if all(r[3] for r in rows) else 2
+    return (all(r[3] for r in rows), mesh, summary,
+            (("alpha", "s_alpha", "alpha_effective", "converged"), rows), None)
 
 
-def _cmd_sweep_mu(spec: RunSpec, out: Path) -> int:
+def _cmd_sweep_mu(spec: RunSpec):
     base = _base_interval(spec)
     cfg = spec.config()
     sweep = run_mu_sweep(base, spec.alpha, cfg, spec.mu_values,
                          n_starts=spec.n_starts, seed=spec.seed)
     rows = [(r.mu, r.s_mu, r.rescaled, sweep.slope) for r in sweep.records]
-    _write_csv(out / "data.csv", ("mu", "S_mu", "rescaled", "slope_estimate"),
-               rows)
     summary = {
         "p": spec.p, "q": spec.q, "alpha": spec.alpha,
         "exponent": sweep.exponent,
@@ -404,11 +386,11 @@ def _cmd_sweep_mu(spec: RunSpec, out: Path) -> int:
                      "converged": r.converged}
                     for r in sweep.records],
     }
-    _write_json(out / "summary.json", summary)
-    return 0 if all(r.converged for r in sweep.records) else 2
+    return (all(r.converged for r in sweep.records), None, summary,
+            (("mu", "S_mu", "rescaled", "slope_estimate"), rows), None)
 
 
-def _cmd_verify_1d(spec: RunSpec, out: Path) -> int:
+def _cmd_verify_1d(spec: RunSpec):
     base = _base_interval(spec)
     a, b = base.a, base.b
     length = b - a
@@ -441,11 +423,9 @@ def _cmd_verify_1d(spec: RunSpec, out: Path) -> int:
         "converged": fem_res.converged,
         "sweep_converged": sweep.converged,
     }
-    _write_json(out / "summary.json", summary)
-    _write_csv(out / "data.csv", ("hole_start", "value"),
-               list(zip(sweep.starts, sweep.values)))
-    _write_extremal(out / "extremal.csv", fem_res.nodes, fem_res.extremal)
-    return 0 if fem_res.converged and sweep.converged else 2
+    return (fem_res.converged and sweep.converged, None, summary,
+            (("hole_start", "value"), list(zip(sweep.starts, sweep.values))),
+            (fem_res.nodes, fem_res.extremal))
 
 
 _DISPATCH = {
@@ -459,14 +439,27 @@ _DISPATCH = {
 
 
 def run(spec: RunSpec) -> int:
-    """Validate and dispatch a run; returns the process exit code."""
+    """Validate and dispatch a run, then write the summary, table, mesh and
+    extremal its command returns; returns the process exit code."""
     if spec.command not in _DISPATCH:
         raise SpecError(f"unknown command {spec.command!r}")
     spec.domain = _flat_domain(spec.domain)
     spec.validate()
     root = Path(spec.out or os.environ.get(OUTPUT_ROOT_ENV, "results"))
     run_id = spec.run_id or f"{spec.command}-p{spec.p}-q{spec.q}-seed{spec.seed}"
-    return _DISPATCH[spec.command](spec, root / run_id)
+    converged, mesh, summary, table, extremal = _DISPATCH[spec.command](spec)
+    if mesh is not None:
+        summary["mesh"] = {"resolution": mesh.resolution,
+                           "n_vertices": mesh.n_vertices}
+    out = root / run_id
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "summary.json", summary)
+    _write_csv(out / "data.csv", *table)
+    if extremal is not None:
+        if mesh is not None:
+            _write_json(out / "mesh.json", _mesh_arrays(mesh))
+        _write_extremal(out / "extremal.csv", *extremal)
+    return 0 if converged else 2
 
 
 def _load_config(path: str) -> dict:
@@ -541,7 +534,7 @@ def main(argv=None) -> int:
         spec = _spec_from_args(args)
         return run(spec)
     except (SpecError, NotAdmissibleError, MeshResolutionError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

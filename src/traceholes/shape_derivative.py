@@ -115,6 +115,7 @@ def transport_hole(mesh: Mesh, hole: BoundaryHole, V: TangentialField,
 class FDCheck:
     analytic: float
     rows: List[Tuple[float, float, float]]   # (h, fd_value, relative_error)
+    converged: bool    # every transported solve converged
 
 
 def fd_check(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
@@ -122,21 +123,20 @@ def fd_check(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
              trace: Optional[TraceResult] = None) -> FDCheck:
     """Central differences (s(h) - s(-h)) / 2h of the transported-hole
     constant against the assembled derivative, warm-starting each solve
-    from the base extremal."""
+    from the base extremal.  Every step is finished; an unconverged solve
+    only clears ``converged``."""
     if trace is None:
         trace = solve_trace_constant(mesh, cfg, hole)
     analytic = evaluate_shape_derivative(mesh, cfg, hole, V, trace).ds_dt
-    rows = []
+    rows, converged = [], True
     for h in steps:
         values = {}
         for sign in (+1.0, -1.0):
             moved = transport_hole(mesh, hole, V, sign * h)
             res = solve_trace_constant(mesh, cfg, moved, init=trace.extremal)
-            if not res.converged:
-                raise RuntimeError(
-                    f"inner solve failed to converge at step h={sign * h}")
+            converged = converged and res.converged
             values[sign] = res.s_value
         fd = (values[1.0] - values[-1.0]) / (2.0 * h)
         rel = abs(fd - analytic) / max(abs(analytic), 1e-300)
         rows.append((float(h), fd, rel))
-    return FDCheck(analytic, rows)
+    return FDCheck(analytic, rows, converged)

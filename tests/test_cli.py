@@ -1,10 +1,11 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from traceholes import cli
+from traceholes import cli, shape_derivative
 from traceholes.cli import (
     RunSpec, _mesh_arrays, _write_extremal, _write_json, main, run,
 )
@@ -112,6 +113,28 @@ def test_shape_grad_check_csv(tmp_path):
     assert len(rows) == 4
     payload = read_summary(tmp_path, "g")
     assert payload["best_relative_error"] < 0.10
+    assert payload["converged"] is True
+
+
+def test_shape_grad_check_flags_an_unconverged_step(tmp_path, monkeypatch):
+    args = ["shape-grad-check", "--domain", "disk", "--radius", "1",
+            "--resolution", "0.2", "--out", str(tmp_path)]
+    assert main(args + ["--run-id", "ok"]) == 0
+    # every warm-started solve, that is every transported one, reports
+    # that it did not converge
+    solve = shape_derivative.solve_trace_constant
+
+    def flagged(mesh, cfg, hole, init=None):
+        res = solve(mesh, cfg, hole, init=init)
+        return res if init is None else dataclasses.replace(
+            res, converged=False)
+    monkeypatch.setattr(shape_derivative, "solve_trace_constant", flagged)
+    assert main(args + ["--run-id", "cap"]) == 2
+    ok, cap = read_summary(tmp_path, "ok"), read_summary(tmp_path, "cap")
+    assert cap.pop("converged") is False and ok.pop("converged") is True
+    assert cap == ok
+    assert (tmp_path / "cap" / "data.csv").read_bytes() == \
+        (tmp_path / "ok" / "data.csv").read_bytes()
 
 
 def test_sweep_alpha_curve(tmp_path):
@@ -137,6 +160,7 @@ def test_sweep_alpha_pool_matches_serial(tmp_path, monkeypatch):
             super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     args = ["sweep-alpha", "--domain", "disk", "--radius", "1",
             "--resolution", "0.25", "-p", "2", "-q", "2",
             "--alphas", "0.2", "0.4", "0.6", "--n-starts", "2",
@@ -147,6 +171,44 @@ def test_sweep_alpha_pool_matches_serial(tmp_path, monkeypatch):
     assert pools == [2] and 1 <= spawned[0] <= 2
     for name in ("data.csv", "summary.json"):
         assert (tmp_path / "pool" / name).read_bytes() == \
+            (tmp_path / "serial" / name).read_bytes()
+
+
+def test_sweep_alpha_starts_no_idle_workers(tmp_path, monkeypatch):
+    pools = []
+
+    class InProcessPool:
+        """Records its worker count and runs the work in this process."""
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    args = ["sweep-alpha", "--domain", "disk", "--radius", "1",
+            "--resolution", "0.3", "--n-starts", "1", "--workers", "5000",
+            "--out", str(tmp_path)]
+    # one alpha runs serially, however many workers are asked for
+    assert main(args + ["--alphas", "0.5", "--run-id", "one"]) == 0
+    assert pools == []
+    # three alphas on two cores: two workers
+    assert main(args + ["--alphas", "0.2", "0.5", "0.8",
+                        "--run-id", "cores"]) == 0
+    assert pools == [2]
+    # an unknown core count runs serially
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(args + ["--alphas", "0.2", "0.5", "0.8",
+                        "--run-id", "serial"]) == 0
+    assert pools == [2]
+    for name in ("data.csv", "summary.json"):
+        assert (tmp_path / "cores" / name).read_bytes() == \
             (tmp_path / "serial" / name).read_bytes()
 
 
@@ -281,6 +343,11 @@ def test_invalid_problem_numbers_rejected(tmp_path, capsys, flags, config):
     ("optimize", ["--alpha", "0.25", "--strategy", "combined"], None,
      "--strategy"),
     ("optimize", ["--alpha", "0.25"], {"strategy": "combined"}, "strategy"),
+    # unreadable paths: {tmp} is the test's directory, where the config
+    # of a case with one is written as run.json
+    ("solve", ["--config", "{tmp}/missing.json"], None, "No such file"),
+    ("solve", ["--config", "{tmp}"], None, "Is a directory"),
+    ("solve", ["--out", "{tmp}/run.json"], {}, "Not a directory"),
 ])
 def test_invalid_run_numbers_rejected(tmp_path, capsys, command, flags,
                                       config, field):
@@ -290,7 +357,7 @@ def test_invalid_run_numbers_rejected(tmp_path, capsys, command, flags,
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps(config))
         args += ["--config", str(cfgfile)]
-    assert main(args + flags) == 1
+    assert main(args + [f.format(tmp=tmp_path) for f in flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err

@@ -165,6 +165,7 @@ def test_fd_check_disk(disk, disk_setup):
     (h0, fd, rel), = chk.rows
     assert h0 == h
     assert rel < 0.05
+    assert chk.converged
 
 
 def test_rotation_fd_shrinks_under_refinement():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import iv
 
 from traceholes._descent import Preconditioner
 from traceholes.fem import NotAdmissibleError, ProblemConfig, h1_operator
@@ -219,6 +220,54 @@ def test_mesh_consistency_under_refinement():
     changes = [abs(b / a - 1.0) for a, b in zip(values, values[1:])]
     assert changes[-1] < changes[0]
     assert changes[-1] < 0.02
+
+
+# S on Disk(1) with no hole at p = q = 2: the first Steklov eigenvalue of
+# -Δu + u = 0, with extremal I₀(r)
+STEKLOV_DISK = float(iv(1, 1) / iv(0, 1))
+# first-order Richardson 2S(h/2) - S(h) at h = 0.025 of the quarter hole
+# at p = q = 2, measured
+QUARTER_HOLE_RICHARDSON_P2 = 0.7369014
+
+
+def test_no_hole_error_is_second_order():
+    # errors measured: -3.28e-4, -8.15e-5, -2.03e-5, -5.08e-6
+    errors = []
+    for res in (0.1, 0.05, 0.025, 0.0125):
+        mesh = generate_mesh(Disk(1), res)
+        trace = solve_trace_constant(mesh, ProblemConfig(2, 2),
+                                     hole_from_facets(mesh, []))
+        assert trace.converged
+        errors.append(trace.s_value - STEKLOV_DISK)
+    assert all(e < 0 for e in errors)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(4.0, abs=0.1)
+    assert abs(errors[-1]) < 6e-6
+
+
+@pytest.fixture(scope="module")
+def quarter_holes():
+    meshes = [generate_mesh(Disk(1), res) for res in (0.05, 0.025, 0.0125)]
+    return [(m, make_hole_from_arc(m, 0.0, 0.25 * m.perimeter))
+            for m in meshes]
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+def test_quarter_hole_error_is_first_order(quarter_holes, p):
+    # at the hole's endpoints the boundary condition switches from
+    # Dirichlet to Steklov, so u ~ r^(1/2) there and the error is O(h);
+    # ratios of successive differences measured: 1.92, 1.98, 2.01
+    values = []
+    for mesh, hole in quarter_holes:
+        trace = solve_trace_constant(mesh, ProblemConfig(p, 2), hole)
+        assert trace.converged
+        values.append(trace.s_value)
+    assert values[0] > values[1] > values[2]
+    ratio = (values[0] - values[1]) / (values[1] - values[2])
+    assert ratio == pytest.approx(2.0, abs=0.2)
+    if p == 2:
+        assert 2 * values[2] - values[1] == pytest.approx(
+            QUARTER_HOLE_RICHARDSON_P2, abs=1e-6)
 
 
 @pytest.mark.parametrize("domain,res,fraction", [
