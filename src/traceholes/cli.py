@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import numbers
@@ -438,6 +439,19 @@ _DISPATCH = {
 }
 
 
+def _check_creatable(out: Path) -> None:
+    """Raise, before the command runs and creating nothing, the error that
+    making the output directory would raise where its nearest existing
+    ancestor is not a writable directory."""
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 str(existing))
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                              str(existing))
+
+
 def run(spec: RunSpec) -> int:
     """Validate and dispatch a run, then write the summary, table, mesh and
     extremal its command returns; returns the process exit code."""
@@ -447,11 +461,12 @@ def run(spec: RunSpec) -> int:
     spec.validate()
     root = Path(spec.out or os.environ.get(OUTPUT_ROOT_ENV, "results"))
     run_id = spec.run_id or f"{spec.command}-p{spec.p}-q{spec.q}-seed{spec.seed}"
+    out = root / run_id
+    _check_creatable(out)
     converged, mesh, summary, table, extremal = _DISPATCH[spec.command](spec)
     if mesh is not None:
         summary["mesh"] = {"resolution": mesh.resolution,
                            "n_vertices": mesh.n_vertices}
-    out = root / run_id
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "summary.json", summary)
     _write_csv(out / "data.csv", *table)

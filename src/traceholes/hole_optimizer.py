@@ -17,7 +17,8 @@ group: the first in start order.  It is also pruned exactly: S is
 monotone under inclusion of holes, so one solve on the facets shared by
 a block of consecutive arcs bounds every arc of the block from below,
 and a block whose bound clears the current best cannot contain a better
-arc.
+arc.  A block holding an arc of the best hole's orbit is not bounded:
+its core's S is at most the best.
 
 Measure bookkeeping is honest about facet quantization: every hole is
 within one facet length of the target and alpha_effective is reported.
@@ -265,8 +266,11 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
             group, _slide_candidates(mesh, target))
         for i in range(0, len(candidates), _SLIDE_BLOCK):
             block = candidates[i:i + _SLIDE_BLOCK]
+            keys = [_key(mesh.n_facets, facets) for facets in block]
             core = frozenset.intersection(*block)
-            if core:
+            # a block holding an arc of the best hole's orbit has a core
+            # bound of at most the best value, which can never prune
+            if core and mirrors.isdisjoint(keys):
                 # every arc of the block contains the core, so S(arc) >=
                 # S(core); the margin covers the converged solve's excess
                 bound = solve_trace_constant(
@@ -275,8 +279,8 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
                 if bound.converged and bound.s_value >= \
                         best_res.s_value * (1.0 + _PRUNE_MARGIN):
                     continue
-            for facets in block:
-                if _key(mesh.n_facets, facets) in mirrors:
+            for facets, key in zip(block, keys):
+                if key in mirrors:
                     continue
                 cand_hole = hole_from_facets(mesh, facets)
                 cand = solve_trace_constant(mesh, cfg, cand_hole, init=warm)

@@ -110,29 +110,42 @@ def _limit_operators(problem: OneDimProblem, x: np.ndarray) -> Operators:
                      rho=rho_n, beta=beta_n)
 
 
+def _limit_grid(problem: OneDimProblem, n_cells: int) -> np.ndarray:
+    if n_cells < 16:
+        raise ValueError("need at least 16 cells")
+    return np.linspace(problem.a, problem.b, n_cells + 1)
+
+
 def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
                         n_cells: int,
                         init: Optional[np.ndarray] = None) -> LimitResult:
     """Minimize the weighted interior quotient with the field vanishing on
     all nodes of the sub-interval hole."""
-    if n_cells < 16:
-        raise ValueError("need at least 16 cells")
+    x = _limit_grid(problem, n_cells)
     lo, hi = hole
     if not (problem.a <= lo < hi <= problem.b):
         raise ValueError("hole must be a sub-interval of (a, b)")
-    x = np.linspace(problem.a, problem.b, n_cells + 1)
     h = (problem.b - problem.a) / n_cells
     target = problem.alpha * problem.length
     if abs((hi - lo) - target) > h + 1e-9 * h:
         raise ValueError(
             f"hole measure {hi - lo} does not match alpha within one cell")
+    return _solve_on_grid(problem, x, _limit_operators(problem, x),
+                          problem.config(), hole, init)
+
+
+def _solve_on_grid(problem: OneDimProblem, x: np.ndarray, ops: Operators,
+                   cfg: ProblemConfig, hole: Tuple[float, float],
+                   init: Optional[np.ndarray]) -> LimitResult:
+    """The hole's solve on a grid whose operators and config the caller
+    built, so a sweep over holes builds them once."""
+    lo, hi = hole
+    h = (problem.b - problem.a) / (x.size - 1)
     tol = 1e-9 * h
     constrained = (x >= lo - tol) & (x <= hi + tol)
     free = ~constrained
     if not np.any(free):
         raise ValueError("hole covers the whole interval")
-    ops = _limit_operators(problem, x)
-    cfg = problem.config()
     res = minimize_quotient(
         lambda u: ops.energy(cfg, u), lambda u: ops.energy_gradient(cfg, u),
         lambda u: ops.norm(cfg, u), lambda u: ops.norm_gradient(cfg, u),
@@ -155,7 +168,15 @@ class HoleSweep:
 
 
 def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
-    """Exhaustive sweep over cell-aligned holes of the target measure."""
+    """Exhaustive sweep over cell-aligned holes of the target measure.
+
+    The grid, its operators and the config are built once.  Each hole's
+    solve starts from the previous hole's extremal; when that warm start
+    does not converge, the hole is solved again cold and the next hole
+    starts from the cold result."""
+    x = _limit_grid(problem, n_cells)
+    ops = _limit_operators(problem, x)
+    cfg = problem.config()
     forms_h = (problem.b - problem.a) / n_cells
     c = max(1, round(problem.alpha * n_cells))
     starts, values = [], []
@@ -165,7 +186,9 @@ def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
     for s in range(n_cells - c + 1):
         lo = problem.a + s * forms_h
         hi = problem.a + (s + c) * forms_h
-        result = solve_limit_problem(problem, (lo, hi), n_cells, init=init)
+        result = _solve_on_grid(problem, x, ops, cfg, (lo, hi), init)
+        if not result.converged and init is not None:
+            result = _solve_on_grid(problem, x, ops, cfg, (lo, hi), None)
         init = result.extremal
         converged = converged and result.converged
         starts.append(lo)

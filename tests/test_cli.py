@@ -424,3 +424,21 @@ def test_artifact_writers_reject_non_finite(tmp_path, bad):
         _write_extremal(tmp_path / "extremal.csv", arrays["vertices"],
                         np.ones(mesh.n_vertices))
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("out,run_id", [("out", "x"), (".", "out")])
+def test_unwritable_out_fails_before_the_command(tmp_path, capsys,
+                                                 monkeypatch, out, run_id):
+    # the regular file is the output root, or it sits where the run's
+    # directory would go
+    (tmp_path / "out").write_text("")
+    calls = []
+    monkeypatch.setitem(cli._DISPATCH, "solve", calls.append)
+    code = main(["solve", "--domain", "disk", "--radius", "1",
+                 "--resolution", "0.3", "--out", str(tmp_path / out),
+                 "--run-id", run_id])
+    assert code == 1 and not calls
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

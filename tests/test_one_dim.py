@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from traceholes import one_dim
 from traceholes.one_dim import (
     OneDimProblem, closed_form_for_hole_fraction, closed_form_limit_constant,
     optimize_limit_hole, solve_limit_problem,
@@ -124,3 +125,43 @@ def test_swept_optimum_strictly_increasing_in_alpha():
         sweep = optimize_limit_hole(OneDimProblem(0, 1, 2, 2, float(alpha)), 64)
         values.append(sweep.best_value)
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_sweep_builds_its_operators_once(monkeypatch):
+    calls = []
+    build = one_dim._limit_operators
+
+    def counted(problem, x):
+        calls.append(x.size)
+        return build(problem, x)
+
+    monkeypatch.setattr(one_dim, "_limit_operators", counted)
+    sweep = optimize_limit_hole(OneDimProblem(0, 1, 2, 2, 0.5), 64)
+    assert sweep.values.size == 33
+    assert calls == [65]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_sweep_equals_chained_warm_solves(p):
+    # the sweep's shared grid changes no bit of a chain of public solves,
+    # each warm-started from the previous hole's extremal
+    problem = OneDimProblem(0, 1, p, p, 0.3)
+    n = 64
+    sweep = optimize_limit_hole(problem, n)
+    h, c = 1.0 / n, round(0.3 * n)
+    values, init = [], None
+    for s in range(n - c + 1):
+        res = solve_limit_problem(problem, (s * h, (s + c) * h), n, init=init)
+        assert res.converged
+        values.append(res.value)
+        init = res.extremal
+    assert sweep.values.tolist() == values
+
+
+def test_sweep_retries_an_unconverged_warm_start_cold():
+    # at p = 1.5 one warm start of this sweep runs out of line-search
+    # halvings; solved again cold, that hole converges
+    sweep = optimize_limit_hole(OneDimProblem(0, 1, 1.5, 1.5, 0.5), 200)
+    assert sweep.converged
+    lo, hi = sweep.best_hole
+    assert lo <= 1 / 400 or hi >= 1 - 1 / 400
