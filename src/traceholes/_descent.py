@@ -79,10 +79,14 @@ class DescentResult:
 
 
 def _normalize(u, b_fn, q):
+    """u rescaled to B = 1, read-only: the forms may then keep what they
+    computed from it for the next form at the same iterate."""
     B = b_fn(u)
     if not B > 0:
         raise ValueError("cannot normalize: boundary norm vanished")
-    return u * B ** (-1.0 / q)
+    u = u * B ** (-1.0 / q)
+    u.flags.writeable = False
+    return u
 
 
 def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
@@ -93,7 +97,9 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
     The start is the constant field when ``init`` is None, otherwise
     ``|init|`` with free entries floored at ``1e-12 max(max|init|, 1)``;
     fixed DOFs start (and stay) at zero.  ``fixed`` is the SPD metric of
-    the preconditioner, a sparse matrix on all DOFs.
+    the preconditioner, a sparse matrix on all DOFs, or that metric
+    already factored on the free DOFs (a ``Preconditioner``), so callers
+    that solve repeatedly with one free set factor it once.
 
     Convergence requires both the free-DOF gradient norm (scaled by 1/p,
     the Euler-Lagrange residual scale) to fall below ``tol`` and the
@@ -101,7 +107,7 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
     ``tol``.  Returns the iterate that passed that test, or the best
     iterate seen when none did: under the nonmonotone window the two can
     differ, and only the former carries the stated gradient bound.  Either
-    is nonnegative, zero on fixed DOFs and normalized to B = 1.
+    is nonnegative, zero on fixed DOFs, normalized to B = 1 and read-only.
 
     ``metric(u, delta)``, when given, returns the lagged metric at u (a
     sparse SPD matrix on all DOFs, regularized by ``delta``); it is
@@ -120,8 +126,12 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
         u[free] = np.maximum(u[free], 1e-12 * max(float(u.max()), 1.0))
     u[~free] = 0.0
     u = _normalize(u, b_fn, q)
-    precond = None if metric is not None and init is not None \
-        else Preconditioner.restricted(fixed, free)
+    if metric is not None and init is not None:
+        precond = None
+    elif isinstance(fixed, Preconditioner):
+        precond = fixed
+    else:
+        precond = Preconditioner.restricted(fixed, free)
 
     def grad_at(u, E):
         # B = 1 on the sphere, so dQ = dE - (p/q) E dB there
@@ -141,7 +151,7 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
     g = grad_at(u, E)
     gnorm = float(np.linalg.norm(g)) / p
     values = [E]
-    best_u, best_val = u.copy(), E
+    best_u, best_val = u, E
     if gnorm <= tol:
         return DescentResult(best_u, best_val, 0, True, values)
     gnorm0 = gnorm
@@ -191,7 +201,7 @@ def minimize_quotient(e_fn, de_fn, b_fn, db_fn, p, q, free, init, fixed,
         d = direction(g)
         values.append(E)
         if E < best_val:
-            best_val, best_u = E, u.copy()
+            best_val, best_u = E, u
         if gnorm <= tol and len(values) > WINDOW:
             drop = (max(values[-WINDOW:]) - values[-1]) / max(abs(values[-1]), 1e-300)
             if drop <= tol:

@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -195,11 +195,17 @@ def _finite(values) -> np.ndarray:
     return values
 
 
-def _format(template: str, values: np.ndarray) -> str:
-    """``template`` filled with the numbers of ``values`` in C order, each as
-    its ``repr`` (the text json.dumps and csv.writer give a float), with no
-    Python call per number."""
-    return template % tuple(map(repr, values.ravel().tolist()))
+class _Numbers(NamedTuple):
+    """An array's shape and the ``repr`` of each of its numbers in C order
+    (the text json.dumps and csv.writer give a float), made with no Python
+    call per number, so that files writing the same numbers share it."""
+
+    shape: tuple
+    text: tuple
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_Numbers":
+        return cls(values.shape, tuple(map(repr, values.ravel().tolist())))
 
 
 def _json_template(shape, level=1) -> str:
@@ -214,18 +220,29 @@ def _json_template(shape, level=1) -> str:
     return "[" + pad + items + "\n" + "  " * level + "]"
 
 
-def _write_json(path: Path, payload: dict):
+def _write_json(path: Path, payload: dict, keep: Optional[str] = None):
     """``payload`` as json.dumps(indent=2, sort_keys=True) writes it.  A
-    payload of arrays (mesh.json) is formatted from their ``tolist()``
-    instead, because json's indenting encoder is pure Python."""
-    if payload and all(isinstance(v, np.ndarray) for v in payload.values()):
-        text = "{\n%s\n}" % ",\n".join(
-            f"  {json.dumps(key)}: " + _format(_json_template(a.shape),
-                                               _finite(a))
-            for key, a in sorted(payload.items()))
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
+    payload of arrays (mesh.json) is formatted from their text instead, one
+    array at a time, because json's indenting encoder is pure Python; the
+    text of the array under ``keep`` is returned, for another file."""
+    if not (payload and all(isinstance(v, np.ndarray)
+                            for v in payload.values())):
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
+        return None
+    for a in payload.values():
+        _finite(a)      # before the file is opened
+    kept, sep = None, "{\n"
+    with path.open("w") as fh:
+        for key, a in sorted(payload.items()):
+            a = _Numbers.of(a)
+            fh.write(f"{sep}  {json.dumps(key)}: ")
+            fh.write(_json_template(a.shape) % a.text)
+            sep = ",\n"
+            if key == keep:
+                kept = a
+        fh.write("\n}\n")
+    return kept
 
 
 def _write_csv(path: Path, header, rows):
@@ -237,16 +254,24 @@ def _write_csv(path: Path, header, rows):
 
 def _write_extremal(path: Path, points, u):
     """extremal.csv: one ``x,y,u`` row per node (``y = 0`` in 1D), the
-    bytes csv.writer writes for these rows.  Rows are formatted in blocks,
-    so the text of one block at a time is held in memory."""
-    rows = np.zeros((len(u), 3))
-    points = np.asarray(points, dtype=float).reshape(len(u), -1)
-    rows[:, :points.shape[1]], rows[:, 2] = points, u
-    _finite(rows)
+    bytes csv.writer writes for these rows.  ``points`` is an array of
+    nodes or their ``_Numbers``.  Rows are formatted in blocks, so the text
+    of one block of values at a time is held in memory."""
+    u = _finite(np.asarray(u, dtype=float))
+    n = len(u)
+    if not isinstance(points, _Numbers):
+        points = _Numbers.of(
+            _finite(np.asarray(points, dtype=float).reshape(n, -1)))
+    dim = points.shape[1]
     with path.open("w", newline="") as fh:
         fh.write("x,y,u\r\n")
-        for block in np.split(rows, range(_CSV_BLOCK, len(rows), _CSV_BLOCK)):
-            fh.write(_format("%s,%s,%s\r\n" * len(block), block))
+        for lo in range(0, n, _CSV_BLOCK):
+            m = min(n - lo, _CSV_BLOCK)
+            fields = [repr(0.0)] * (3 * m)
+            for k in range(dim):
+                fields[k::3] = points.text[dim * lo + k:dim * (lo + m):dim]
+            fields[2::3] = map(repr, u[lo:lo + m].tolist())
+            fh.write("%s,%s,%s\r\n" * m % tuple(fields))
 
 
 def _mesh_arrays(mesh) -> dict:
@@ -471,9 +496,12 @@ def run(spec: RunSpec) -> int:
     _write_json(out / "summary.json", summary)
     _write_csv(out / "data.csv", *table)
     if extremal is not None:
+        points, u = extremal
         if mesh is not None:
-            _write_json(out / "mesh.json", _mesh_arrays(mesh))
-        _write_extremal(out / "extremal.csv", *extremal)
+            # the extremal's nodes are the mesh's vertices: format them once
+            points = _write_json(out / "mesh.json", _mesh_arrays(mesh),
+                                 keep="vertices")
+        _write_extremal(out / "extremal.csv", points, u)
     return 0 if converged else 2
 
 

@@ -172,6 +172,7 @@ class Operators:
         if beta is not None:
             self.w = self.w * (self.Q @ beta)
         self._h1 = None
+        self._last_density = None
 
     def _point_weights(self, simplex_weights):
         if simplex_weights is None:
@@ -179,9 +180,22 @@ class Operators:
         return self.w * np.tile(simplex_weights, self.w.size // simplex_weights.size)
 
     def density(self, cfg: ProblemConfig, u):
-        """D u and eps^2 + |grad u|^2 per cell."""
+        """D u and eps^2 + |grad u|^2 per cell, both read-only.  The result
+        for a read-only array that owns its data (a descent iterate, whose
+        E and dE are both asked for) is kept for the next call; a writable
+        array is never served from it."""
+        last = self._last_density
+        if last is not None and last[0] is u and last[1] == cfg.eps \
+                and not u.flags.writeable:
+            return last[2], last[3]
+        self._last_density = None       # the old arrays go before the new
         Du = self.D @ u
-        return Du, cfg.eps**2 + (Du * Du).reshape(self.dim, -1).sum(axis=0)
+        s = cfg.eps**2 + (Du * Du).reshape(self.dim, -1).sum(axis=0)
+        Du.flags.writeable = s.flags.writeable = False
+        if isinstance(u, np.ndarray) and not u.flags.writeable \
+                and u.flags.owndata:
+            self._last_density = (u, cfg.eps, Du, s)
+        return Du, s
 
     def energy(self, cfg: ProblemConfig, u) -> float:
         _, s = self.density(cfg, u)

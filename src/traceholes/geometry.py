@@ -242,12 +242,18 @@ def symmetry_generators(mesh: Mesh) -> list:
     """Generators of the mesh's symmetry group as facet permutations
     (facet k maps to perm[k]): on the disk rings the rotation by 60 degrees
     and the flip y -> -y, on a rectangle grid the rotation by 180 degrees
-    (its diagonals break both flips), on other meshes none."""
+    (its diagonals break the flips across the axes), and on a square grid
+    also the flip across x = y, which reverses the boundary walk from the
+    corner (0, 0); on other meshes none."""
     nf = mesh.n_facets
     k = np.arange(nf)
     if "rings" in mesh.meta:
         return [(k + mesh.meta["rings"]) % nf, (-1 - k) % nf]
     if "grid" in mesh.meta:
+        nx, ny = mesh.meta["grid"]
+        width, height = np.ptp(mesh.vertices, axis=0)
+        if nx == ny and width == height:
+            return [(k + nf // 2) % nf, (-1 - k) % nf]
         return [(k + nf // 2) % nf]
     return []
 

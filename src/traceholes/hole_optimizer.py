@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import fem
-from ._descent import minimize_quotient
+from ._descent import Preconditioner, minimize_quotient
 from .fem import ProblemConfig
 from .geometry import BoundaryHole, Mesh, hole_from_facets, symmetry_generators
 from .trace_solver import TraceResult, solve_trace_constant
@@ -76,11 +76,12 @@ def _snap_select(mesh: Mesh, order, target: float) -> frozenset:
 
 
 def _relaxed_ranking_field(mesh: Mesh, cfg: ProblemConfig,
-                           hole: BoundaryHole,
-                           init: Optional[np.ndarray]) -> np.ndarray:
+                           hole: BoundaryHole, init: Optional[np.ndarray],
+                           precond: Preconditioner) -> np.ndarray:
     """Extremal of the denominator-masked problem: the boundary norm is
     restricted to the complement of the hole but the field is free there,
-    so its size on the hole facets prices the constraint."""
+    so its size on the hole facets prices the constraint.  At every p the
+    solve runs on ``precond``, the all-free W^{1,2} metric's factor."""
     weights = np.ones(mesh.n_facets)
     if hole.facet_indices:
         weights[sorted(hole.facet_indices)] = 0.0
@@ -92,7 +93,7 @@ def _relaxed_ranking_field(mesh: Mesh, cfg: ProblemConfig,
         lambda u: fem.boundary_norm_q(mesh, cfg, u, facet_weights=weights),
         lambda u: fem.boundary_norm_gradient(mesh, cfg, u, facet_weights=weights),
         cfg.p, cfg.q, np.ones(mesh.n_vertices, dtype=bool), init,
-        fem.h1_operator(mesh), tol=max(cfg.dof_tolerance, 1e-7),
+        precond, tol=max(cfg.dof_tolerance, 1e-7),
         max_iter=cfg.max_inner_iterations)
     return res.u
 
@@ -221,6 +222,7 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
     best_hole = None
     best_res = None
     converged_any = False
+    ranking = None      # the all-free metric's factor, made at first use
 
     for start in starts:
         hole = hole_from_facets(mesh, start)
@@ -233,7 +235,11 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
         run_hole, run_res = hole, res
         ranking_init = None
         for _ in range(max_outer):
-            w = _relaxed_ranking_field(mesh, cfg, run_hole, ranking_init)
+            if ranking is None:
+                ranking = Preconditioner.restricted(
+                    fem.h1_operator(mesh), np.ones(mesh.n_vertices, dtype=bool))
+            w = _relaxed_ranking_field(mesh, cfg, run_hole, ranking_init,
+                                       ranking)
             ranking_init = w
             n_solves += 1
             scores = fem.facet_boundary_energy(mesh, cfg, w)
@@ -257,6 +263,7 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
                 best_hole, best_res = run_hole, run_res
                 history.append((run_hole.measure, run_res.s_value))
 
+    ranking = None      # the factor goes before the polish, which ranks none
     if polish:
         warm = best_res.extremal
         group = _symmetry_group(mesh)

@@ -137,6 +137,24 @@ def test_shape_grad_check_flags_an_unconverged_step(tmp_path, monkeypatch):
         (tmp_path / "ok" / "data.csv").read_bytes()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON")
+
+
+def test_shape_grad_check_with_an_unconverged_base_solve(tmp_path):
+    # the base solve stops at --max-iter: exit 2 with every artifact
+    code = main(["shape-grad-check", "--domain", "disk", "--radius", "1",
+                 "--resolution", "0.1", "--max-iter", "3",
+                 "--out", str(tmp_path), "--run-id", "cap"])
+    assert code == 2
+    payload = json.loads((tmp_path / "cap" / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert payload["converged"] is False
+    assert len(payload["rows"]) == 3
+    rows = (tmp_path / "cap" / "data.csv").read_text().splitlines()
+    assert len(rows) == 4
+
+
 def test_sweep_alpha_curve(tmp_path):
     code = main(["sweep-alpha", "--domain", "disk", "--radius", "1",
                  "--resolution", "0.3", "-p", "2", "-q", "2",
@@ -406,6 +424,30 @@ def test_artifact_writers_match_standard_formatters(tmp_path, domain, res):
     _write_json(tmp_path / "arrays.json", arrays)
     assert (tmp_path / "arrays.json").read_bytes() == json_text(
         {k: a.tolist() for k, a in arrays.items()}).encode()
+
+
+@pytest.mark.parametrize("domain,res", [
+    (Interval(0.0, 1.0), 0.05),
+    (Disk(1.0), 0.2),
+    (ThinRectangle(0.0, 1.0, 1 / 16), 1 / 64),
+])
+def test_shared_vertex_text_matches_standard_formatters(tmp_path, monkeypatch,
+                                                        domain, res):
+    # run formats the vertices once for mesh.json and for the x,y columns
+    # of extremal.csv; blocks of 8 rows leave a short last block here
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 8)
+    mesh = generate_mesh(domain, res)
+    u = _special_values(mesh.n_vertices)
+    monkeypatch.setitem(cli._DISPATCH, "solve", lambda spec: (
+        True, mesh, {}, (("s",), []), (mesh.vertices, u)))
+    assert main(["solve", "--out", str(tmp_path), "--run-id", "s"]) == 0
+    assert (tmp_path / "s" / "mesh.json").read_bytes() == \
+        json_text(mesh_to_json(mesh)).encode()
+    points = mesh.vertices if mesh.dim == 2 else \
+        np.column_stack([mesh.vertices[:, 0], np.zeros(mesh.n_vertices)])
+    rows = [(x, y, v) for (x, y), v in zip(points, u)]
+    assert (tmp_path / "s" / "extremal.csv").read_bytes() == \
+        csv_text(("x", "y", "u"), rows).encode()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traceholes._descent import minimize_quotient
 from traceholes.fem import (
     NotAdmissibleError, ProblemConfig, boundary_norm_q, energy,
     energy_gradient, forms, h1_operator, quotient_gradient,
@@ -13,7 +14,9 @@ from traceholes.fem import (
 )
 from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh,
+    make_hole_from_arc,
 )
+from traceholes.trace_solver import free_dof_mask
 
 from oracles import (
     assemble_p2_matrices, assemble_weighted_metric,
@@ -211,3 +214,85 @@ def test_lagged_metric_matches_dense_assembly(domain, res, p):
     A = assemble_weighted_metric(mesh, c, c_m)
     assert np.abs(P - A).max() <= 1e-12 * np.abs(A).max()
     assert np.linalg.eigvalsh(P)[0] > 0
+
+
+class _CountingMatrix:
+    """A sparse matrix that counts its products with a vector."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, u):
+        self.products += 1
+        return self.matrix @ u
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_descent_computes_D_u_once_per_accepted_iterate(monkeypatch, p):
+    # E and dE at an accepted iterate, and the lagged metric refreshed
+    # there, share one D u: every D u is an energy evaluation's
+    mesh = generate_mesh(ThinRectangle(0, 1, 1 / 16), 1 / 64)
+    cfg = ProblemConfig(p, p)
+    ops = forms(mesh)
+    h1 = h1_operator(mesh)
+    monkeypatch.setattr(ops, "D", _CountingMatrix(ops.D))
+    calls = {"E": 0, "dE": 0}
+
+    def counted(name, fn):
+        def call(u):
+            calls[name] += 1
+            return fn(mesh, cfg, u)
+        return call
+    hole = make_hole_from_arc(mesh, 0.0, 0.5 * mesh.perimeter)
+    res = minimize_quotient(
+        counted("E", energy), counted("dE", energy_gradient),
+        lambda u: boundary_norm_q(mesh, cfg, u),
+        lambda u: ops.norm_gradient(cfg, u), cfg.p, cfg.q,
+        free_dof_mask(mesh, hole), None, h1, tol=1e-8, max_iter=500,
+        metric=ops.descent_metric(cfg))
+    # at p = 3 the lagged metric is refreshed at least twice
+    assert res.converged and res.iterations > (60 if p != 2 else 5)
+    assert calls["dE"] == len(res.values)       # the start and each accepted
+    assert ops.D.products == calls["E"]
+
+
+def test_density_is_fresh_for_every_changeable_array(square):
+    cfg = ProblemConfig(3, 2)
+    ops = forms(square)
+    rng = np.random.default_rng(0)
+
+    def fresh(u):
+        return energy_gradient(square, cfg, u.copy())
+    # a writable array changed in place between E and dE
+    u = rng.random(square.n_vertices)
+    energy(square, cfg, u)
+    u[::3] *= 2.0
+    assert np.array_equal(energy_gradient(square, cfg, u), fresh(u))
+    # a read-only array made writable and changed
+    v = rng.random(square.n_vertices)
+    v.flags.writeable = False
+    energy(square, cfg, v)
+    v.flags.writeable = True
+    v[::3] *= 2.0
+    assert np.array_equal(energy_gradient(square, cfg, v), fresh(v))
+    # a read-only view of an array that is changed
+    base = rng.random(square.n_vertices)
+    view = base[:]
+    view.flags.writeable = False
+    energy(square, cfg, view)
+    base[::3] *= 2.0
+    assert np.array_equal(energy_gradient(square, cfg, view), fresh(view))
+    # a read-only array that owns its data is served from the cache, with
+    # the values a fresh evaluation gives
+    w = rng.random(square.n_vertices)
+    w.flags.writeable = False
+    E = energy(square, cfg, w)
+    assert ops.density(cfg, w)[1] is ops.density(cfg, w)[1]
+    assert E == energy(square, cfg, w.copy())
+    assert np.array_equal(energy_gradient(square, cfg, w), fresh(w))
+    # and not for another epsilon
+    other = ProblemConfig(3, 2, epsilon=0.5)
+    assert energy(square, other, w) == energy(square, other, w.copy())

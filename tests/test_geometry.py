@@ -237,20 +237,26 @@ def test_mesh_immutable_and_json():
 
 def _isometries(mesh):
     """The maps the generators stand for, from the mesh coordinates: the
-    disk's rotation by 60 degrees and flip y -> -y, and a rectangle's
-    rotation by 180 degrees about its centre."""
+    disk's rotation by 60 degrees and flip y -> -y, a rectangle's rotation
+    by 180 degrees about its centre and, on a square, the flip across the
+    diagonal x = y."""
     if isinstance(mesh.domain, Disk):
         c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
         return [lambda x: x @ np.array([[c, s], [-s, c]]),
                 lambda x: x * np.array([1.0, -1.0])]
-    centre = 0.5 * (mesh.vertices.min(axis=0) + mesh.vertices.max(axis=0))
-    return [lambda x: 2.0 * centre - x]
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    centre = 0.5 * (lo + hi)
+    maps = [lambda x: 2.0 * centre - x]
+    if np.ptp(hi - lo) == 0:
+        maps.append(lambda x: (x - lo)[:, ::-1] + lo)
+    return maps
 
 
 @pytest.mark.parametrize("domain,resolution", [
     (Disk(1), 0.2), (Disk(1), 0.1), (Disk(1), 0.05), (Rectangle(2, 1), 0.1),
     (ThinRectangle(0, 1, 1 / 16), 1 / 64),
-    (ThinRectangle(0, 1, 1 / 64), 1 / 256)])
+    (ThinRectangle(0, 1, 1 / 64), 1 / 256),
+    (Rectangle(1, 1), 0.1), (Rectangle(2, 2), 0.25)])
 def test_symmetry_generators_are_mesh_isometries(domain, resolution):
     mesh = generate_mesh(domain, resolution)
     generators = symmetry_generators(mesh)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from traceholes.fem import ProblemConfig
+from traceholes import hole_optimizer
+from traceholes._descent import Preconditioner
+from traceholes.fem import ProblemConfig, h1_operator
 from traceholes.geometry import (
     Disk, Rectangle, ThinRectangle, generate_mesh, hole_from_facets,
     make_hole_from_arc,
 )
 from traceholes.hole_optimizer import (
-    _SLIDE_BLOCK, _orbit_representatives, _slide_candidates, _symmetry_group,
-    make_arc_facets, optimize_hole_alternating, zero_set_measure,
+    _SLIDE_BLOCK, _orbit_representatives, _relaxed_ranking_field,
+    _slide_candidates, _symmetry_group, make_arc_facets,
+    optimize_hole_alternating, zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
 
@@ -33,6 +36,11 @@ def disk_run(disk, cfg):
 @pytest.fixture(scope="module")
 def thin():
     return generate_mesh(ThinRectangle(0, 1, 1 / 16), 1 / 64)
+
+
+@pytest.fixture(scope="module")
+def square():
+    return generate_mesh(Rectangle(1, 1), 0.1)
 
 
 def test_alternating_finds_contiguous_arc(disk, cfg, disk_run):
@@ -216,9 +224,15 @@ def test_pruned_polish_equals_exhaustive_sweep_disk(disk, cfg, disk_run):
     assert reference[3] == disk_run.n_solves
 
 
+@pytest.fixture(scope="module")
+def square_run(square, cfg):
+    return optimize_hole_alternating(square, cfg, 0.3, n_starts=2, seed=0)
+
+
 @pytest.mark.parametrize("mesh_name,alpha,kwargs", [
     ("disk", 0.25, dict(n_starts=3, seed=1)),
-    ("thin", 0.5, dict(n_starts=2, seed=0))])
+    ("thin", 0.5, dict(n_starts=2, seed=0)),
+    ("square", 0.3, dict(n_starts=2, seed=0))])
 def test_reduced_polish_matches_full_family_sweep(request, cfg, mesh_name,
                                                   alpha, kwargs):
     mesh = request.getfixturevalue(mesh_name)
@@ -240,13 +254,17 @@ def test_reduced_polish_matches_full_family_sweep(request, cfg, mesh_name,
     (Disk(1), 0.1, 0.25, 3), (Disk(1), 0.1, 0.4, 17),
     (ThinRectangle(0, 1, 1 / 16), 1 / 64, 0.5, 5),
     (ThinRectangle(0, 1, 1 / 16), 1 / 64, 0.2, 70),
-    (Rectangle(2, 1), 0.1, 0.3, 11)])
+    (Rectangle(2, 1), 0.1, 0.3, 11), (Rectangle(1, 1), 0.1, 0.3, 11)])
 def test_symmetric_images_of_an_arc_share_its_value(cfg, domain, resolution,
                                                      alpha, first):
     mesh = generate_mesh(domain, resolution)
     arc = make_arc_facets(mesh, first, alpha * mesh.perimeter)
     images = _images(_symmetry_group(mesh), arc)
-    assert len(images) == (12 if isinstance(domain, Disk) else 2)
+    if isinstance(domain, Disk):
+        assert len(images) == 12
+    else:   # a square grid adds the flips across its diagonals
+        square = isinstance(domain, Rectangle) and domain.width == domain.height
+        assert len(images) == (4 if square else 2)
     value = solve_trace_constant(mesh, cfg,
                                  hole_from_facets(mesh, arc)).s_value
     for image in images:
@@ -265,3 +283,47 @@ def test_block_core_bounds_its_arcs(thin, cfg):
         value = solve_trace_constant(thin, cfg, hole_from_facets(thin, arc),
                                      init=bound.extremal).s_value
         assert bound.s_value <= value
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_optimize_factors_the_ranking_metric_once(monkeypatch, p):
+    # every ranking solve of a run shares one factor of the all-free
+    # W^{1,2} metric, made at the first of them, at every p
+    mesh = generate_mesh(Disk(1), 0.2)
+    all_free, factors = [], []
+    restricted = Preconditioner.restricted.__func__
+
+    def counted(cls, metric, free):
+        if free.all():
+            all_free.append(metric)
+        return restricted(cls, metric, free)
+    monkeypatch.setattr(Preconditioner, "restricted", classmethod(counted))
+
+    def ranking(mesh, cfg, hole, init, precond):
+        factors.append(precond)
+        return _relaxed_ranking_field(mesh, cfg, hole, init, precond)
+    monkeypatch.setattr(hole_optimizer, "_relaxed_ranking_field", ranking)
+    cfg = ProblemConfig(p, 2)
+    optimize_hole_alternating(mesh, cfg, 0.25, n_starts=3, seed=0)
+    assert len(factors) >= 3
+    assert len(all_free) == 1 and all_free[0] is h1_operator(mesh)
+    assert all(f is factors[0] for f in factors)
+    del all_free[:]
+    optimize_hole_alternating(mesh, cfg, 0.25, n_starts=3, seed=0,
+                              max_outer=0)
+    assert not all_free
+
+
+def test_shared_ranking_factor_gives_the_same_field(disk, cfg):
+    # a factor that served other ranking solves gives a fresh one's field
+    hole = make_hole_from_arc(disk, 0.0, 0.25 * disk.perimeter)
+    other = make_hole_from_arc(disk, 1.0, 0.25 * disk.perimeter)
+
+    def factor():
+        return Preconditioner.restricted(
+            h1_operator(disk), np.ones(disk.n_vertices, dtype=bool))
+    own = _relaxed_ranking_field(disk, cfg, hole, None, factor())
+    shared = factor()
+    _relaxed_ranking_field(disk, cfg, other, None, shared)
+    assert np.array_equal(
+        _relaxed_ranking_field(disk, cfg, hole, None, shared), own)

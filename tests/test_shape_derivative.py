@@ -168,6 +168,23 @@ def test_fd_check_disk(disk, disk_setup):
     assert chk.converged
 
 
+def test_fd_check_folds_an_unconverged_base_solve(disk, disk_setup):
+    # the check still runs every step from an unconverged base solve, and
+    # says that it did not converge
+    cfg, hole, trace = disk_setup
+    P = disk.perimeter
+    h = P / 500
+    V = _end_plateau_field(disk, 0.25 * P, float(disk.facet_lengths[0]) / h)
+    from dataclasses import replace
+    capped = replace(trace, converged=False)
+    chk = fd_check(disk, cfg, hole, V, [h], trace=capped)
+    ok = fd_check(disk, cfg, hole, V, [h], trace=trace)
+    assert not chk.converged and ok.converged
+    assert chk.analytic == ok.analytic and chk.rows == ok.rows
+    with pytest.raises(ValueError, match="converged"):
+        evaluate_shape_derivative(disk, cfg, hole, V, capped)
+
+
 def test_rotation_fd_shrinks_under_refinement():
     # a rigid slide leaves S invariant up to mesh anisotropy, so the
     # central differences head to zero as the mesh refines (they are not
