@@ -197,6 +197,10 @@ class Operators:
             self._last_density = (u, cfg.eps, Du, s)
         return Du, s
 
+    def drop_density(self) -> None:
+        """Let go of the kept ``density`` result."""
+        self._last_density = None
+
     def energy(self, cfg: ProblemConfig, u) -> float:
         _, s = self.density(cfg, u)
         return float(self.vol @ s ** (cfg.p / 2.0)

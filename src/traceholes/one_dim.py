@@ -17,6 +17,12 @@ fraction of the interval left FREE by the hole (the formula is the
 eigenvalue of a segment of length alpha * length).  The solver and the
 sweep take the hole fraction; ``closed_form_for_hole_fraction`` does the
 bookkeeping between the two.
+
+The exhaustive sweep takes each hole's value as the lower of two warm
+chains of solves, one from each end of the interval; that is exact for
+q >= p, where the optimum sits on one of the two free parts.  Unweighted,
+the chains mirror each other, so only the first half of the holes is
+solved.
 """
 
 from __future__ import annotations
@@ -167,33 +173,58 @@ class HoleSweep:
     converged: bool             # every solve of the sweep converged
 
 
+def _warm_chain(problem: OneDimProblem, x: np.ndarray, ops: Operators,
+                cfg: ProblemConfig, holes) -> Tuple[list, bool]:
+    """The holes' values, each solve started from the previous hole's
+    extremal.  A warm start that does not converge is solved again cold,
+    and the next hole starts from the cold result.  Also returns whether
+    every solve of the chain converged."""
+    values, converged, init = [], True, None
+    for hole in holes:
+        result = _solve_on_grid(problem, x, ops, cfg, hole, init)
+        if not result.converged and init is not None:
+            result = _solve_on_grid(problem, x, ops, cfg, hole, None)
+        init = result.extremal
+        converged = converged and result.converged
+        values.append(result.value)
+    return values, converged
+
+
 def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
     """Exhaustive sweep over cell-aligned holes of the target measure.
 
     The grid, its operators and the config are built once.  Each hole's
-    solve starts from the previous hole's extremal; when that warm start
-    does not converge, the hole is solved again cold and the next hole
-    starts from the cold result."""
+    value is the lower of two warm chains (see ``_warm_chain``): one
+    starts cold at the left-end hole and moves right, the other starts
+    cold at the right-end hole and moves left.  A warm start stays on the
+    free part it started on, so past the middle one chain alone would
+    report the shrinking part's value; each chain is right on the half
+    where its part is the larger one.  Taking the lower value is exact
+    when the optimum sits on one free part, which holds for q >= p.
+
+    Unweighted (rho and beta both None), the flip x -> a + b - x maps one
+    chain onto the other, so only the left chain runs, over the first
+    ceil(N/2) of the N holes, and hole N-1-s takes hole s's value.
+    ``converged`` is true when every solve converged; ties in the best
+    value go to the first hole."""
     x = _limit_grid(problem, n_cells)
     ops = _limit_operators(problem, x)
     cfg = problem.config()
     forms_h = (problem.b - problem.a) / n_cells
     c = max(1, round(problem.alpha * n_cells))
-    starts, values = [], []
-    best = None
-    init = None
-    converged = True
-    for s in range(n_cells - c + 1):
-        lo = problem.a + s * forms_h
-        hi = problem.a + (s + c) * forms_h
-        result = _solve_on_grid(problem, x, ops, cfg, (lo, hi), init)
-        if not result.converged and init is not None:
-            result = _solve_on_grid(problem, x, ops, cfg, (lo, hi), None)
-        init = result.extremal
-        converged = converged and result.converged
-        starts.append(lo)
-        values.append(result.value)
-        if best is None or result.value < best.value:
-            best = result
-    return HoleSweep(best.hole, best.value,
-                     np.array(starts), np.array(values), converged)
+    n = n_cells - c + 1
+    holes = [(problem.a + s * forms_h, problem.a + (s + c) * forms_h)
+             for s in range(n)]
+    if problem.rho is None and problem.beta is None:
+        left, converged = _warm_chain(problem, x, ops, cfg,
+                                      holes[:(n + 1) // 2])
+        values = np.array(left + left[:n // 2][::-1])
+    else:
+        left, left_converged = _warm_chain(problem, x, ops, cfg, holes)
+        right, right_converged = _warm_chain(problem, x, ops, cfg,
+                                             holes[::-1])
+        values = np.minimum(left, right[::-1])
+        converged = left_converged and right_converged
+    best = int(np.argmin(values))
+    return HoleSweep(holes[best], float(values[best]),
+                     np.array([lo for lo, _ in holes]), values, converged)

@@ -26,7 +26,7 @@ from .geometry import BoundaryHole, Mesh
 @dataclass
 class TraceResult:
     s_value: float
-    extremal: np.ndarray
+    extremal: np.ndarray        # read-only
     lam: float
     el_residual: float
     iterations: int
@@ -58,8 +58,13 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
         tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
         metric=fem.forms(mesh).descent_metric(cfg))
     u = res.u * fem.boundary_norm_q(mesh, cfg, res.u) ** (-1.0 / cfg.q)
+    # read-only, so the residual's energy gradient reuses energy's D u;
+    # dropped after, as a D u kept through the artifact writes raised the
+    # peak RSS of a run of solves on growing meshes by about 5%
+    u.flags.writeable = False
     s_value = fem.energy(mesh, cfg, u)
     lam, residual = _multiplier_and_residual(mesh, cfg, u, free)
+    fem.forms(mesh).drop_density()
     return TraceResult(s_value, u, lam, residual, res.iterations,
                        res.converged, mesh, hole)
 

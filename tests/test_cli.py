@@ -310,13 +310,27 @@ def test_one_dim_commands_reject_other_domains(tmp_path, capsys):
 
 
 def test_verify_1d_flags_an_unconverged_sweep(tmp_path):
-    # the 1000-cell solve converges in 9 iterations, but the sweep's cold
-    # first hole needs more than 12: the sweep must be held to --max-iter
-    code = main(["verify-1d", "-p", "2", "--alpha", "0.5", "--max-iter", "12",
-                 "--out", str(tmp_path), "--run-id", "cap"])
+    # at p = 1.5 the 1000-cell solve converges in 61 iterations, but warm
+    # starts of the sweep are slow, and some holes need more than 120
+    # iterations both warm and cold: the sweep must be held to --max-iter
+    code = main(["verify-1d", "-p", "1.5", "--alpha", "0.5", "--max-iter",
+                 "120", "--out", str(tmp_path), "--run-id", "cap"])
     assert code == 2
     payload = read_summary(tmp_path, "cap")
     assert payload["converged"] and not payload["sweep_converged"]
+
+
+def test_verify_1d_sweep_is_mirror_symmetric(tmp_path):
+    # the unweighted sweep is symmetric under x -> a + b - x, and a tie
+    # between the two endpoint holes goes to the first
+    assert main(["verify-1d", "-p", "3", "--alpha", "0.5", "--n-cells", "256",
+                 "--out", str(tmp_path), "--run-id", "m"]) == 0
+    assert read_summary(tmp_path, "m")["sweep_best_hole"] == [0.0, 0.5]
+    rows = (tmp_path / "m" / "data.csv").read_text().splitlines()[1:]
+    values = [float(row.split(",")[1]) for row in rows]
+    assert len(values) == 129
+    assert values == values[::-1]
+    assert min(values) == values[0]
 
 
 def test_run_spec_api(tmp_path):

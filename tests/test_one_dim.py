@@ -144,24 +144,85 @@ def test_sweep_builds_its_operators_once(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_sweep_equals_chained_warm_solves(p):
     # the sweep's shared grid changes no bit of a chain of public solves,
-    # each warm-started from the previous hole's extremal
+    # each warm-started from the previous hole's extremal, over the first
+    # half of the holes; the second half mirrors the first exactly
     problem = OneDimProblem(0, 1, p, p, 0.3)
     n = 64
     sweep = optimize_limit_hole(problem, n)
     h, c = 1.0 / n, round(0.3 * n)
+    n_holes = n - c + 1
     values, init = [], None
-    for s in range(n - c + 1):
+    for s in range((n_holes + 1) // 2):
         res = solve_limit_problem(problem, (s * h, (s + c) * h), n, init=init)
         assert res.converged
         values.append(res.value)
         init = res.extremal
-    assert sweep.values.tolist() == values
+    assert sweep.values[:len(values)].tolist() == values
+    assert sweep.values.tolist() == sweep.values[::-1].tolist()
 
 
-def test_sweep_retries_an_unconverged_warm_start_cold():
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("p", [2, 3])
+def test_sweep_equals_cold_solves(p, weighted):
+    # a single warm chain stays on the free part it started on, which past
+    # the middle is the smaller one; at p = 3 it reported values more
+    # than 1e5 times too large there
+    beta = (lambda x: 1.0 + x) if weighted else None
+    problem = OneDimProblem(0, 1, p, p, 0.5, beta=beta)
+    n = 128
+    sweep = optimize_limit_hole(problem, n)
+    h, c = 1.0 / n, 64
+    cold = [solve_limit_problem(problem, (s * h, (s + c) * h), n).value
+            for s in range(n - c + 1)]
+    assert sweep.values == pytest.approx(cold, rel=1e-12, abs=0)
+
+
+def _counted_solves(monkeypatch):
+    """Record (hole, warm start, converged) of every 1D grid solve."""
+    calls = []
+    solve = one_dim._solve_on_grid
+
+    def counted(problem, x, ops, cfg, hole, init):
+        result = solve(problem, x, ops, cfg, hole, init)
+        calls.append((hole, init is not None, result.converged))
+        return result
+
+    monkeypatch.setattr(one_dim, "_solve_on_grid", counted)
+    return calls
+
+
+def _first_attempts(calls):
+    """The holes in solve order, without the cold retries: a retry is
+    the cold solve that directly follows its hole's unconverged warm
+    start."""
+    return [hole for i, (hole, warm, _) in enumerate(calls)
+            if warm or not (i and calls[i - 1][0] == hole
+                            and calls[i - 1][1] and not calls[i - 1][2])]
+
+
+@pytest.mark.parametrize("p", [1.5, 3])
+def test_unweighted_sweep_solves_half_of_its_holes(monkeypatch, p):
+    calls = _counted_solves(monkeypatch)
+    sweep = optimize_limit_hole(OneDimProblem(0, 1, p, p, 0.5), 64)
+    assert sweep.values.size == 33
+    starts = [lo for lo, _ in _first_attempts(calls)]
+    assert starts == sweep.starts[:17].tolist()
+
+
+def test_weighted_sweep_solves_every_hole_in_both_chains(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    problem = OneDimProblem(0, 1, 3, 3, 0.5, beta=lambda x: 1.0 + x)
+    sweep = optimize_limit_hole(problem, 64)
+    starts = [lo for lo, _ in _first_attempts(calls)]
+    assert starts == sweep.starts.tolist() + sweep.starts[::-1].tolist()
+
+
+def test_sweep_retries_an_unconverged_warm_start_cold(monkeypatch):
     # at p = 1.5 one warm start of this sweep runs out of line-search
     # halvings; solved again cold, that hole converges
+    calls = _counted_solves(monkeypatch)
     sweep = optimize_limit_hole(OneDimProblem(0, 1, 1.5, 1.5, 0.5), 200)
+    assert len(calls) > len(_first_attempts(calls))
     assert sweep.converged
     lo, hi = sweep.best_hole
     assert lo <= 1 / 400 or hi >= 1 - 1 / 400
