@@ -15,7 +15,8 @@ exactly from the same quadratures.
 
 Every form is evaluated through one set of sparse operators per mesh
 (``Operators``): the cell-gradient matrix D, the interpolation Q to the
-quadrature points of the denominator, and the lumped mass.  Then
+quadrature points of the denominator, stacked as A = [D; Q], and the
+lumped mass.  Then
 
     E(u)  = vol . (eps^2 + |D u|^2)^(p/2) + m . |u|^p,
     dE(u) = D^T (p vol (eps^2 + |D u|^2)^((p-2)/2) D u) + p m |u|^(p-2) u,
@@ -133,6 +134,7 @@ class Operators:
     Q     CSR interpolation to the quadrature points of the denominator on
           the simplices ``quad_simplices`` (row k * n + f is point k of
           simplex f); w holds the quadrature weights, QT is Q's transpose.
+    A     CSR [D; Q], the rows of D and then those of Q.
 
     Optional nodal weights ``rho`` (of the energy: cell averages scale vol,
     nodal values scale mass) and ``beta`` (of the denominator, interpolated
@@ -153,21 +155,27 @@ class Operators:
             raise ValueError("mesh has non-positively oriented cells")
         Einv = np.linalg.inv(E)
         grads = np.concatenate([-Einv.sum(axis=2, keepdims=True), Einv], axis=2)
-        del E, Einv    # dense temporaries go before D and DT are built
-        self.D = _csr(grads.transpose(1, 0, 2).ravel(),
-                      np.tile(cells.astype(np.int32), (self.dim, 1)), nv)
+        del E, Einv    # dense temporaries go before D and Q are built
+        D = _csr(grads.transpose(1, 0, 2).ravel(),
+                 np.tile(cells.astype(np.int32), (self.dim, 1)), nv)
         del grads
+        bary, weights = _RULES[quad_simplices.shape[1]]
+        Q = _csr(np.repeat(bary, quad_simplices.shape[0], axis=0).ravel(),
+                 np.tile(quad_simplices.astype(np.int32), (bary.shape[0], 1)), nv)
+        # D and Q keep views of A's arrays, so no operator is held twice
+        self.A, nnz = sp.vstack([D, Q], format="csr"), D.nnz
+        D.data, D.indices = self.A.data[:nnz], self.A.indices[:nnz]
+        D.indptr = self.A.indptr[:D.shape[0] + 1]
+        Q.data, Q.indices = self.A.data[nnz:], self.A.indices[nnz:]
+        self.D, self.Q = D, Q
         self.DT = self.D.T.tocsr()
+        self.QT = self.Q.T.tocsr()
         self.mass = np.bincount(cells.ravel(), minlength=nv,
                                 weights=np.repeat(vol / npc, npc))
         if rho is not None:
             vol = vol * rho[cells].mean(axis=1)
             self.mass = self.mass * rho
         self.vol = vol
-        bary, weights = _RULES[quad_simplices.shape[1]]
-        self.Q = _csr(np.repeat(bary, quad_simplices.shape[0], axis=0).ravel(),
-                      np.tile(quad_simplices.astype(np.int32), (bary.shape[0], 1)), nv)
-        self.QT = self.Q.T.tocsr()
         self.w = np.outer(weights, quad_measures).ravel()
         if beta is not None:
             self.w = self.w * (self.Q @ beta)
@@ -181,7 +189,7 @@ class Operators:
 
     def density(self, cfg: ProblemConfig, u):
         """D u and eps^2 + |grad u|^2 per cell, both read-only.  The result
-        for a read-only array that owns its data (a descent iterate, whose
+        for a read-only array that owns its data (a solve's extremal, whose
         E and dE are both asked for) is kept for the next call; a writable
         array is never served from it."""
         last = self._last_density
@@ -190,19 +198,23 @@ class Operators:
             return last[2], last[3]
         self._last_density = None       # the old arrays go before the new
         Du = self.D @ u
-        s = cfg.eps**2 + (Du * Du).reshape(self.dim, -1).sum(axis=0)
+        s = self._square_gradient(cfg, Du)
         Du.flags.writeable = s.flags.writeable = False
         if isinstance(u, np.ndarray) and not u.flags.writeable \
                 and u.flags.owndata:
             self._last_density = (u, cfg.eps, Du, s)
         return Du, s
 
+    def _square_gradient(self, cfg: ProblemConfig, Du) -> np.ndarray:
+        return cfg.eps**2 + (Du * Du).reshape(self.dim, -1).sum(axis=0)
+
     def drop_density(self) -> None:
         """Let go of the kept ``density`` result."""
         self._last_density = None
 
-    def energy(self, cfg: ProblemConfig, u) -> float:
-        _, s = self.density(cfg, u)
+    def energy(self, cfg: ProblemConfig, u, s=None) -> float:
+        """E(u); ``s`` is u's square gradient when already at hand."""
+        s = self.density(cfg, u)[1] if s is None else s
         return float(self.vol @ s ** (cfg.p / 2.0)
                      + self.mass @ np.abs(u) ** cfg.p)
 
@@ -213,6 +225,34 @@ class Operators:
         return (self.DT @ flux.ravel()
                 + p * self.mass * _signed_power(u, p - 1.0))
 
+    def quotient(self, cfg: ProblemConfig, facet_weights=None):
+        """The descent's ``(evaluate, gradient)`` for E / B^(p/q), B's simplices
+        weighted by ``facet_weights``.  ``evaluate`` makes one product A u and
+        scales u and it to B = 1 (ValueError when B <= 0); ``gradient`` turns
+        it into dE - (p/q) E dB, in place, by one transposed product."""
+        n, w, q, p = self.D.shape[0], self._point_weights(facet_weights), cfg.q, cfg.p
+        AT = self.A.T       # CSC on A's own arrays
+
+        def evaluate(u):
+            Au = self.A @ u
+            B = float(w @ np.abs(Au[n:]) ** q)
+            if not B > 0:
+                raise ValueError("cannot normalize: boundary norm vanished")
+            c = B ** (-1.0 / q)
+            u = u * c
+            u.flags.writeable = False
+            Au *= c
+            s = self._square_gradient(cfg, Au[:n])
+            return u, self.energy(cfg, u, s), (Au, s)
+
+        def gradient(u, E, product):
+            Au, s = product
+            flux = Au[:n].reshape(self.dim, -1)     # a view of Au
+            flux *= p * self.vol * s ** ((p - 2.0) / 2.0)
+            Au[n:] = -p * E * w * _signed_power(Au[n:], q - 1.0)
+            return AT @ Au + p * self.mass * _signed_power(u, p - 1.0)
+        return evaluate, gradient
+
     def point_integrand(self, cfg: ProblemConfig, u) -> np.ndarray:
         """w |u|^q at every quadrature point, in the row order of Q."""
         return self.w * np.abs(self.Q @ u) ** cfg.q
@@ -221,11 +261,9 @@ class Operators:
         w = self._point_weights(simplex_weights)
         return float(w @ np.abs(self.Q @ u) ** cfg.q)
 
-    def norm_gradient(self, cfg: ProblemConfig, u,
-                      simplex_weights=None) -> np.ndarray:
+    def norm_gradient(self, cfg: ProblemConfig, u) -> np.ndarray:
         q = cfg.q
-        w = self._point_weights(simplex_weights)
-        return self.QT @ (q * w * _signed_power(self.Q @ u, q - 1.0))
+        return self.QT @ (q * self.w * _signed_power(self.Q @ u, q - 1.0))
 
     def metric(self, c=None, c_m=None):
         """D^T diag(vol c) D + diag(mass c_m): the W^{1,2} metric with cell
@@ -324,9 +362,9 @@ def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarray
     return forms(mesh).energy_gradient(cfg, u)
 
 
-def boundary_norm_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray,
-                           facet_weights: Optional[np.ndarray] = None) -> np.ndarray:
-    return forms(mesh).norm_gradient(cfg, u, facet_weights)
+def boundary_norm_gradient(mesh: Mesh, cfg: ProblemConfig,
+                           u: np.ndarray) -> np.ndarray:
+    return forms(mesh).norm_gradient(cfg, u)
 
 
 def quotient_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarray:

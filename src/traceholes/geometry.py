@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -74,6 +74,10 @@ class ThinRectangle:
             raise ValueError("thin rectangle needs a < b")
         if self.mu <= 0:
             raise ValueError("thickness must be positive")
+
+    def grid(self, resolution: float) -> Tuple[int, int]:
+        """Cells along and across of its mesh at ``resolution``."""
+        return round((self.b - self.a) / resolution), max(2, round(self.mu / resolution))
 
 
 Domain = Union[Interval, Rectangle, Disk, ThinRectangle]
@@ -151,9 +155,9 @@ def generate_mesh(domain: Domain, resolution: float) -> Mesh:
         return _mesh_rectangle(domain.width, domain.height, resolution,
                                domain=domain)
     if isinstance(domain, ThinRectangle):
-        ny = max(2, round(domain.mu / resolution))
         return _mesh_rectangle(domain.b - domain.a, domain.mu, resolution,
-                               domain=domain, x0=domain.a, ny=ny)
+                               domain=domain, x0=domain.a,
+                               grid=domain.grid(resolution))
     if isinstance(domain, Disk):
         return _mesh_disk(domain, resolution)
     raise TypeError(f"unknown domain {domain!r}")
@@ -172,9 +176,8 @@ def _mesh_interval(domain: Interval, resolution: float) -> Mesh:
     return Mesh(1, x, cells, boundary, resolution, domain)
 
 
-def _mesh_rectangle(width, height, resolution, domain, x0=0.0, ny=None) -> Mesh:
-    nx = round(width / resolution)
-    ny = round(height / resolution) if ny is None else ny
+def _mesh_rectangle(width, height, resolution, domain, x0=0.0, grid=None) -> Mesh:
+    nx, ny = grid or (round(width / resolution), round(height / resolution))
     if nx < 1 or ny < 1 or 2 * (nx + ny) < 4:
         raise MeshResolutionError(
             f"resolution {resolution} too coarse for {domain}: "

@@ -88,11 +88,8 @@ def _relaxed_ranking_field(mesh: Mesh, cfg: ProblemConfig,
     if init is not None:
         init = np.maximum(np.abs(init), 1e-6 * float(np.abs(init).max() or 1.0))
     res = minimize_quotient(
-        lambda u: fem.energy(mesh, cfg, u),
-        lambda u: fem.energy_gradient(mesh, cfg, u),
-        lambda u: fem.boundary_norm_q(mesh, cfg, u, facet_weights=weights),
-        lambda u: fem.boundary_norm_gradient(mesh, cfg, u, facet_weights=weights),
-        cfg.p, cfg.q, np.ones(mesh.n_vertices, dtype=bool), init,
+        *fem.forms(mesh).quotient(cfg, weights), cfg.p,
+        np.ones(mesh.n_vertices, dtype=bool), init,
         precond, tol=max(cfg.dof_tolerance, 1e-7),
         max_iter=cfg.max_inner_iterations)
     return res.u

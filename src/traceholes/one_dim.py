@@ -28,7 +28,7 @@ solved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -153,10 +153,8 @@ def _solve_on_grid(problem: OneDimProblem, x: np.ndarray, ops: Operators,
     if not np.any(free):
         raise ValueError("hole covers the whole interval")
     res = minimize_quotient(
-        lambda u: ops.energy(cfg, u), lambda u: ops.energy_gradient(cfg, u),
-        lambda u: ops.norm(cfg, u), lambda u: ops.norm_gradient(cfg, u),
-        problem.p, problem.q, free, init, ops.h1(),
-        tol=problem.dof_tolerance, max_iter=problem.max_inner_iterations,
+        *ops.quotient(cfg), cfg.p, free, init, ops.h1(),
+        tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
         metric=ops.descent_metric(cfg))
     u = res.u * ops.norm(cfg, res.u) ** (-1.0 / problem.q)
     value = ops.energy(cfg, u)
@@ -175,18 +173,23 @@ class HoleSweep:
 
 def _warm_chain(problem: OneDimProblem, x: np.ndarray, ops: Operators,
                 cfg: ProblemConfig, holes) -> Tuple[list, bool]:
-    """The holes' values, each solve started from the previous hole's
-    extremal.  A warm start that does not converge is solved again cold,
+    """The holes' values, each solve after the first started from the
+    previous hole's extremal and given ten times the iterations of the
+    cold first.  A warm start that does not converge is solved again cold,
     and the next hole starts from the cold result.  Also returns whether
     every solve of the chain converged."""
-    values, converged, init = [], True, None
-    for hole in holes:
-        result = _solve_on_grid(problem, x, ops, cfg, hole, init)
-        if not result.converged and init is not None:
-            result = _solve_on_grid(problem, x, ops, cfg, hole, None)
+    result = _solve_on_grid(problem, x, ops, cfg, holes[0], None)
+    # a warm start needing more has stalled (p = 1.5: 3044 against 45)
+    warm = replace(cfg, max_inner_iterations=min(
+        cfg.max_inner_iterations, 10 * max(result.iterations, 1)))
+    values, converged = [result.value], result.converged
+    for hole in holes[1:]:
         init = result.extremal
-        converged = converged and result.converged
+        result = _solve_on_grid(problem, x, ops, warm, hole, init)
+        if not result.converged:
+            result = _solve_on_grid(problem, x, ops, cfg, hole, None)
         values.append(result.value)
+        converged = converged and result.converged
     return values, converged
 
 

@@ -89,13 +89,15 @@ def run_mu_sweep(base: Interval, alpha: float, cfg: ProblemConfig,
     records: List[MuRecord] = []
     runs: List[OptimizationRun] = []
     for mu in mu_values:
-        mesh = generate_mesh(ThinRectangle(base.a, base.b, mu), mu / 4.0)
-        if mesh.n_vertices > max_vertices:
+        domain = ThinRectangle(base.a, base.b, mu)
+        nx, ny = domain.grid(mu / 4.0)      # checked before meshing
+        if (nx + 1) * (ny + 1) > max_vertices:
             import warnings
             warnings.warn(
                 f"truncating mu sweep at mu={mu}: mesh would need "
-                f"{mesh.n_vertices} vertices")
+                f"{(nx + 1) * (ny + 1)} vertices")
             break
+        mesh = generate_mesh(domain, mu / 4.0)
         run = optimize_hole_alternating(mesh, cfg, alpha,
                                         n_starts=n_starts, seed=seed)
         records.append(MuRecord(

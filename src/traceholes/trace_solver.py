@@ -49,22 +49,15 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
     if not np.any(free[mesh.boundary_vertex_indices()]):
         raise NotAdmissibleError(
             "hole covers every boundary vertex: empty admissible class")
+    ops = fem.forms(mesh)
+    evaluate, gradient = ops.quotient(cfg)
     res = minimize_quotient(
-        lambda u: fem.energy(mesh, cfg, u),
-        lambda u: fem.energy_gradient(mesh, cfg, u),
-        lambda u: fem.boundary_norm_q(mesh, cfg, u),
-        lambda u: fem.boundary_norm_gradient(mesh, cfg, u),
-        cfg.p, cfg.q, free, init, fem.h1_operator(mesh),
+        evaluate, gradient, cfg.p, free, init, fem.h1_operator(mesh),
         tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
-        metric=fem.forms(mesh).descent_metric(cfg))
-    u = res.u * fem.boundary_norm_q(mesh, cfg, res.u) ** (-1.0 / cfg.q)
-    # read-only, so the residual's energy gradient reuses energy's D u;
-    # dropped after, as a D u kept through the artifact writes raised the
-    # peak RSS of a run of solves on growing meshes by about 5%
-    u.flags.writeable = False
-    s_value = fem.energy(mesh, cfg, u)
+        metric=ops.descent_metric(cfg))
+    u, s_value = evaluate(res.u)[:2]
     lam, residual = _multiplier_and_residual(mesh, cfg, u, free)
-    fem.forms(mesh).drop_density()
+    ops.drop_density()      # kept through the artifact writes, it cost 5% RSS
     return TraceResult(s_value, u, lam, residual, res.iterations,
                        res.converged, mesh, hole)
 

@@ -231,32 +231,70 @@ class _CountingMatrix:
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_descent_computes_D_u_once_per_accepted_iterate(monkeypatch, p):
-    # E and dE at an accepted iterate, and the lagged metric refreshed
-    # there, share one D u: every D u is an energy evaluation's
+def test_descent_makes_one_stacked_product_per_trial(monkeypatch, p):
+    # the start and every line-search trial are one evaluate, which makes
+    # one product A u; gradient reads D u and Q u off that product and
+    # makes no forward product of its own
     mesh = generate_mesh(ThinRectangle(0, 1, 1 / 16), 1 / 64)
     cfg = ProblemConfig(p, p)
     ops = forms(mesh)
     h1 = h1_operator(mesh)
-    monkeypatch.setattr(ops, "D", _CountingMatrix(ops.D))
-    calls = {"E": 0, "dE": 0}
+    for name in ("A", "D", "Q"):
+        monkeypatch.setattr(ops, name, _CountingMatrix(getattr(ops, name)))
+    evaluate, gradient = ops.quotient(cfg)
+    calls = {"evaluate": 0, "gradient": 0}
 
-    def counted(name, fn):
-        def call(u):
-            calls[name] += 1
-            return fn(mesh, cfg, u)
-        return call
+    def forward_products():
+        return ops.A.products + ops.D.products + ops.Q.products
+
+    def counted_evaluate(u):
+        calls["evaluate"] += 1
+        return evaluate(u)
+
+    def counted_gradient(u, E, product):
+        calls["gradient"] += 1
+        before = forward_products()
+        g = gradient(u, E, product)
+        assert forward_products() == before
+        return g
     hole = make_hole_from_arc(mesh, 0.0, 0.5 * mesh.perimeter)
     res = minimize_quotient(
-        counted("E", energy), counted("dE", energy_gradient),
-        lambda u: boundary_norm_q(mesh, cfg, u),
-        lambda u: ops.norm_gradient(cfg, u), cfg.p, cfg.q,
-        free_dof_mask(mesh, hole), None, h1, tol=1e-8, max_iter=500,
-        metric=ops.descent_metric(cfg))
+        counted_evaluate, counted_gradient, cfg.p, free_dof_mask(mesh, hole),
+        None, h1, tol=1e-8, max_iter=500, metric=ops.descent_metric(cfg))
     # at p = 3 the lagged metric is refreshed at least twice
     assert res.converged and res.iterations > (60 if p != 2 else 5)
-    assert calls["dE"] == len(res.values)       # the start and each accepted
-    assert ops.D.products == calls["E"]
+    assert calls["gradient"] == len(res.values)    # the start and each accepted
+    assert ops.A.products == calls["evaluate"]
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (1.5, 1.5)])
+def test_quotient_callables_match_the_forms(square, p, q):
+    # evaluate normalizes by scaling its product, so it agrees with the
+    # forms at the normalized field up to rounding; at B = 1 the gradient
+    # is the quotient's
+    cfg = ProblemConfig(p, q)
+    x, y = square.vertices.T
+    u = 1.0 + np.sin(3 * x) * np.cos(2 * y) ** 2
+    evaluate, gradient = forms(square).quotient(cfg)
+    v, E, product = evaluate(u)
+    assert not v.flags.writeable
+    B = boundary_norm_q(square, cfg, u)
+    assert np.allclose(v, u * B ** (-1.0 / q), rtol=1e-15, atol=0)
+    assert E == pytest.approx(energy(square, cfg, v.copy()), rel=1e-13)
+    g = quotient_gradient(square, cfg, v.copy())
+    assert np.abs(gradient(v, E, product) - g).max() <= 1e-12 * np.abs(g).max()
+    # facet weights scale the denominator
+    weights = np.linspace(0.5, 1.5, square.n_facets)
+    evaluate, gradient = forms(square).quotient(cfg, weights)
+    v, E, product = evaluate(u)
+    assert boundary_norm_q(square, cfg, v, weights) == pytest.approx(1.0, rel=1e-14)
+    g = central_difference_gradient(
+        lambda f: energy(square, cfg, f)
+        / boundary_norm_q(square, cfg, f, weights) ** (p / q), v.copy())
+    assert np.abs(gradient(v, E, product) - g).max() <= 1e-6 * np.abs(g).max()
+    u[square.boundary_vertex_indices()] = 0.0
+    with pytest.raises(ValueError, match="boundary norm vanished"):
+        evaluate(u)
 
 
 def test_density_is_fresh_for_every_changeable_array(square):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,11 +219,47 @@ def test_weighted_sweep_solves_every_hole_in_both_chains(monkeypatch):
 
 
 def test_sweep_retries_an_unconverged_warm_start_cold(monkeypatch):
-    # at p = 1.5 one warm start of this sweep runs out of line-search
-    # halvings; solved again cold, that hole converges
+    # the warm start of the third hole is cut to one iteration, which
+    # cannot pass the stopping test (it needs a full window of values);
+    # solved again cold, that hole converges, with a cold solve's value
+    problem = OneDimProblem(0, 1, 1.5, 1.5, 0.5)
+    h = 1 / 200
+    stalled = (2 * h, 102 * h)
+    solve = one_dim._solve_on_grid
+
+    def stall(problem, x, ops, cfg, hole, init):
+        if init is not None and hole == stalled:
+            cfg = replace(cfg, max_inner_iterations=1)
+        return solve(problem, x, ops, cfg, hole, init)
+    monkeypatch.setattr(one_dim, "_solve_on_grid", stall)
     calls = _counted_solves(monkeypatch)
-    sweep = optimize_limit_hole(OneDimProblem(0, 1, 1.5, 1.5, 0.5), 200)
+    sweep = optimize_limit_hole(problem, 200)
     assert len(calls) > len(_first_attempts(calls))
+    assert (stalled, True, False) in calls and (stalled, False, True) in calls
     assert sweep.converged
+    assert sweep.values[2] == solve_limit_problem(problem, stalled, 200).value
     lo, hi = sweep.best_hole
     assert lo <= 1 / 400 or hi >= 1 - 1 / 400
+
+
+@pytest.mark.parametrize("p,alpha,n", [(1.5, 0.5, 200), (3, 0.3, 64)])
+def test_warm_starts_get_ten_times_the_cold_first_solve(monkeypatch, p,
+                                                        alpha, n):
+    # a warm start past its budget is solved again cold under the full cap
+    caps = []
+    solve = one_dim._solve_on_grid
+
+    def capped(problem, x, ops, cfg, hole, init):
+        result = solve(problem, x, ops, cfg, hole, init)
+        caps.append((init is not None, cfg.max_inner_iterations,
+                     result.iterations, result.converged))
+        return result
+    monkeypatch.setattr(one_dim, "_solve_on_grid", capped)
+    optimize_limit_hole(OneDimProblem(0, 1, p, p, alpha), n)
+    first_cold = caps[0][2]
+    assert not caps[0][0] and caps[0][1] == 20000
+    for i, (warm, cap, _, _) in enumerate(caps[1:], 1):
+        if warm:
+            assert cap == 10 * first_cold
+        else:   # a cold retry follows its hole's unconverged warm start
+            assert cap == 20000 and caps[i - 1][0] and not caps[i - 1][3]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from traceholes import thin_domain
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import Interval, ThinRectangle, generate_mesh
 from traceholes.one_dim import OneDimProblem, solve_limit_problem
@@ -112,3 +113,20 @@ def test_projected_extremal_approaches_1d_limit(small_sweep):
                 np.sqrt(np.trapezoid((w[::-1] - v) ** 2, proj.x)))
         dists.append(d)
     assert dists[-1] < dists[0]
+
+
+def test_sweep_checks_the_size_cap_before_meshing(monkeypatch, cfg):
+    # mu = 1/2 meshes 9 x 5 = 45 vertices and mu = 1/4 would mesh 17 x 5:
+    # only the first mesh is made
+    meshed = []
+    build = thin_domain.generate_mesh
+
+    def counted(domain, resolution):
+        mesh = build(domain, resolution)
+        meshed.append(mesh.n_vertices)
+        return mesh
+    monkeypatch.setattr(thin_domain, "generate_mesh", counted)
+    with pytest.warns(UserWarning, match="would need 85 vertices"):
+        sweep = run_mu_sweep(Interval(0, 1), 0.5, cfg, [1 / 2, 1 / 4],
+                             n_starts=1, max_vertices=60)
+    assert len(sweep.records) == 1 and meshed == [45]

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.special import iv
 
 from traceholes._descent import Preconditioner
-from traceholes.fem import NotAdmissibleError, ProblemConfig, h1_operator
+from traceholes.fem import (
+    NotAdmissibleError, ProblemConfig, forms, h1_operator,
+)
 from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh, hole_arcs,
     hole_from_facets, make_hole_from_arc,
 )
 from traceholes.hole_optimizer import _relaxed_ranking_field
-from traceholes.one_dim import OneDimProblem, solve_limit_problem
+from traceholes.one_dim import (
+    OneDimProblem, _limit_grid, _limit_operators, solve_limit_problem,
+)
 from traceholes.trace_solver import (
     el_residual, positivity_check, solve_trace_constant,
 )
@@ -289,6 +294,47 @@ def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
         x = np.linalg.solve(P, b)
         assert np.linalg.norm(pre.solve(b) - x) <= 1e-10 * np.linalg.norm(x)
         assert np.allclose(pre.matvec(b), P @ b, rtol=0, atol=1e-13 * np.abs(P).max())
+
+
+def _free_block_case(grid):
+    """(operators, abscissae, free mask) of a grid with a hole."""
+    if grid == "1d":
+        problem = OneDimProblem(0, 1, 1.5, 1.5, 0.5)
+        x = _limit_grid(problem, 256)
+        return _limit_operators(problem, x), x, (x < 0.25) | (x > 0.75)
+    domain, res = {"disk": (Disk(1), 0.1), "square": (Rectangle(1, 1), 1 / 16)}[grid]
+    mesh = generate_mesh(domain, res)
+    hole = make_hole_from_arc(mesh, 0.3, 0.25 * mesh.perimeter)
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[hole.vertex_indices(mesh)] = False
+    return forms(mesh), mesh.vertices[:, 0], free
+
+
+@pytest.mark.parametrize("grid", ["disk", "square", "1d"])
+@pytest.mark.parametrize("lagged", [False, True])
+def test_restricted_hands_splu_the_fancy_indexed_block(monkeypatch, grid,
+                                                       lagged):
+    # the masked cut of the free block gives SuperLU the very arrays of
+    # metric[np.ix_(idx, idx)].tocsc(), so the factor is unchanged
+    ops, x, free = _free_block_case(grid)
+    metric = (ops.lagged_metric(ProblemConfig(1.5, 1.5),
+                                np.abs(np.sin(5 * x)) + 0.1, 1e-2)
+              if lagged else ops.h1())
+    handed = []
+    splu = spla.splu
+
+    def capture(P, **kwargs):
+        handed.append(P)
+        return splu(P, **kwargs)
+    monkeypatch.setattr(spla, "splu", capture)
+    Preconditioner.restricted(metric, free)
+    idx = free.nonzero()[0]
+    expected = metric[np.ix_(idx, idx)].tocsc()
+    assert len(handed) == 1 and handed[0].format == "csc"
+    assert handed[0].shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(handed[0], name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _thin_half_hole(mu, res):
