@@ -2,7 +2,7 @@
 plot-ready result files.
 
 ``run`` writes every artifact: results/<run-id>/summary.json plus CSV
-companions; identical inputs and seed produce byte-identical JSON.
+companions; identical inputs produce byte-identical JSON.
 Exit codes: 0 converged, 2 finished without convergence (artifacts still
 written), 1 invalid input.
 """
@@ -55,11 +55,11 @@ class RunSpec:
     epsilon: Optional[float] = None
     dof_tolerance: float = 1e-8
     max_inner_iterations: int = 20000
-    seed: int = 0
+    seed: int = 0           # names the run directory, nothing else
     workers: int = 1
     out: Optional[str] = None
     run_id: Optional[str] = None
-    n_starts: int = 5
+    n_starts: int = 5       # range-checked, then unused: no search has starts
     alphas: list = field(default_factory=lambda: [round(0.1 * k, 1) for k in range(1, 10)])
     mu_values: list = field(default_factory=lambda: [0.5, 0.25, 0.125, 0.0625])
     n_cells: int = 1000
@@ -303,8 +303,7 @@ def _cmd_solve(spec: RunSpec):
 
 def _cmd_optimize(spec: RunSpec):
     mesh, cfg = _mesh_and_config(spec)
-    run = optimize_hole_alternating(mesh, cfg, spec.alpha,
-                                    n_starts=spec.n_starts, seed=spec.seed)
+    run = optimize_hole_alternating(mesh, cfg, spec.alpha)
     summary = {
         "p": spec.p, "q": spec.q, "alpha": run.alpha,
         "alpha_effective": run.alpha_effective,
@@ -365,8 +364,7 @@ def _cmd_shape_grad_check(spec: RunSpec):
 
 def _sweep_alpha_one(spec: RunSpec, alpha: float):
     mesh, cfg = _mesh_and_config(spec)
-    run = optimize_hole_alternating(mesh, cfg, alpha, n_starts=spec.n_starts,
-                                    seed=spec.seed)
+    run = optimize_hole_alternating(mesh, cfg, alpha)
     return alpha, run.best_value, run.alpha_effective, run.converged
 
 
@@ -394,8 +392,7 @@ def _cmd_sweep_alpha(spec: RunSpec):
 def _cmd_sweep_mu(spec: RunSpec):
     base = _base_interval(spec)
     cfg = spec.config()
-    sweep = run_mu_sweep(base, spec.alpha, cfg, spec.mu_values,
-                         n_starts=spec.n_starts, seed=spec.seed)
+    sweep = run_mu_sweep(base, spec.alpha, cfg, spec.mu_values)
     rows = [(r.mu, r.s_mu, r.rescaled, sweep.slope) for r in sweep.records]
     summary = {
         "p": spec.p, "q": spec.q, "alpha": spec.alpha,

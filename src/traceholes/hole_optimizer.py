@@ -1,24 +1,24 @@
 """Search for optimal boundary holes of prescribed measure.
 
-An alternating search over whole-facet holes: iterate (i) solve the
-constrained problem on the current hole, (ii) re-select the facets with
-the smallest boundary energy int_facet |w|^q of a ranking field w,
-projected to the target measure.  The ranking field comes from a relaxed
-solve in which the hole facets are dropped from the denominator but the
-field is NOT pinned there: the constrained extremal itself vanishes
-identically on the hole, so ranking by it would re-select the current
-hole at every step.  Proposals are accepted only if the re-solved
-constant decreases; a visited-set memo breaks cycles.  A final polish
-slides a contiguous arc of the target measure around the whole boundary
-(warm-started solves), which certifies the result against any single-arc
-sweep at facet granularity.  A mesh symmetry maps an arc to an arc of
-equal S, so the sweep solves one arc per orbit of the mesh's symmetry
-group: the first in start order.  It is also pruned exactly: S is
-monotone under inclusion of holes, so one solve on the facets shared by
-a block of consecutive arcs bounds every arc of the block from below,
-and a block whose bound clears the current best cannot contain a better
-arc.  A block holding an arc of the best hole's orbit is not bounded:
-its core's S is at most the best.
+A best-first branch and bound over contiguous arcs (Land and Doig,
+Econometrica 28, 1960).  The arcs are every run of whole facets of the
+target measure that starts at a facet boundary, one per orbit of the
+mesh's symmetry group (a symmetry maps an arc to an arc of equal S), in
+start order and split into blocks of consecutive arcs.  S is monotone
+under inclusion of holes, so a cold solve on the facets a block's arcs
+share bounds every arc of the block from below.  The blocks are visited
+in order of increasing bound, each arc solved warm from its block's core
+extremal, and the search stops at the first bound that clears the best
+value: the result is certified against every single arc at facet
+granularity.
+
+One multi-arc probe follows.  The facets with the smallest boundary
+energy int_facet |w|^q of a ranking field w, projected to the target
+measure, are solved once and kept if they beat the best arc.  The
+ranking field comes from a relaxed solve in which the hole facets are
+dropped from the denominator but the field is NOT pinned there: the
+constrained extremal itself vanishes identically on the hole, so ranking
+by it would re-select the hole.
 
 Measure bookkeeping is honest about facet quantization: every hole is
 within one facet length of the target and alpha_effective is reported.
@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import fem
-from ._descent import Preconditioner, minimize_quotient
+from ._descent import minimize_quotient
 from .fem import ProblemConfig
 from .geometry import BoundaryHole, Mesh, hole_from_facets, symmetry_generators
 from .trace_solver import TraceResult, solve_trace_constant
@@ -50,8 +50,8 @@ class OptimizationRun:
     history: List[Tuple[int, float, float]]   # (iteration, measure, value)
     alpha_effective: float
     best_result: TraceResult
-    n_solves: int       # every quotient solve: holes, rankings, core bounds
-    converged: bool
+    n_solves: int       # every quotient solve: holes, core bounds, the ranking
+    converged: bool     # every solve compared with the best value converged
 
 
 def _target_measure(mesh: Mesh, alpha: float) -> float:
@@ -76,22 +76,18 @@ def _snap_select(mesh: Mesh, order, target: float) -> frozenset:
 
 
 def _relaxed_ranking_field(mesh: Mesh, cfg: ProblemConfig,
-                           hole: BoundaryHole, init: Optional[np.ndarray],
-                           precond: Preconditioner) -> np.ndarray:
+                           hole: BoundaryHole) -> np.ndarray:
     """Extremal of the denominator-masked problem: the boundary norm is
     restricted to the complement of the hole but the field is free there,
     so its size on the hole facets prices the constraint.  At every p the
-    solve runs on ``precond``, the all-free W^{1,2} metric's factor."""
+    solve runs on the all-free W^{1,2} metric."""
     weights = np.ones(mesh.n_facets)
     if hole.facet_indices:
         weights[sorted(hole.facet_indices)] = 0.0
-    if init is not None:
-        init = np.maximum(np.abs(init), 1e-6 * float(np.abs(init).max() or 1.0))
     res = minimize_quotient(
         *fem.forms(mesh).quotient(cfg, weights), cfg.p,
-        np.ones(mesh.n_vertices, dtype=bool), init,
-        precond, tol=max(cfg.dof_tolerance, 1e-7),
-        max_iter=cfg.max_inner_iterations)
+        np.ones(mesh.n_vertices, dtype=bool), None, fem.h1_operator(mesh),
+        tol=max(cfg.dof_tolerance, 1e-7), max_iter=cfg.max_inner_iterations)
     return res.u
 
 
@@ -99,18 +95,6 @@ def _leaves_free_vertex(mesh: Mesh, facets: frozenset) -> bool:
     hole = hole_from_facets(mesh, facets)
     covered = hole.vertex_indices(mesh)
     return covered.size < mesh.boundary_vertex_indices().size
-
-
-def _random_hole(mesh: Mesh, rng: np.random.Generator,
-                 target: float) -> frozenset:
-    for _ in range(50):
-        facets = _snap_select(mesh, rng.permutation(mesh.n_facets), target)
-        if _leaves_free_vertex(mesh, facets):
-            return facets
-    # dense alphas on coarse meshes: fall back to a contiguous arc, which
-    # always leaves the trailing vertices free
-    return frozenset(make_arc_facets(mesh, int(rng.integers(mesh.n_facets)),
-                                     target))
 
 
 def _slide_candidates(mesh: Mesh, target: float) -> list:
@@ -137,20 +121,6 @@ def _symmetry_group(mesh: Mesh) -> np.ndarray:
         if images <= group:
             return np.array(sorted(group), dtype=np.intp)
         group |= images
-
-
-def _key(n_facets: int, facets) -> bytes:
-    """A facet set as its packed membership mask: exact, and far smaller
-    than a frozenset of Python ints."""
-    mask = np.zeros(n_facets, dtype=bool)
-    mask[list(facets)] = True
-    return np.packbits(mask).tobytes()
-
-
-def _orbit(group: np.ndarray, facets) -> set:
-    """Keys of the facet sets a hole maps to under the group."""
-    idx = list(facets)
-    return {_key(group.shape[1], g[idx]) for g in group}
 
 
 def _orbit_representatives(group: np.ndarray, candidates) -> list:
@@ -202,104 +172,73 @@ def _arc_counts(mesh: Mesh, starts, target: float) -> np.ndarray:
 
 
 def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
-                              init_hole: Optional[BoundaryHole] = None,
-                              n_starts: int = 5, seed: int = 0,
-                              max_outer: int = 60,
-                              polish: bool = True) -> OptimizationRun:
-    """Alternating solve/re-select descent from multiple random starts."""
+                              init_hole: Optional[BoundaryHole] = None
+                              ) -> OptimizationRun:
+    """Best-first search over the slide blocks, then one multi-arc probe.
+    ``init_hole``, when given, is solved first and is the value to beat.
+    The run is converged when every solve that was compared with the best
+    value converged."""
     target = _target_measure(mesh, alpha)
-    rng = np.random.default_rng(seed)
-    if init_hole is not None:
-        starts = [init_hole.facet_indices]
-    else:
-        starts = [_random_hole(mesh, rng, target) for _ in range(n_starts)]
+    history: List[Tuple[float, float]] = []  # (measure, value) per new best
+    best_hole = best_res = None
+    n_solves, converged = 0, True
 
-    history: List[Tuple[float, float]] = []   # (measure, value) per step
-    n_solves = 0
-    best_hole = None
-    best_res = None
-    converged_any = False
-    ranking = None      # the all-free metric's factor, made at first use
-
-    for start in starts:
-        hole = hole_from_facets(mesh, start)
-        res = solve_trace_constant(mesh, cfg, hole)
+    def consider(hole, init=None):
+        nonlocal best_hole, best_res, n_solves, converged
+        res = solve_trace_constant(mesh, cfg, hole, init=init)
         n_solves += 1
-        visited = {hole.facet_indices}
+        converged = converged and res.converged
         if best_res is None or res.s_value < best_res.s_value:
             best_hole, best_res = hole, res
             history.append((hole.measure, res.s_value))
-        run_hole, run_res = hole, res
-        ranking_init = None
-        for _ in range(max_outer):
-            if ranking is None:
-                ranking = Preconditioner.restricted(
-                    fem.h1_operator(mesh), np.ones(mesh.n_vertices, dtype=bool))
-            w = _relaxed_ranking_field(mesh, cfg, run_hole, ranking_init,
-                                       ranking)
-            ranking_init = w
-            n_solves += 1
-            scores = fem.facet_boundary_energy(mesh, cfg, w)
-            # smallest scores first, ties on the lower facet index
-            proposal = _snap_select(
-                mesh, np.lexsort((np.arange(mesh.n_facets), scores)), target)
-            if proposal == run_hole.facet_indices:
-                converged_any = True
-                break
-            if proposal in visited or not _leaves_free_vertex(mesh, proposal):
-                break
-            visited.add(proposal)
-            cand_hole = hole_from_facets(mesh, proposal)
-            cand = solve_trace_constant(mesh, cfg, cand_hole, init=w)
-            n_solves += 1
-            if cand.s_value >= run_res.s_value:
-                converged_any = True
-                break
-            run_hole, run_res = cand_hole, cand
-            if run_res.s_value < best_res.s_value:
-                best_hole, best_res = run_hole, run_res
-                history.append((run_hole.measure, run_res.s_value))
 
-    ranking = None      # the factor goes before the polish, which ranks none
-    if polish:
-        warm = best_res.extremal
-        group = _symmetry_group(mesh)
-        # mirror images of the best hole tie with it up to rounding
-        mirrors = _orbit(group, best_hole.facet_indices)
-        candidates = _orbit_representatives(
-            group, _slide_candidates(mesh, target))
-        for i in range(0, len(candidates), _SLIDE_BLOCK):
-            block = candidates[i:i + _SLIDE_BLOCK]
-            keys = [_key(mesh.n_facets, facets) for facets in block]
-            core = frozenset.intersection(*block)
-            # a block holding an arc of the best hole's orbit has a core
-            # bound of at most the best value, which can never prune
-            if core and mirrors.isdisjoint(keys):
-                # every arc of the block contains the core, so S(arc) >=
-                # S(core); the margin covers the converged solve's excess
-                bound = solve_trace_constant(
-                    mesh, cfg, hole_from_facets(mesh, core), init=warm)
-                n_solves += 1
-                if bound.converged and bound.s_value >= \
-                        best_res.s_value * (1.0 + _PRUNE_MARGIN):
-                    continue
-            for facets, key in zip(block, keys):
-                if key in mirrors:
-                    continue
-                cand_hole = hole_from_facets(mesh, facets)
-                cand = solve_trace_constant(mesh, cfg, cand_hole, init=warm)
-                n_solves += 1
-                if cand.s_value < best_res.s_value:
-                    best_hole, best_res = cand_hole, cand
-                    mirrors = _orbit(group, facets)
-                    warm = cand.extremal
-                    history.append((cand_hole.measure, cand.s_value))
+    if init_hole is not None:
+        consider(init_hole)
+    arcs = _orbit_representatives(_symmetry_group(mesh),
+                                  _slide_candidates(mesh, target))
+    blocks = [arcs[i:i + _SLIDE_BLOCK]
+              for i in range(0, len(arcs), _SLIDE_BLOCK)]
+    # a block with no core, a lone arc or an unconverged core solve is
+    # bounded by -inf: it is never skipped
+    bounds, cores = [], {}
+    for b, block in enumerate(blocks):
+        core = frozenset.intersection(*block)
+        bounds.append(-np.inf)
+        if core and len(block) > 1:
+            res = solve_trace_constant(mesh, cfg, hole_from_facets(mesh, core))
+            n_solves += 1
+            cores[b] = res.extremal
+            if res.converged:
+                bounds[b] = res.s_value
+    # every arc of a block contains its core, so S(arc) >= S(core); the
+    # margin covers the converged solve's excess
+    for b in sorted(range(len(blocks)), key=bounds.__getitem__):
+        if best_res is not None and \
+                bounds[b] >= best_res.s_value * (1.0 + _PRUNE_MARGIN):
+            break
+        warm = cores.pop(b, None)
+        if warm is None and best_res is not None:
+            warm = best_res.extremal
+        for facets in blocks[b]:
+            consider(hole_from_facets(mesh, facets), warm)
+    cores.clear()           # the pruned blocks' extremals go before the probe
+    if best_res is None:    # every arc snaps to no facet: the target is tiny
+        consider(hole_from_facets(mesh, []))
+
+    w = _relaxed_ranking_field(mesh, cfg, best_hole)
+    n_solves += 1
+    scores = fem.facet_boundary_energy(mesh, cfg, w)
+    # smallest scores first, ties on the lower facet index
+    proposal = _snap_select(
+        mesh, np.lexsort((np.arange(mesh.n_facets), scores)), target)
+    if proposal != best_hole.facet_indices and \
+            _leaves_free_vertex(mesh, proposal):
+        consider(hole_from_facets(mesh, proposal), w)
 
     history = [(i, m, v) for i, (m, v) in enumerate(history, 1)]
     return OptimizationRun(
         alpha, best_hole, best_res.s_value, history,
-        best_hole.measure / mesh.perimeter, best_res, n_solves,
-        converged_any and best_res.converged)
+        best_hole.measure / mesh.perimeter, best_res, n_solves, converged)
 
 
 def zero_set_measure(mesh: Mesh, result: TraceResult) -> float:

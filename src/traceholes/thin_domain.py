@@ -12,8 +12,9 @@ extrapolation: outputs carry a note and report the empirical gap to the
 reference limit rather than asserting it.
 
 Each mu gets its own anisotropic mesh (at least two cell layers across the
-thickness), a free run of the alternating hole optimizer, and the record
-of the rescaled constant; the sweep is summarized by a log-log slope and
+thickness), a run of the hole optimizer (a best-first search over
+contiguous arcs, which needs no starting hole), and the record of the
+rescaled constant; the sweep is summarized by a log-log slope and
 a Richardson extrapolation of the last three rescaled values.
 """
 
@@ -74,8 +75,7 @@ def reference_limit(base: Interval, alpha: float, cfg: ProblemConfig,
 
 
 def run_mu_sweep(base: Interval, alpha: float, cfg: ProblemConfig,
-                 mu_values, n_starts: int = 3, seed: int = 0,
-                 max_vertices: int = 200_000) -> MuSweep:
+                 mu_values, max_vertices: int = 200_000) -> MuSweep:
     """Optimize the hole on each thin rectangle, meshed at resolution mu/4,
     and record the rescaled constants; mu must strictly decrease in (0, 1)."""
     mu_values = [float(m) for m in mu_values]
@@ -98,8 +98,7 @@ def run_mu_sweep(base: Interval, alpha: float, cfg: ProblemConfig,
                 f"{(nx + 1) * (ny + 1)} vertices")
             break
         mesh = generate_mesh(domain, mu / 4.0)
-        run = optimize_hole_alternating(mesh, cfg, alpha,
-                                        n_starts=n_starts, seed=seed)
+        run = optimize_hole_alternating(mesh, cfg, alpha)
         records.append(MuRecord(
             mu, run.best_value, run.best_value / mu**expo,
             hole_intervals(mesh, run.best_hole), run.alpha_effective,

@@ -57,7 +57,6 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
         metric=ops.descent_metric(cfg))
     u, s_value = evaluate(res.u)[:2]
     lam, residual = _multiplier_and_residual(mesh, cfg, u, free)
-    ops.drop_density()      # kept through the artifact writes, it cost 5% RSS
     return TraceResult(s_value, u, lam, residual, res.iterations,
                        res.converged, mesh, hole)
 

@@ -18,7 +18,10 @@ from traceholes.geometry import (
     Disk, Interval, Rectangle, generate_mesh, hole_from_facets,
     make_hole_from_arc, plateau_speed, tangential_field,
 )
-from traceholes.hole_optimizer import optimize_hole_alternating, zero_set_measure
+from traceholes.hole_optimizer import (
+    _leaves_free_vertex, _snap_select, optimize_hole_alternating,
+    zero_set_measure,
+)
 from traceholes.one_dim import (
     OneDimProblem, closed_form_limit_constant, optimize_limit_hole,
     solve_limit_problem,
@@ -106,9 +109,19 @@ def cfg2():
 def test_criterion_3_disk_cap_optimality(disk_fine, cfg2):
     lines = []
     mesh = disk_fine
-    run = optimize_hole_alternating(mesh, cfg2, 0.25, n_starts=5, seed=0)
-    arc_ok = is_contiguous_arc(mesh, run.best_hole)
-    _report(lines, arc_ok and run.converged,
+    # five random holes, each the search's starting best value
+    rng = np.random.default_rng(0)
+    target = 0.25 * mesh.perimeter
+    runs = []
+    while len(runs) < 5:
+        facets = _snap_select(mesh, rng.permutation(mesh.n_facets), target)
+        if _leaves_free_vertex(mesh, facets):
+            runs.append(optimize_hole_alternating(
+                mesh, cfg2, 0.25, init_hole=hole_from_facets(mesh, facets)))
+    run = runs[0]
+    arc_ok = is_contiguous_arc(mesh, run.best_hole) and all(
+        r.best_hole == run.best_hole for r in runs)
+    _report(lines, arc_ok and all(r.converged for r in runs),
             f"criterion 3: optimizer from 5 random starts -> contiguous arc: "
             f"{arc_ok}, S={run.best_value:.6f}")
     P = mesh.perimeter
@@ -168,7 +181,7 @@ def test_criterion_5_thin_domain_scaling():
     lines = []
     cfg = ProblemConfig(2, 2, dof_tolerance=1e-8)
     sweep = run_mu_sweep(Interval(0, 1), 0.5, cfg,
-                         [1 / 2, 1 / 4, 1 / 8, 1 / 16], n_starts=3, seed=0)
+                         [1 / 2, 1 / 4, 1 / 8, 1 / 16])
     target = (np.pi**2 + 1) / 2
     last = sweep.records[-1]
     gap = (last.rescaled - target) / target
@@ -194,8 +207,7 @@ def test_thin_domain_scaling_law_extended_evidence():
     sequence halving per step exactly as a first-order correction must."""
     cfg = ProblemConfig(2, 2, dof_tolerance=1e-8)
     sweep = run_mu_sweep(Interval(0, 1), 0.5, cfg,
-                         [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64],
-                         n_starts=2, seed=0)
+                         [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64])
     target = (np.pi**2 + 1) / 2
     gaps = [abs(r.rescaled - target) / target for r in sweep.records]
     print(f"\n          extended sweep gaps: "
@@ -302,8 +314,7 @@ def test_criterion_6_property_suites():
     omesh = generate_mesh(Disk(1), 0.1)
     values = []
     for alpha in np.linspace(0.1, 0.9, 9):
-        run = optimize_hole_alternating(omesh, c, float(alpha),
-                                        n_starts=2, seed=3)
+        run = optimize_hole_alternating(omesh, c, float(alpha))
         values.append(run.best_value)
     strict = all(a < b for a, b in zip(values, values[1:]))
     _report(lines, strict,

@@ -1,7 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from traceholes import hole_optimizer
+from traceholes import cli, hole_optimizer
 from traceholes._descent import Preconditioner
 from traceholes.fem import ProblemConfig, h1_operator
 from traceholes.geometry import (
@@ -30,7 +33,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def disk_run(disk, cfg):
-    return optimize_hole_alternating(disk, cfg, 0.25, n_starts=3, seed=1)
+    return optimize_hole_alternating(disk, cfg, 0.25)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +96,7 @@ def test_single_arc_beats_two_antipodal(disk, cfg):
 def test_best_value_increasing_in_alpha(disk, cfg):
     values = []
     for alpha in (0.2, 0.4, 0.6, 0.8):
-        run = optimize_hole_alternating(disk, cfg, alpha, n_starts=2, seed=0)
+        run = optimize_hole_alternating(disk, cfg, alpha)
         values.append(run.best_value)
     assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -152,93 +155,91 @@ def _images(group, facets):
     return {frozenset(g[sorted(facets)].tolist()) for g in group}
 
 
-def _exhaustive_polish(mesh, cfg, alpha, full_family=False, **kwargs):
-    """Reference slide polish that solves every orbit representative, or
-    with ``full_family`` every candidate arc, from the same alternating-loop
-    state, skipping the best hole's orbit: (best hole, best value, history,
-    solves)."""
-    run = optimize_hole_alternating(mesh, cfg, alpha, polish=False, **kwargs)
-    hole, best = run.best_hole, run.best_result
-    history, n_solves = list(run.history), run.n_solves
-    warm = best.extremal
+def _unpruned(monkeypatch, mesh, cfg, alpha, **kwargs):
+    """The same search with no block skipped on its bound: every block's
+    arcs are solved, in the same order and from the same warm starts."""
+    with monkeypatch.context() as m:
+        m.setattr(hole_optimizer, "_PRUNE_MARGIN", np.inf)
+        return optimize_hole_alternating(mesh, cfg, alpha, **kwargs)
+
+
+def _assert_same_as_unpruned(run, reference):
+    assert run.best_value == reference.best_value          # bitwise
+    assert run.best_hole == reference.best_hole
+    assert run.history == reference.history
+
+
+def _cold_sweep(mesh, cfg, alpha):
+    """Every slide arc of the full family (the trivial group) solved cold:
+    (best hole, best value, solves).  The best solve must have converged;
+    on thin mu = 1/16 at p = 1.5 two far worse arcs stop at the iteration
+    cap (S = 2.93 against a best of 0.17)."""
+    hole, best = None, None
     candidates = _slide_candidates(mesh, alpha * mesh.perimeter)
-    if full_family:         # every arc stands alone: the trivial group
-        group = np.arange(mesh.n_facets)[None, :]
-    else:
-        group = _symmetry_group(mesh)
-        candidates = _orbit_representatives(group, candidates)
-    mirrors = _images(group, hole.facet_indices)
     for facets in candidates:
-        if facets in mirrors:
-            continue
         cand_hole = hole_from_facets(mesh, facets)
-        cand = solve_trace_constant(mesh, cfg, cand_hole, init=warm)
-        n_solves += 1
-        if cand.s_value < best.s_value:
-            hole, best, warm = cand_hole, cand, cand.extremal
-            mirrors = _images(group, facets)
-            history.append((len(history) + 1, cand_hole.measure, cand.s_value))
-    return hole, best.s_value, history, n_solves
-
-
-def _assert_same_as_exhaustive(run, reference):
-    hole, value, history, _ = reference
-    assert run.best_value == value          # bitwise
-    assert run.best_hole == hole
-    assert run.history == history
+        cand = solve_trace_constant(mesh, cfg, cand_hole)
+        if best is None or cand.s_value < best.s_value:
+            hole, best = cand_hole, cand
+    assert best.converged
+    return hole, best.s_value, len(candidates)
 
 
 @pytest.fixture(scope="module")
 def thin_run(thin, cfg):
-    return optimize_hole_alternating(thin, cfg, 0.5, n_starts=2, seed=0)
+    return optimize_hole_alternating(thin, cfg, 0.5)
 
 
-def test_pruned_polish_equals_exhaustive_sweep_thin(thin, cfg, thin_run):
-    reference = _exhaustive_polish(thin, cfg, 0.5, n_starts=2, seed=0)
-    _assert_same_as_exhaustive(thin_run, reference)
+def test_pruned_polish_equals_exhaustive_sweep_thin(monkeypatch, thin, cfg,
+                                                    thin_run):
+    reference = _unpruned(monkeypatch, thin, cfg, 0.5)
+    _assert_same_as_unpruned(thin_run, reference)
     # most blocks are skipped on their core bound
     representatives = _orbit_representatives(
         _symmetry_group(thin), _slide_candidates(thin, 0.5 * thin.perimeter))
-    assert thin_run.n_solves < len(representatives) < reference[3]
+    assert thin_run.n_solves < len(representatives) < reference.n_solves
 
 
-def test_pruned_polish_equals_exhaustive_sweep_while_improving(thin, cfg):
-    # from a poor arc with no alternating steps, the polish itself walks
-    # the hole to the cap, so skipped blocks interleave with improvements
-    # and warm-start changes
+def test_pruned_polish_equals_exhaustive_sweep_while_improving(
+        monkeypatch, thin, cfg, thin_run):
+    # from a poor arc, the search starts with a best value that no bound
+    # clears, improves on it once, at the first arc of the first block it
+    # visits, and ends where the search with no starting hole ends
     start = make_hole_from_arc(thin, 1.1, 0.5 * thin.perimeter)
-    kwargs = dict(init_hole=start, max_outer=0)
-    run = optimize_hole_alternating(thin, cfg, 0.5, **kwargs)
-    reference = _exhaustive_polish(thin, cfg, 0.5, **kwargs)
-    _assert_same_as_exhaustive(run, reference)
-    assert len(run.history) > 10
-    assert run.n_solves < reference[3]
+    run = optimize_hole_alternating(thin, cfg, 0.5, init_hole=start)
+    reference = _unpruned(monkeypatch, thin, cfg, 0.5, init_hole=start)
+    _assert_same_as_unpruned(run, reference)
+    assert len(run.history) == 2 and run.history[0][2] > 1.5 * run.best_value
+    assert run.best_value == thin_run.best_value
+    assert run.best_hole == thin_run.best_hole
+    assert run.n_solves == thin_run.n_solves + 1 < reference.n_solves
 
 
-def test_pruned_polish_equals_exhaustive_sweep_disk(disk, cfg, disk_run):
-    # the disk landscape is too flat for any core bound to clear the best,
-    # and the one block holds the best hole's orbit, so its core is not
-    # solved: the polish costs exactly the exhaustive sweep
-    reference = _exhaustive_polish(disk, cfg, 0.25, n_starts=3, seed=1)
-    _assert_same_as_exhaustive(disk_run, reference)
-    assert reference[3] == disk_run.n_solves
+def test_pruned_polish_equals_exhaustive_sweep_disk(monkeypatch, disk, cfg,
+                                                    disk_run):
+    # the disk's representatives fit in one block, whose core bound has
+    # no other block to skip: the search costs exactly the exhaustive one
+    reference = _unpruned(monkeypatch, disk, cfg, 0.25)
+    _assert_same_as_unpruned(disk_run, reference)
+    assert reference.n_solves == disk_run.n_solves
 
 
 @pytest.fixture(scope="module")
-def square_run(square, cfg):
-    return optimize_hole_alternating(square, cfg, 0.3, n_starts=2, seed=0)
+def rectangle():
+    return generate_mesh(Rectangle(2, 1), 0.1)
 
 
-@pytest.mark.parametrize("mesh_name,alpha,kwargs", [
-    ("disk", 0.25, dict(n_starts=3, seed=1)),
-    ("thin", 0.5, dict(n_starts=2, seed=0)),
-    ("square", 0.3, dict(n_starts=2, seed=0))])
-def test_reduced_polish_matches_full_family_sweep(request, cfg, mesh_name,
-                                                  alpha, kwargs):
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mesh_name,alpha", [
+    ("disk", 0.25), ("rectangle", 0.3), ("square", 0.3), ("thin", 0.5)])
+def test_best_first_matches_cold_full_family_sweep(request, mesh_name, alpha,
+                                                   p):
+    # soundness: the pruned, symmetry-reduced search loses to no slide arc
     mesh = request.getfixturevalue(mesh_name)
-    run = request.getfixturevalue(mesh_name + "_run")
-    hole, value, _, n_solves = _exhaustive_polish(
-        mesh, cfg, alpha, full_family=True, **kwargs)
+    cfg = ProblemConfig(p, 2, dof_tolerance=1e-8)
+    run = optimize_hole_alternating(mesh, cfg, alpha)
+    assert run.converged
+    hole, value, n_solves = _cold_sweep(mesh, cfg, alpha)
     assert run.best_value == pytest.approx(value, rel=1e-12, abs=0)
     group = _symmetry_group(mesh)
     assert run.best_hole.facet_indices in _images(group, hole.facet_indices)
@@ -287,10 +288,10 @@ def test_block_core_bounds_its_arcs(thin, cfg):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_optimize_factors_the_ranking_metric_once(monkeypatch, p):
-    # every ranking solve of a run shares one factor of the all-free
-    # W^{1,2} metric, made at the first of them, at every p
+    # the run's one ranking solve, the probe, factors the all-free W^{1,2}
+    # metric once, at every p; no other solve of the run frees every vertex
     mesh = generate_mesh(Disk(1), 0.2)
-    all_free, factors = [], []
+    all_free, rankings = [], []
     restricted = Preconditioner.restricted.__func__
 
     def counted(cls, metric, free):
@@ -299,31 +300,50 @@ def test_optimize_factors_the_ranking_metric_once(monkeypatch, p):
         return restricted(cls, metric, free)
     monkeypatch.setattr(Preconditioner, "restricted", classmethod(counted))
 
-    def ranking(mesh, cfg, hole, init, precond):
-        factors.append(precond)
-        return _relaxed_ranking_field(mesh, cfg, hole, init, precond)
+    def ranking(mesh, cfg, hole):
+        rankings.append(hole)
+        return _relaxed_ranking_field(mesh, cfg, hole)
     monkeypatch.setattr(hole_optimizer, "_relaxed_ranking_field", ranking)
-    cfg = ProblemConfig(p, 2)
-    optimize_hole_alternating(mesh, cfg, 0.25, n_starts=3, seed=0)
-    assert len(factors) >= 3
+    run = optimize_hole_alternating(mesh, ProblemConfig(p, 2), 0.25)
+    assert rankings == [run.best_hole]
     assert len(all_free) == 1 and all_free[0] is h1_operator(mesh)
-    assert all(f is factors[0] for f in factors)
-    del all_free[:]
-    optimize_hole_alternating(mesh, cfg, 0.25, n_starts=3, seed=0,
-                              max_outer=0)
-    assert not all_free
 
 
-def test_shared_ranking_factor_gives_the_same_field(disk, cfg):
-    # a factor that served other ranking solves gives a fresh one's field
-    hole = make_hole_from_arc(disk, 0.0, 0.25 * disk.perimeter)
-    other = make_hole_from_arc(disk, 1.0, 0.25 * disk.perimeter)
+def test_tiny_alpha_gives_the_empty_hole(cfg):
+    # no facet is under twice the target, so every arc snaps to no facet
+    mesh = generate_mesh(Disk(1), 0.25)
+    run = optimize_hole_alternating(mesh, cfg, 0.005)
+    assert run.best_hole.facet_indices == frozenset()
+    assert run.converged and run.alpha_effective == 0.0
+    assert run.best_value == solve_trace_constant(
+        mesh, cfg, hole_from_facets(mesh, [])).s_value
 
-    def factor():
-        return Preconditioner.restricted(
-            h1_operator(disk), np.ones(disk.n_vertices, dtype=bool))
-    own = _relaxed_ranking_field(disk, cfg, hole, None, factor())
-    shared = factor()
-    _relaxed_ranking_field(disk, cfg, other, None, shared)
-    assert np.array_equal(
-        _relaxed_ranking_field(disk, cfg, hole, None, shared), own)
+
+def test_a_losing_unconverged_arc_clears_converged(monkeypatch, tmp_path):
+    # an unconverged solve's value is above its hole's minimum, so an arc
+    # that lost may have won: the run, and the CLI's exit code, say so
+    mesh = generate_mesh(Disk(1), 0.25)
+    cfg = ProblemConfig(2, 2)
+    best = optimize_hole_alternating(mesh, cfg, 0.25).best_hole
+    arcs = set(_slide_candidates(mesh, 0.25 * mesh.perimeter))
+    flagged = []
+    solve = hole_optimizer.solve_trace_constant
+
+    def one_arc_unconverged(mesh, cfg, hole, init=None):
+        res = solve(mesh, cfg, hole, init=init)
+        if not flagged and hole.facet_indices in arcs and hole != best:
+            flagged.append(hole)
+            res = dataclasses.replace(res, converged=False)
+        return res
+    monkeypatch.setattr(hole_optimizer, "solve_trace_constant",
+                        one_arc_unconverged)
+    run = optimize_hole_alternating(mesh, cfg, 0.25)
+    assert len(flagged) == 1 and run.best_hole == best
+    assert not run.converged
+    del flagged[:]
+    code = cli.main(["optimize", "--domain", "disk", "--radius", "1",
+                     "--resolution", "0.25", "--alpha", "0.25",
+                     "--out", str(tmp_path), "--run-id", "r"])
+    assert code == 2 and len(flagged) == 1
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert summary["converged"] is False

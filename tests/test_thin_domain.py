@@ -17,8 +17,7 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def small_sweep(cfg):
-    return run_mu_sweep(Interval(0, 1), 0.5, cfg, [1 / 2, 1 / 4, 1 / 8],
-                        n_starts=2, seed=0)
+    return run_mu_sweep(Interval(0, 1), 0.5, cfg, [1 / 2, 1 / 4, 1 / 8])
 
 
 def test_boundary_measure_decomposition():
@@ -78,7 +77,7 @@ def test_mu_validation(cfg):
 def test_vertex_budget_truncates_sweep(cfg):
     with pytest.warns(UserWarning, match="truncating"):
         sweep = run_mu_sweep(Interval(0, 1), 0.5, cfg, [1 / 2, 1 / 8],
-                             n_starts=1, max_vertices=60)
+                             max_vertices=60)
     assert len(sweep.records) == 1
 
 
@@ -128,5 +127,5 @@ def test_sweep_checks_the_size_cap_before_meshing(monkeypatch, cfg):
     monkeypatch.setattr(thin_domain, "generate_mesh", counted)
     with pytest.warns(UserWarning, match="would need 85 vertices"):
         sweep = run_mu_sweep(Interval(0, 1), 0.5, cfg, [1 / 2, 1 / 4],
-                             n_starts=1, max_vertices=60)
+                             max_vertices=60)
     assert len(sweep.records) == 1 and meshed == [45]

@@ -425,14 +425,11 @@ def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
 
 
 def test_ranking_field_factors_the_h1_metric_once(monkeypatch, disk_coarse):
-    # the ranking solve runs on the fixed metric's factor it is given at
-    # every p: it factors no lagged metric of its own
+    # the ranking solve runs on the fixed metric's factor at every p: it
+    # factors no lagged metric
     hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
     calls = _count_factorizations(monkeypatch)
-    factor = Preconditioner.restricted(
-        h1_operator(disk_coarse), np.ones(disk_coarse.n_vertices, dtype=bool))
-    _relaxed_ranking_field(disk_coarse, ProblemConfig(3, 3), hole, None,
-                           factor)
+    _relaxed_ranking_field(disk_coarse, ProblemConfig(3, 3), hole)
     assert len(calls) == 1 and calls[0] is h1_operator(disk_coarse)
 
 
