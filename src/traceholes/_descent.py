@@ -101,10 +101,7 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
     The start is the constant field when ``init`` is None, otherwise
     ``|init|`` with free entries floored at ``1e-12 max(max|init|, 1)``;
     fixed DOFs start (and stay) at zero.  ``fixed`` is the SPD metric of
-    the preconditioner, a sparse matrix on all DOFs, or that metric
-    already factored on the free DOFs (a ``Preconditioner``), so callers
-    that solve repeatedly with one free set factor it once, before the
-    start is evaluated.
+    the preconditioner, a sparse matrix on all DOFs.
 
     Convergence requires both the free-DOF gradient norm (scaled by 1/p,
     the Euler-Lagrange residual scale) to fall below ``tol`` and the
@@ -131,8 +128,6 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
     u[~free] = 0.0
     if metric is not None and init is not None:
         precond = None
-    elif isinstance(fixed, Preconditioner):
-        precond = fixed
     else:
         precond = Preconditioner.restricted(fixed, free)
 

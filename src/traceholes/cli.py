@@ -313,6 +313,7 @@ def _cmd_optimize(spec: RunSpec):
         "hole_facets": sorted(run.best_hole.facet_indices),
         "zero_set_measure": zero_set_measure(mesh, run.best_result),
         "n_solves": run.n_solves,
+        "n_unconverged": run.n_unconverged,
         "converged": run.converged,
     }
     return (run.converged, mesh, summary,

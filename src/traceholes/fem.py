@@ -181,11 +181,6 @@ class Operators:
             self.w = self.w * (self.Q @ beta)
         self._h1 = None
 
-    def _point_weights(self, simplex_weights):
-        if simplex_weights is None:
-            return self.w
-        return self.w * np.tile(simplex_weights, self.w.size // simplex_weights.size)
-
     def density(self, cfg: ProblemConfig, u):
         """D u and eps^2 + |grad u|^2 per cell."""
         Du = self.D @ u
@@ -207,12 +202,12 @@ class Operators:
         return (self.DT @ flux.ravel()
                 + p * self.mass * _signed_power(u, p - 1.0))
 
-    def quotient(self, cfg: ProblemConfig, facet_weights=None):
-        """The descent's ``(evaluate, gradient)`` for E / B^(p/q), B's simplices
-        weighted by ``facet_weights``.  ``evaluate`` makes one product A u and
-        scales u and it to B = 1 (ValueError when B <= 0); ``gradient`` turns
-        it into dE - (p/q) E dB, in place, by one transposed product."""
-        n, w, q, p = self.D.shape[0], self._point_weights(facet_weights), cfg.q, cfg.p
+    def quotient(self, cfg: ProblemConfig):
+        """The descent's ``(evaluate, gradient)`` for E / B^(p/q).  ``evaluate``
+        makes one product A u and scales u and it to B = 1 (ValueError when
+        B <= 0); ``gradient`` turns it into dE - (p/q) E dB, in place, by one
+        transposed product."""
+        n, w, q, p = self.D.shape[0], self.w, cfg.q, cfg.p
         AT = self.A.T       # CSC on A's own arrays
 
         def evaluate(u):
@@ -239,9 +234,8 @@ class Operators:
         """w |u|^q at every quadrature point, in the row order of Q."""
         return self.w * np.abs(self.Q @ u) ** cfg.q
 
-    def norm(self, cfg: ProblemConfig, u, simplex_weights=None) -> float:
-        w = self._point_weights(simplex_weights)
-        return float(w @ np.abs(self.Q @ u) ** cfg.q)
+    def norm(self, cfg: ProblemConfig, u) -> float:
+        return float(self.w @ np.abs(self.Q @ u) ** cfg.q)
 
     def norm_gradient(self, cfg: ProblemConfig, u) -> np.ndarray:
         q = cfg.q
@@ -312,20 +306,13 @@ def boundary_arclengths(mesh: Mesh) -> np.ndarray:
             + np.outer(bary[:, -1], mesh.facet_lengths)).ravel()
 
 
-def facet_boundary_energy(mesh: Mesh, cfg: ProblemConfig,
-                          u: np.ndarray) -> np.ndarray:
-    """Per-facet integral of |u|^q by the quadrature of the norm."""
-    return forms(mesh).point_integrand(cfg, u).reshape(-1, mesh.n_facets).sum(axis=0)
-
-
 def energy(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> float:
     return forms(mesh).energy(cfg, u)
 
 
-def boundary_norm_q(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray,
-                    facet_weights: Optional[np.ndarray] = None) -> float:
-    """Integral of |u|^q over the boundary (optionally facet-weighted)."""
-    return forms(mesh).norm(cfg, u, facet_weights)
+def boundary_norm_q(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> float:
+    """Integral of |u|^q over the boundary."""
+    return forms(mesh).norm(cfg, u)
 
 
 def _check_admissible(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> None:

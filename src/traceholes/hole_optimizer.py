@@ -12,14 +12,6 @@ extremal, and the search stops at the first bound that clears the best
 value: the result is certified against every single arc at facet
 granularity.
 
-One multi-arc probe follows.  The facets with the smallest boundary
-energy int_facet |w|^q of a ranking field w, projected to the target
-measure, are solved once and kept if they beat the best arc.  The
-ranking field comes from a relaxed solve in which the hole facets are
-dropped from the denominator but the field is NOT pinned there: the
-constrained extremal itself vanishes identically on the hole, so ranking
-by it would re-select the hole.
-
 Measure bookkeeping is honest about facet quantization: every hole is
 within one facet length of the target and alpha_effective is reported.
 """
@@ -31,8 +23,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import fem
-from ._descent import minimize_quotient
 from .fem import ProblemConfig
 from .geometry import BoundaryHole, Mesh, hole_from_facets, symmetry_generators
 from .trace_solver import TraceResult, solve_trace_constant
@@ -50,51 +40,16 @@ class OptimizationRun:
     history: List[Tuple[int, float, float]]   # (iteration, measure, value)
     alpha_effective: float
     best_result: TraceResult
-    n_solves: int       # every quotient solve: holes, core bounds, the ranking
-    converged: bool     # every solve compared with the best value converged
+    n_solves: int       # every quotient solve: holes and core bounds
+    converged: bool     # n_unconverged == 0
+    n_unconverged: int  # solves compared with the best value (the starting
+                        # hole and the arcs) that did not converge
 
 
 def _target_measure(mesh: Mesh, alpha: float) -> float:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     return alpha * mesh.perimeter
-
-
-def _snap_select(mesh: Mesh, order, target: float) -> frozenset:
-    """Facets in the given order, each taken when it brings the measure
-    closer to the target, until the target is reached."""
-    chosen = []
-    measure = 0.0
-    for f in order:
-        lf = float(mesh.facet_lengths[f])
-        if abs(measure + lf - target) <= abs(measure - target):
-            chosen.append(int(f))
-            measure += lf
-        if measure >= target:
-            break
-    return frozenset(chosen)
-
-
-def _relaxed_ranking_field(mesh: Mesh, cfg: ProblemConfig,
-                           hole: BoundaryHole) -> np.ndarray:
-    """Extremal of the denominator-masked problem: the boundary norm is
-    restricted to the complement of the hole but the field is free there,
-    so its size on the hole facets prices the constraint.  At every p the
-    solve runs on the all-free W^{1,2} metric."""
-    weights = np.ones(mesh.n_facets)
-    if hole.facet_indices:
-        weights[sorted(hole.facet_indices)] = 0.0
-    res = minimize_quotient(
-        *fem.forms(mesh).quotient(cfg, weights), cfg.p,
-        np.ones(mesh.n_vertices, dtype=bool), None, fem.h1_operator(mesh),
-        tol=max(cfg.dof_tolerance, 1e-7), max_iter=cfg.max_inner_iterations)
-    return res.u
-
-
-def _leaves_free_vertex(mesh: Mesh, facets: frozenset) -> bool:
-    hole = hole_from_facets(mesh, facets)
-    covered = hole.vertex_indices(mesh)
-    return covered.size < mesh.boundary_vertex_indices().size
 
 
 def _slide_candidates(mesh: Mesh, target: float) -> list:
@@ -174,20 +129,19 @@ def _arc_counts(mesh: Mesh, starts, target: float) -> np.ndarray:
 def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
                               init_hole: Optional[BoundaryHole] = None
                               ) -> OptimizationRun:
-    """Best-first search over the slide blocks, then one multi-arc probe.
-    ``init_hole``, when given, is solved first and is the value to beat.
-    The run is converged when every solve that was compared with the best
-    value converged."""
+    """Best-first search over the slide blocks.  ``init_hole``, when given,
+    is solved first and is the value to beat.  The run is converged when
+    every solve that was compared with the best value converged."""
     target = _target_measure(mesh, alpha)
     history: List[Tuple[float, float]] = []  # (measure, value) per new best
     best_hole = best_res = None
-    n_solves, converged = 0, True
+    n_solves = n_unconverged = 0
 
     def consider(hole, init=None):
-        nonlocal best_hole, best_res, n_solves, converged
+        nonlocal best_hole, best_res, n_solves, n_unconverged
         res = solve_trace_constant(mesh, cfg, hole, init=init)
         n_solves += 1
-        converged = converged and res.converged
+        n_unconverged += not res.converged
         if best_res is None or res.s_value < best_res.s_value:
             best_hole, best_res = hole, res
             history.append((hole.measure, res.s_value))
@@ -221,24 +175,14 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
             warm = best_res.extremal
         for facets in blocks[b]:
             consider(hole_from_facets(mesh, facets), warm)
-    cores.clear()           # the pruned blocks' extremals go before the probe
     if best_res is None:    # every arc snaps to no facet: the target is tiny
         consider(hole_from_facets(mesh, []))
-
-    w = _relaxed_ranking_field(mesh, cfg, best_hole)
-    n_solves += 1
-    scores = fem.facet_boundary_energy(mesh, cfg, w)
-    # smallest scores first, ties on the lower facet index
-    proposal = _snap_select(
-        mesh, np.lexsort((np.arange(mesh.n_facets), scores)), target)
-    if proposal != best_hole.facet_indices and \
-            _leaves_free_vertex(mesh, proposal):
-        consider(hole_from_facets(mesh, proposal), w)
 
     history = [(i, m, v) for i, (m, v) in enumerate(history, 1)]
     return OptimizationRun(
         alpha, best_hole, best_res.s_value, history,
-        best_hole.measure / mesh.perimeter, best_res, n_solves, converged)
+        best_hole.measure / mesh.perimeter, best_res, n_solves,
+        n_unconverged == 0, n_unconverged)
 
 
 def zero_set_measure(mesh: Mesh, result: TraceResult) -> float:

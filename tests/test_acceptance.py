@@ -19,8 +19,7 @@ from traceholes.geometry import (
     make_hole_from_arc, plateau_speed, tangential_field,
 )
 from traceholes.hole_optimizer import (
-    _leaves_free_vertex, _snap_select, optimize_hole_alternating,
-    zero_set_measure,
+    optimize_hole_alternating, zero_set_measure,
 )
 from traceholes.one_dim import (
     OneDimProblem, closed_form_limit_constant, optimize_limit_hole,
@@ -109,13 +108,18 @@ def cfg2():
 def test_criterion_3_disk_cap_optimality(disk_fine, cfg2):
     lines = []
     mesh = disk_fine
-    # five random holes, each the search's starting best value
+    # five random holes, each the search's starting best value: a facet
+    # permutation cut where its running length reaches the target, kept
+    # when it leaves a boundary vertex free
     rng = np.random.default_rng(0)
     target = 0.25 * mesh.perimeter
+    n_boundary = mesh.boundary_vertex_indices().size
     runs = []
     while len(runs) < 5:
-        facets = _snap_select(mesh, rng.permutation(mesh.n_facets), target)
-        if _leaves_free_vertex(mesh, facets):
+        order = rng.permutation(mesh.n_facets)
+        cut = np.searchsorted(np.cumsum(mesh.facet_lengths[order]), target)
+        facets = order[:cut + 1]
+        if np.unique(mesh.boundary[facets]).size < n_boundary:
             runs.append(optimize_hole_alternating(
                 mesh, cfg2, 0.25, init_hole=hole_from_facets(mesh, facets)))
     run = runs[0]

@@ -6,14 +6,14 @@ import pytest
 
 from traceholes import cli, hole_optimizer
 from traceholes._descent import Preconditioner
-from traceholes.fem import ProblemConfig, h1_operator
+from traceholes.fem import ProblemConfig
 from traceholes.geometry import (
     Disk, Rectangle, ThinRectangle, generate_mesh, hole_from_facets,
     make_hole_from_arc,
 )
 from traceholes.hole_optimizer import (
-    _SLIDE_BLOCK, _orbit_representatives, _relaxed_ranking_field,
-    _slide_candidates, _symmetry_group, make_arc_facets,
+    _SLIDE_BLOCK, _orbit_representatives, _slide_candidates,
+    _symmetry_group, make_arc_facets,
     optimize_hole_alternating, zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
@@ -287,11 +287,11 @@ def test_block_core_bounds_its_arcs(thin, cfg):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_optimize_factors_the_ranking_metric_once(monkeypatch, p):
-    # the run's one ranking solve, the probe, factors the all-free W^{1,2}
-    # metric once, at every p; no other solve of the run frees every vertex
+def test_optimize_solves_only_holes(monkeypatch, p):
+    # every solve of the run pins a hole, so no metric is factored with
+    # every vertex free, and n_solves counts every quotient solve
     mesh = generate_mesh(Disk(1), 0.2)
-    all_free, rankings = [], []
+    all_free, holes = [], []
     restricted = Preconditioner.restricted.__func__
 
     def counted(cls, metric, free):
@@ -299,14 +299,15 @@ def test_optimize_factors_the_ranking_metric_once(monkeypatch, p):
             all_free.append(metric)
         return restricted(cls, metric, free)
     monkeypatch.setattr(Preconditioner, "restricted", classmethod(counted))
+    solve = hole_optimizer.solve_trace_constant
 
-    def ranking(mesh, cfg, hole):
-        rankings.append(hole)
-        return _relaxed_ranking_field(mesh, cfg, hole)
-    monkeypatch.setattr(hole_optimizer, "_relaxed_ranking_field", ranking)
+    def counted_solve(mesh, cfg, hole, init=None):
+        holes.append(hole)
+        return solve(mesh, cfg, hole, init=init)
+    monkeypatch.setattr(hole_optimizer, "solve_trace_constant", counted_solve)
     run = optimize_hole_alternating(mesh, ProblemConfig(p, 2), 0.25)
-    assert rankings == [run.best_hole]
-    assert len(all_free) == 1 and all_free[0] is h1_operator(mesh)
+    assert all(hole.facet_indices for hole in holes)
+    assert not all_free and run.n_solves == len(holes) > 0
 
 
 def test_tiny_alpha_gives_the_empty_hole(cfg):
@@ -339,11 +340,11 @@ def test_a_losing_unconverged_arc_clears_converged(monkeypatch, tmp_path):
                         one_arc_unconverged)
     run = optimize_hole_alternating(mesh, cfg, 0.25)
     assert len(flagged) == 1 and run.best_hole == best
-    assert not run.converged
+    assert not run.converged and run.n_unconverged == 1
     del flagged[:]
     code = cli.main(["optimize", "--domain", "disk", "--radius", "1",
                      "--resolution", "0.25", "--alpha", "0.25",
                      "--out", str(tmp_path), "--run-id", "r"])
     assert code == 2 and len(flagged) == 1
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
-    assert summary["converged"] is False
+    assert summary["converged"] is False and summary["n_unconverged"] == 1

@@ -11,7 +11,6 @@ from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh, hole_arcs,
     hole_from_facets, make_hole_from_arc,
 )
-from traceholes.hole_optimizer import _relaxed_ranking_field
 from traceholes.one_dim import (
     OneDimProblem, _limit_grid, _limit_operators, solve_limit_problem,
 )
@@ -422,15 +421,6 @@ def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
     warm = solve_limit_problem(problem, (0.25, 0.75), 128, init=cold.extremal)
     assert warm.converged and warm.iterations >= 30
     assert len(calls) == 1 + warm.iterations // 30
-
-
-def test_ranking_field_factors_the_h1_metric_once(monkeypatch, disk_coarse):
-    # the ranking solve runs on the fixed metric's factor at every p: it
-    # factors no lagged metric
-    hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
-    calls = _count_factorizations(monkeypatch)
-    _relaxed_ranking_field(disk_coarse, ProblemConfig(3, 3), hole)
-    assert len(calls) == 1 and calls[0] is h1_operator(disk_coarse)
 
 
 def test_wrong_length_init_is_rejected(disk_coarse):
