@@ -1,7 +1,8 @@
 """Projected Barzilai-Borwein descent for 0-homogeneous quotients E/B^(p/q).
 
-Every quotient solve of the package starts here: the descent builds the
-start field from the caller's ``init`` and factors the starting metric.
+Every quotient solve of the package reaches it through
+``fem.Operators.solve``: the descent builds the start field from the
+caller's ``init`` and factors the starting metric.
 The iterate lives on the positive cone intersected with the unit-B sphere:
 after every step the field is replaced by its absolute value (the quotient
 never distinguishes u from |u| and the extremal has a sign) and rescaled

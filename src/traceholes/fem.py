@@ -25,6 +25,7 @@ lumped mass.  Then
 and the W^{1,2} metric is D^T diag(vol) D + diag(m).  For p != 2 the
 descent uses the lagged metric D^T diag(vol c) D + diag(m c_m), with the
 p-Laplacian's coefficients c, c_m frozen at an iterate (``lagged_metric``).
+``Operators.solve`` runs that descent on the quotient.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
+from ._descent import DescentResult, minimize_quotient
 from .geometry import Mesh
 
 
@@ -254,7 +256,8 @@ class Operators:
         return K
 
     def h1(self):
-        """The unweighted metric, assembled on first use and kept."""
+        """The unweighted metric, assembled on first use and kept, so
+        callers must not modify it."""
         if self._h1 is None:
             self._h1 = self.metric()
         return self._h1
@@ -277,13 +280,16 @@ class Operators:
         m2 = delta**2 * (self.mass @ u2) / self.mass.sum()
         return self.metric((s + d2) ** e, (u2 + m2) ** e)
 
-    def descent_metric(self, cfg: ProblemConfig):
-        """The descent's metric callback (u, delta) -> lagged metric, or
-        None at p = 2, where the fixed W^{1,2} metric is the
-        p-Laplacian's own."""
-        if cfg.p == 2:
-            return None
-        return functools.partial(self.lagged_metric, cfg)
+    def solve(self, cfg: ProblemConfig, free, init=None) -> DescentResult:
+        """The descent on E / B^(p/q) over fields vanishing off ``free``, from
+        ``init`` (the constant field when None), on the W^{1,2} metric and,
+        for p != 2, the lagged one.  Its ``u`` is normalized to B = 1 and
+        read-only, and ``value`` is the quotient there."""
+        metric = None if cfg.p == 2 else functools.partial(self.lagged_metric, cfg)
+        return minimize_quotient(
+            *self.quotient(cfg), cfg.p, free, init, self.h1(),
+            tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
+            metric=metric)
 
 
 _FORMS_CACHE: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()
@@ -346,9 +352,3 @@ def quotient_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarr
     r = cfg.p / cfg.q
     return dE / B**r - r * E * dB / B ** (r + 1.0)
 
-
-def h1_operator(mesh: Mesh):
-    """Sparse stiffness + lumped mass matrix (the W^{1,2} metric that
-    preconditions descent at p = 2 and cold starts at other p); cached
-    with the mesh, so callers must not modify it."""
-    return forms(mesh).h1()

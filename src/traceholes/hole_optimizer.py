@@ -94,12 +94,6 @@ def _orbit_representatives(group: np.ndarray, candidates) -> list:
     return kept
 
 
-def make_arc_facets(mesh: Mesh, first_facet: int, target: float):
-    """Contiguous run starting at a facet, sized by the snap rule."""
-    n = int(_arc_counts(mesh, [first_facet], target)[0])
-    return ((first_facet + np.arange(n)) % mesh.n_facets).tolist()
-
-
 _CHUNK = 1 << 16        # cumulative sums held at once by _arc_counts
 
 

@@ -33,7 +33,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ._descent import minimize_quotient
 from .fem import Operators, ProblemConfig
 
 
@@ -152,13 +151,8 @@ def _solve_on_grid(problem: OneDimProblem, x: np.ndarray, ops: Operators,
     free = ~constrained
     if not np.any(free):
         raise ValueError("hole covers the whole interval")
-    res = minimize_quotient(
-        *ops.quotient(cfg), cfg.p, free, init, ops.h1(),
-        tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
-        metric=ops.descent_metric(cfg))
-    u = res.u * ops.norm(cfg, res.u) ** (-1.0 / problem.q)
-    value = ops.energy(cfg, u)
-    return LimitResult(value, u, x, (lo, hi), res.iterations,
+    res = ops.solve(cfg, free, init)
+    return LimitResult(res.value, res.u, x, (lo, hi), res.iterations,
                        res.converged)
 
 

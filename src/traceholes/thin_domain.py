@@ -20,7 +20,7 @@ a Richardson extrapolation of the last three rescaled values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -66,9 +66,10 @@ def scaling_exponent(p: float, q: float, k: int = 1) -> float:
 def reference_limit(base: Interval, alpha: float, cfg: ProblemConfig,
                     n_cells: int = 1000) -> float:
     """2^(-p/q) times the 1D optimal-hole constant at hole fraction alpha
-    (endpoint holes are optimal, so one endpoint solve suffices)."""
+    (endpoint holes are optimal, so one endpoint solve suffices), solved
+    under all of cfg's settings."""
     length = base.b - base.a
-    problem = OneDimProblem(base.a, base.b, cfg.p, cfg.q, alpha)
+    problem = OneDimProblem(base.a, base.b, alpha=alpha, **asdict(cfg))
     hole = (base.b - alpha * length, base.b)
     res = solve_limit_problem(problem, hole, n_cells)
     return res.value / 2.0 ** (cfg.p / cfg.q)

@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from . import fem
-from ._descent import minimize_quotient
 from .fem import NotAdmissibleError, ProblemConfig
 from .geometry import BoundaryHole, Mesh
 
@@ -49,15 +48,9 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
     if not np.any(free[mesh.boundary_vertex_indices()]):
         raise NotAdmissibleError(
             "hole covers every boundary vertex: empty admissible class")
-    ops = fem.forms(mesh)
-    evaluate, gradient = ops.quotient(cfg)
-    res = minimize_quotient(
-        evaluate, gradient, cfg.p, free, init, fem.h1_operator(mesh),
-        tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
-        metric=ops.descent_metric(cfg))
-    u, s_value = evaluate(res.u)[:2]
-    lam, residual = _multiplier_and_residual(mesh, cfg, u, free)
-    return TraceResult(s_value, u, lam, residual, res.iterations,
+    res = fem.forms(mesh).solve(cfg, free, init)
+    lam, residual = _multiplier_and_residual(mesh, cfg, res.u, free)
+    return TraceResult(res.value, res.u, lam, residual, res.iterations,
                        res.converged, mesh, hole)
 
 

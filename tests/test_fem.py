@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traceholes._descent import minimize_quotient
 from traceholes.fem import (
     NotAdmissibleError, ProblemConfig, boundary_norm_q, energy,
-    energy_gradient, forms, h1_operator, quotient_gradient,
-    rayleigh_quotient,
+    energy_gradient, forms, quotient_gradient, rayleigh_quotient,
 )
 from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh,
@@ -164,13 +162,13 @@ def test_p2_gradient_superposition():
 def test_h1_operator_matches_dense_assembly():
     mesh = generate_mesh(Disk(1), 0.5)
     K, Mdiag, _ = assemble_p2_matrices(mesh)
-    P = h1_operator(mesh).toarray()
+    P = forms(mesh).h1().toarray()
     assert np.allclose(P, K + np.diag(Mdiag), atol=1e-13)
 
 
 def test_cached_operators_do_not_keep_the_mesh_alive():
     mesh = generate_mesh(Disk(1), 0.25)
-    h1_operator(mesh)       # builds the mesh's operators and caches both
+    forms(mesh).h1()        # builds the mesh's operators and caches both
     ref = weakref.ref(mesh)
     del mesh
     gc.collect()
@@ -199,7 +197,7 @@ def test_unit_weights_give_the_h1_metric(domain, res):
     mesh = generate_mesh(domain, res)
     ones = np.ones(len(mesh.cells)), np.ones(mesh.n_vertices)
     assert np.array_equal(forms(mesh).metric(*ones).toarray(),
-                          h1_operator(mesh).toarray())
+                          forms(mesh).h1().toarray())
 
 
 @pytest.mark.parametrize("domain,res", METRIC_MESHES)
@@ -236,9 +234,8 @@ def test_descent_makes_one_stacked_product_per_trial(monkeypatch, p):
     # one product A u; gradient reads D u and Q u off that product and
     # makes no forward product of its own
     mesh = generate_mesh(ThinRectangle(0, 1, 1 / 16), 1 / 64)
-    cfg = ProblemConfig(p, p)
+    cfg = ProblemConfig(p, p, max_inner_iterations=500)
     ops = forms(mesh)
-    h1 = h1_operator(mesh)
     for name in ("A", "D", "Q"):
         monkeypatch.setattr(ops, name, _CountingMatrix(getattr(ops, name)))
     evaluate, gradient = ops.quotient(cfg)
@@ -257,10 +254,10 @@ def test_descent_makes_one_stacked_product_per_trial(monkeypatch, p):
         g = gradient(u, E, product)
         assert forward_products() == before
         return g
+    monkeypatch.setattr(ops, "quotient",
+                        lambda _: (counted_evaluate, counted_gradient))
     hole = make_hole_from_arc(mesh, 0.0, 0.5 * mesh.perimeter)
-    res = minimize_quotient(
-        counted_evaluate, counted_gradient, cfg.p, free_dof_mask(mesh, hole),
-        None, h1, tol=1e-8, max_iter=500, metric=ops.descent_metric(cfg))
+    res = ops.solve(cfg, free_dof_mask(mesh, hole))
     # at p = 3 the lagged metric is refreshed at least twice
     assert res.converged and res.iterations > (60 if p != 2 else 5)
     assert calls["gradient"] == len(res.values)    # the start and each accepted

@@ -12,9 +12,8 @@ from traceholes.geometry import (
     make_hole_from_arc,
 )
 from traceholes.hole_optimizer import (
-    _SLIDE_BLOCK, _orbit_representatives, _slide_candidates,
-    _symmetry_group, make_arc_facets,
-    optimize_hole_alternating, zero_set_measure,
+    _SLIDE_BLOCK, _arc_counts, _orbit_representatives, _slide_candidates,
+    _symmetry_group, optimize_hole_alternating, zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
 
@@ -140,8 +139,9 @@ def test_arc_facets_match_running_sum_loop(domain, resolution):
     for alpha in (0.1, 0.25, 0.3, 0.5, 0.75, 0.9):
         target = alpha * mesh.perimeter
         loop = [_running_sum_arc(mesh, k, target) for k in range(mesh.n_facets)]
-        assert [make_arc_facets(mesh, k, target)
-                for k in range(mesh.n_facets)] == loop
+        counts = _arc_counts(mesh, np.arange(mesh.n_facets), target)
+        assert [((k + np.arange(n)) % mesh.n_facets).tolist()
+                for k, n in enumerate(counts)] == loop
         expected, seen = [], set()
         for arc in map(frozenset, loop):
             if arc and arc not in seen:
@@ -259,7 +259,8 @@ def test_best_first_matches_cold_full_family_sweep(request, mesh_name, alpha,
 def test_symmetric_images_of_an_arc_share_its_value(cfg, domain, resolution,
                                                      alpha, first):
     mesh = generate_mesh(domain, resolution)
-    arc = make_arc_facets(mesh, first, alpha * mesh.perimeter)
+    n = _arc_counts(mesh, [first], alpha * mesh.perimeter)[0]
+    arc = ((first + np.arange(n)) % mesh.n_facets).tolist()
     images = _images(_symmetry_group(mesh), arc)
     if isinstance(domain, Disk):
         assert len(images) == 12

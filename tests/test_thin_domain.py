@@ -38,6 +38,21 @@ def test_reference_limit_matches_closed_form(cfg):
     assert ref == pytest.approx((np.pi**2 + 1) / 2, rel=1e-4)
 
 
+def test_reference_limit_solves_under_the_run_settings(monkeypatch):
+    # the target is solved under the same epsilon and tolerances as the
+    # 2D records it is compared with
+    problems = []
+
+    def capture(problem, hole, n_cells):
+        problems.append(problem)
+        return solve_limit_problem(problem, hole, n_cells)
+    monkeypatch.setattr(thin_domain, "solve_limit_problem", capture)
+    cfg = ProblemConfig(1.5, 1.5, epsilon=0.5, dof_tolerance=1e-7,
+                        max_inner_iterations=5000)
+    reference_limit(Interval(0, 1), 0.5, cfg, n_cells=64)
+    assert len(problems) == 1 and problems[0].config() == cfg
+
+
 def test_sweep_structure(small_sweep):
     assert len(small_sweep.records) == 3
     for rec in small_sweep.records:

@@ -3,9 +3,10 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.special import iv
 
+from traceholes import fem
 from traceholes._descent import Preconditioner
 from traceholes.fem import (
-    NotAdmissibleError, ProblemConfig, forms, h1_operator,
+    NotAdmissibleError, ProblemConfig, forms,
 )
 from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh, hole_arcs,
@@ -285,8 +286,8 @@ def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
     hole = make_hole_from_arc(mesh, 0.0, fraction * mesh.perimeter)
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[hole.vertex_indices(mesh)] = False
-    P = h1_operator(mesh).toarray()[np.ix_(free, free)]
-    pre = Preconditioner.restricted(h1_operator(mesh), free)
+    P = forms(mesh).h1().toarray()[np.ix_(free, free)]
+    pre = Preconditioner.restricted(forms(mesh).h1(), free)
     rng = np.random.default_rng(0)
     for _ in range(3):
         b = rng.standard_normal(int(free.sum()))
@@ -391,7 +392,7 @@ def test_p2_solve_factors_the_h1_metric_once(monkeypatch, disk_coarse):
     cold = solve_trace_constant(disk_coarse, cfg, hole)
     solve_trace_constant(disk_coarse, cfg, hole, init=cold.extremal)
     assert len(calls) == 2
-    assert all(metric is h1_operator(disk_coarse) for metric in calls)
+    assert all(metric is forms(disk_coarse).h1() for metric in calls)
 
 
 def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
@@ -400,7 +401,7 @@ def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     cold = solve_trace_constant(mesh, cfg, hole)
     # a cold start begins on the W^{1,2} metric, then refreshes
-    assert calls[0] is h1_operator(mesh)
+    assert calls[0] is forms(mesh).h1()
     assert len(calls) == 1 + cold.iterations // 30
     del calls[:]
     shifted = make_hole_from_arc(mesh, 0.05, 0.5 * mesh.perimeter)
@@ -408,7 +409,7 @@ def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
     # a warm start begins on the lagged metric at its init
     assert warm.converged and warm.iterations > 0
     assert len(calls) == 1 + warm.iterations // 30
-    assert all(metric is not h1_operator(mesh) for metric in calls)
+    assert all(metric is not forms(mesh).h1() for metric in calls)
 
 
 def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
@@ -421,6 +422,35 @@ def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
     warm = solve_limit_problem(problem, (0.25, 0.75), 128, init=cold.extremal)
     assert warm.converged and warm.iterations >= 30
     assert len(calls) == 1 + warm.iterations // 30
+
+
+def test_each_solve_reports_its_one_descent_as_is(monkeypatch, disk_coarse):
+    # both solvers run one descent through Operators.solve and report its
+    # value and normalized field, with no evaluate after it
+    evaluates, records = [0], []
+    quotient, descent = fem.Operators.quotient, fem.minimize_quotient
+
+    def counted_quotient(self, cfg):
+        evaluate, gradient = quotient(self, cfg)
+
+        def counted(u):
+            evaluates[0] += 1
+            return evaluate(u)
+        return counted, gradient
+
+    def recorded(*args, **kwargs):
+        records.append((descent(*args, **kwargs), evaluates[0]))
+        return records[-1][0]
+    monkeypatch.setattr(fem.Operators, "quotient", counted_quotient)
+    monkeypatch.setattr(fem, "minimize_quotient", recorded)
+    hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
+    trace = solve_trace_constant(disk_coarse, ProblemConfig(3, 2), hole)
+    assert len(records) == 1 and evaluates[0] == records[0][1]
+    limit = solve_limit_problem(OneDimProblem(0, 1, 3, 3, 0.5), (0.5, 1.0), 128)
+    assert len(records) == 2 and evaluates[0] == records[1][1]
+    for (value, u), (res, _) in zip([(trace.s_value, trace.extremal),
+                                     (limit.value, limit.extremal)], records):
+        assert value == res.value and u is res.u
 
 
 def test_wrong_length_init_is_rejected(disk_coarse):
