@@ -1,24 +1,25 @@
 """Projected Barzilai-Borwein descent for 0-homogeneous quotients E/B^(p/q).
 
-Every quotient solve of the package reaches it through
-``fem.Operators.solve``: the descent builds the start field from the
-caller's ``init`` and factors the starting metric.
-The iterate lives on the positive cone intersected with the unit-B sphere:
+Every quotient solve reaches it through ``fem.Operators.solve``.  The
+iterate lives on the positive cone intersected with the unit-B sphere:
 after every step the field is replaced by its absolute value (the quotient
 never distinguishes u from |u| and the extremal has a sign) and rescaled
 so B = 1, which is exact because both forms are homogeneous.
 
 Steps go along the gradient preconditioned by an SPD elliptic metric
 (stiffness plus lumped mass, passed as a sparse matrix); without it the
-raw quotient gradient needs O(1/h^2) iterations on fine meshes.  At
-p = 2 the metric is fixed.  Otherwise the caller passes a callback for
-the lagged metric, whose weights are the p-Laplacian's coefficients
-frozen at the iterate, and the descent refactors it every REFRESH
-iterations (a relaxed Kacanov iteration: Diening, Fornasier, Tomasi and
-Wank, Numer. Math. 145, 2020).  Step lengths are Barzilai-Borwein in the
-current metric with a nonmonotone halving line search: a step is accepted
-when its value is at most the largest of the last WINDOW values, and the
-search gives up after MAX_HALVINGS halvings.
+raw quotient gradient needs O(1/h^2) iterations on fine meshes.  The
+metric's factor is single precision: it only shapes the step, while the
+gradient, line search, metric products and stopping test stay float64
+(Carson and Higham, SIAM J. Sci. Comput. 40, 2018).  At p = 2 the metric
+is fixed.  Otherwise the caller passes a callback for the lagged metric,
+whose weights are the p-Laplacian's coefficients frozen at the iterate,
+and the descent refactors it every REFRESH iterations (a relaxed Kacanov
+iteration: Diening, Fornasier, Tomasi and Wank, Numer. Math. 145, 2020).
+Step lengths are Barzilai-Borwein in the current metric with a
+nonmonotone halving line search: a step is accepted when its value is at
+most the largest of the last WINDOW values, and the search gives up after
+MAX_HALVINGS halvings.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class Preconditioner:
 
     @classmethod
     def restricted(cls, metric, free: np.ndarray) -> "Preconditioner":
-        """LU-factorized restriction of a sparse SPD metric to free DOFs.
+        """Single-precision LU factor of a sparse SPD metric's free block,
+        whose ``matvec`` stays on the float64 block.
 
         SPD needs no pivoting, so SuperLU runs in symmetric mode: a minimum
         degree ordering of P + Pᵀ and diagonal pivots.  On disk meshes this
@@ -65,9 +67,10 @@ class Preconditioner:
         ordering by about 40% and the triangular-solve time by half.
         """
         P = _free_block(metric, free)
-        lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        return cls(solve=lu.solve, matvec=lambda x: P @ x)
+        lu = spla.splu(P.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return cls(solve=lambda b: lu.solve(b.astype(np.float32)),
+                   matvec=lambda x: P @ x)
 
 
 def _free_block(metric, free: np.ndarray):
@@ -127,10 +130,8 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
             raise ValueError("init field has the wrong length")
         u[free] = np.maximum(u[free], 1e-12 * max(float(u.max()), 1.0))
     u[~free] = 0.0
-    if metric is not None and init is not None:
-        precond = None
-    else:
-        precond = Preconditioner.restricted(fixed, free)
+    precond = (None if metric is not None and init is not None
+               else Preconditioner.restricted(fixed, free))
 
     def grad_at(u, E, product):
         g = gradient(u, E, product)

@@ -130,12 +130,12 @@ class Operators:
     every quotient evaluated on it.
 
     D     CSR (dim * n_cells, n_vertices): row k * n_cells + c is the k-th
-          gradient component on cell c; DT is its transpose, also CSR.
+          gradient component on cell c.
     vol   weight of the gradient density per cell (cell measure).
     mass  lumped weight of |u|^p per vertex.
     Q     CSR interpolation to the quadrature points of the denominator on
           the simplices ``quad_simplices`` (row k * n + f is point k of
-          simplex f); w holds the quadrature weights, QT is Q's transpose.
+          simplex f); w holds the quadrature weights.
     A     CSR [D; Q], the rows of D and then those of Q.
 
     Optional nodal weights ``rho`` (of the energy: cell averages scale vol,
@@ -170,8 +170,6 @@ class Operators:
         D.indptr = self.A.indptr[:D.shape[0] + 1]
         Q.data, Q.indices = self.A.data[nnz:], self.A.indices[nnz:]
         self.D, self.Q = D, Q
-        self.DT = self.D.T.tocsr()
-        self.QT = self.Q.T.tocsr()
         self.mass = np.bincount(cells.ravel(), minlength=nv,
                                 weights=np.repeat(vol / npc, npc))
         if rho is not None:
@@ -191,30 +189,29 @@ class Operators:
     def _square_gradient(self, cfg: ProblemConfig, Du) -> np.ndarray:
         return cfg.eps**2 + (Du * Du).reshape(self.dim, -1).sum(axis=0)
 
-    def energy(self, cfg: ProblemConfig, u, s=None) -> float:
-        """E(u); ``s`` is u's square gradient when already at hand."""
-        s = self.density(cfg, u)[1] if s is None else s
-        return float(self.vol @ s ** (cfg.p / 2.0)
+    def energy(self, cfg: ProblemConfig, u) -> float:
+        return float(self.vol @ self.density(cfg, u)[1] ** (cfg.p / 2.0)
                      + self.mass @ np.abs(u) ** cfg.p)
 
     def energy_gradient(self, cfg: ProblemConfig, u) -> np.ndarray:
         p = cfg.p
         Du, s = self.density(cfg, u)
         flux = Du.reshape(self.dim, -1) * (p * self.vol * s ** ((p - 2.0) / 2.0))
-        return (self.DT @ flux.ravel()
+        return (self.D.T @ flux.ravel()
                 + p * self.mass * _signed_power(u, p - 1.0))
 
     def quotient(self, cfg: ProblemConfig):
-        """The descent's ``(evaluate, gradient)`` for E / B^(p/q).  ``evaluate``
-        makes one product A u and scales u and it to B = 1 (ValueError when
-        B <= 0); ``gradient`` turns it into dE - (p/q) E dB, in place, by one
-        transposed product."""
+        """The descent's ``(evaluate, gradient)`` for E / B^(p/q) at u >= 0
+        only (then Q u >= 0: no sign or absolute value is taken).  ``evaluate``
+        makes one product A u, scales u and it to B = 1 (ValueError when
+        B <= 0) and keeps s^((p-2)/2) and u^(p-1); ``gradient`` turns the
+        product into dE - (p/q) E dB, in place, by one transposed product."""
         n, w, q, p = self.D.shape[0], self.w, cfg.q, cfg.p
         AT = self.A.T       # CSC on A's own arrays
 
         def evaluate(u):
             Au = self.A @ u
-            B = float(w @ np.abs(Au[n:]) ** q)
+            B = float(w @ Au[n:] ** q)
             if not B > 0:
                 raise ValueError("cannot normalize: boundary norm vanished")
             c = B ** (-1.0 / q)
@@ -222,14 +219,16 @@ class Operators:
             u.flags.writeable = False
             Au *= c
             s = self._square_gradient(cfg, Au[:n])
-            return u, self.energy(cfg, u, s), (Au, s)
+            s_pow, u_pow = s ** ((p - 2.0) / 2.0), u ** (p - 1.0)
+            E = float(self.vol @ (s * s_pow) + self.mass @ (u * u_pow))
+            return u, E, (Au, s_pow, u_pow)
 
         def gradient(u, E, product):
-            Au, s = product
+            Au, s_pow, u_pow = product
             flux = Au[:n].reshape(self.dim, -1)     # a view of Au
-            flux *= p * self.vol * s ** ((p - 2.0) / 2.0)
-            Au[n:] = -p * E * w * _signed_power(Au[n:], q - 1.0)
-            return AT @ Au + p * self.mass * _signed_power(u, p - 1.0)
+            flux *= p * self.vol * s_pow
+            Au[n:] = -p * E * w * Au[n:] ** (q - 1.0)
+            return AT @ Au + p * self.mass * u_pow
         return evaluate, gradient
 
     def point_integrand(self, cfg: ProblemConfig, u) -> np.ndarray:
@@ -241,7 +240,7 @@ class Operators:
 
     def norm_gradient(self, cfg: ProblemConfig, u) -> np.ndarray:
         q = cfg.q
-        return self.QT @ (q * self.w * _signed_power(self.Q @ u, q - 1.0))
+        return self.Q.T @ (q * self.w * _signed_power(self.Q @ u, q - 1.0))
 
     def metric(self, c=None, c_m=None):
         """D^T diag(vol c) D + diag(mass c_m): the W^{1,2} metric with cell
@@ -251,7 +250,7 @@ class Operators:
         row_vol = np.repeat(np.tile(vol, self.dim), self.dim + 1)
         Dw = sp.csr_matrix((self.D.data * row_vol, self.D.indices,
                             self.D.indptr), shape=self.D.shape)
-        K = self.DT @ Dw
+        K = (Dw.T @ self.D).T   # D^T Dw as CSR, summed as a CSR product
         K.setdiag(K.diagonal() + mass)
         return K
 

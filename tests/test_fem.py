@@ -224,6 +224,11 @@ class _CountingMatrix:
         self.products += 1
         return self.matrix @ u
 
+    def __rmatmul__(self, other):
+        # a sparse matrix times this one (the metric's assembly) is no
+        # product with a vector
+        return other @ self.matrix
+
     def __getattr__(self, name):
         return getattr(self.matrix, name)
 
