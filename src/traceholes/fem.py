@@ -143,10 +143,14 @@ class Operators:
     to the quadrature points) give the weighted 1D limit forms.  The object
     keeps no reference to a Mesh, so caching it under its mesh as a weak key
     frees both together.
+
+    Vertex labels ``parts`` (0..k-1) split the mesh into weighted parts
+    that share no simplex; ``solve`` then minimizes each part's quotient at
+    once, with the step and the lagged metric's delta shared by all.
     """
 
     def __init__(self, vertices, cells, quad_simplices, quad_measures,
-                 rho=None, beta=None):
+                 rho=None, beta=None, parts=None):
         nv, npc = vertices.shape[0], cells.shape[1]
         self.dim = npc - 1
         # rows of E are the edge vectors x_k - x_0; the columns of E^{-1}
@@ -179,6 +183,17 @@ class Operators:
         self.w = np.outer(weights, quad_measures).ravel()
         if beta is not None:
             self.w = self.w * (self.Q @ beta)
+        self._parts = None
+        if parts is not None:   # k and the parts of vertices, cells, rows of A and Q
+            cell, simplex = parts[cells[:, 0]], parts[quad_simplices[:, 0]]
+            if (np.any(parts[cells].T != cell)
+                    or np.any(parts[quad_simplices].T != simplex)):
+                raise ValueError("a cell or quadrature simplex straddles two parts")
+            quad, k = np.tile(simplex, bary.shape[0]), int(parts.max()) + 1
+            if not np.bincount(quad, self.w, k).min() > 0:
+                raise ValueError("a part has no denominator weight")
+            row = np.concatenate([np.tile(cell, self.dim), quad])
+            self._parts = (k, parts, cell, row, quad)
         self._h1 = None
 
     def density(self, cfg: ProblemConfig, u):
@@ -205,31 +220,45 @@ class Operators:
         only (then Q u >= 0: no sign or absolute value is taken).  ``evaluate``
         makes one product A u, scales u and it to B = 1 (ValueError when
         B <= 0) and keeps s^((p-2)/2) and u^(p-1); ``gradient`` turns the
-        product into dE - (p/q) E dB, in place, by one transposed product."""
-        n, w, q, p = self.D.shape[0], self.w, cfg.q, cfg.p
+        product into dE - (p/q) E dB, in place, by one transposed product.
+        With parts, each is scaled to B_k = 1 and gets dE_k - (p/q) E_k dB_k."""
+        n, w, q, p, parts = self.D.shape[0], self.w, cfg.q, cfg.p, self._parts
+        k, vertex, cell, row, quad = parts or (None,) * 5
         AT = self.A.T       # CSC on A's own arrays
 
         def evaluate(u):
             Au = self.A @ u
-            B = float(w @ Au[n:] ** q)
-            if not B > 0:
+            Bq = Au[n:] ** q
+            B = float(w @ Bq) if parts is None else np.bincount(quad, w * Bq, k)
+            if not (B > 0 if parts is None else B.min() > 0):
                 raise ValueError("cannot normalize: boundary norm vanished")
             c = B ** (-1.0 / q)
-            u = u * c
+            u = u * (c if parts is None else c[vertex])
             u.flags.writeable = False
-            Au *= c
+            Au *= c if parts is None else c[row]
             s = self._square_gradient(cfg, Au[:n])
             s_pow, u_pow = s ** ((p - 2.0) / 2.0), u ** (p - 1.0)
-            E = float(self.vol @ (s * s_pow) + self.mass @ (u * u_pow))
-            return u, E, (Au, s_pow, u_pow)
+            if parts is None:
+                E = E_k = float(self.vol @ (s * s_pow) + self.mass @ (u * u_pow))
+            else:
+                E_k = (np.bincount(cell, self.vol * s * s_pow, k)
+                       + np.bincount(vertex, self.mass * u * u_pow, k))
+                E = float(E_k.sum())
+            return u, E, (Au, s_pow, u_pow, E_k)
 
         def gradient(u, E, product):
-            Au, s_pow, u_pow = product
+            Au, s_pow, u_pow, E_k = product
             flux = Au[:n].reshape(self.dim, -1)     # a view of Au
             flux *= p * self.vol * s_pow
-            Au[n:] = -p * E * w * Au[n:] ** (q - 1.0)
+            E_q = E if parts is None else E_k[quad]     # per quadrature point
+            Au[n:] = -p * E_q * w * Au[n:] ** (q - 1.0)
             return AT @ Au + p * self.mass * u_pow
         return evaluate, gradient
+
+    def part_quotients(self, cfg: ProblemConfig, u) -> np.ndarray:
+        """E_k / B_k^(p/q) of every part k at u >= 0."""
+        evaluate, _ = self.quotient(cfg)
+        return evaluate(u)[2][-1]       # E_k at B_k = 1
 
     def point_integrand(self, cfg: ProblemConfig, u) -> np.ndarray:
         """w |u|^q at every quadrature point, in the row order of Q."""

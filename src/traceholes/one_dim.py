@@ -18,17 +18,17 @@ eigenvalue of a segment of length alpha * length).  The solver and the
 sweep take the hole fraction; ``closed_form_for_hole_fraction`` does the
 bookkeeping between the two.
 
-The exhaustive sweep takes each hole's value as the lower of two warm
-chains of solves, one from each end of the interval; that is exact for
-q >= p, where the optimum sits on one of the two free parts.  Unweighted,
-the chains mirror each other, so only the first half of the holes is
-solved.
+The exhaustive sweep solves a hole's two free parts apart: for q >= p,
+(B_1 + B_2)^(p/q) <= B_1^(p/q) + B_2^(p/q), so its value is the lower of
+theirs.  For q < p the minimizer is unique (Diaz and Saa, C. R. Acad. Sci.
+Paris 305, 1987) and the hole is solved whole.  One descent solves all
+these subproblems as the parts of one grid (``Operators`` with ``parts``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -98,21 +98,29 @@ class LimitResult:
     converged: bool
 
 
-def _limit_operators(problem: OneDimProblem, x: np.ndarray) -> Operators:
-    """The shared P1 operators on the grid, with the denominator's
-    quadrature on the cells and the rho/beta weights folded in."""
-    rho = problem.rho or (lambda x: np.ones_like(x))
-    beta = problem.beta or (lambda x: np.ones_like(x))
-    rho_n = np.asarray(rho(x), dtype=float)
+# Nodes per batched solve of a sweep, whose parts grow as n_cells^2.  The
+# factor's workspace grows with the batch: one batch of the 256-cell sweep
+# (6305 nodes) raised a verify-1d run's peak memory by about 4 MB, and
+# batches of 2048 nodes by about 1 MB.
+_BATCH_NODES = 2048
+
+
+def _limit_operators(problem: OneDimProblem, x: np.ndarray,
+                     parts: Optional[np.ndarray] = None) -> Operators:
+    """The P1 operators on cells joining consecutive nodes x (of the same
+    part, with ``parts``), the denominator's quadrature on the cells and
+    the rho/beta weights folded in."""
+    rho_n = np.asarray((problem.rho or np.ones_like)(x), dtype=float)
     if np.any(rho_n <= 0):
         raise ValueError("rho must be positive for a weighted norm")
-    beta_n = np.asarray(beta(x), dtype=float)
+    beta_n = np.asarray((problem.beta or np.ones_like)(x), dtype=float)
     if np.any(beta_n < 0):
         raise ValueError("beta must be nonnegative")
-    n = x.size - 1
-    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    return Operators(x.reshape(-1, 1), cells, cells, np.diff(x),
-                     rho=rho_n, beta=beta_n)
+    first = (np.arange(x.size - 1) if parts is None
+             else np.flatnonzero(parts[:-1] == parts[1:]))
+    cells = np.column_stack([first, first + 1])
+    return Operators(x.reshape(-1, 1), cells, cells, np.diff(x)[first],
+                     rho=rho_n, beta=beta_n, parts=parts)
 
 
 def _limit_grid(problem: OneDimProblem, n_cells: int) -> np.ndarray:
@@ -122,8 +130,7 @@ def _limit_grid(problem: OneDimProblem, n_cells: int) -> np.ndarray:
 
 
 def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
-                        n_cells: int,
-                        init: Optional[np.ndarray] = None) -> LimitResult:
+                        n_cells: int) -> LimitResult:
     """Minimize the weighted interior quotient with the field vanishing on
     all nodes of the sub-interval hole."""
     x = _limit_grid(problem, n_cells)
@@ -135,23 +142,10 @@ def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
     if abs((hi - lo) - target) > h + 1e-9 * h:
         raise ValueError(
             f"hole measure {hi - lo} does not match alpha within one cell")
-    return _solve_on_grid(problem, x, _limit_operators(problem, x),
-                          problem.config(), hole, init)
-
-
-def _solve_on_grid(problem: OneDimProblem, x: np.ndarray, ops: Operators,
-                   cfg: ProblemConfig, hole: Tuple[float, float],
-                   init: Optional[np.ndarray]) -> LimitResult:
-    """The hole's solve on a grid whose operators and config the caller
-    built, so a sweep over holes builds them once."""
-    lo, hi = hole
-    h = (problem.b - problem.a) / (x.size - 1)
-    tol = 1e-9 * h
-    constrained = (x >= lo - tol) & (x <= hi + tol)
-    free = ~constrained
+    free = (x < lo - 1e-9 * h) | (x > hi + 1e-9 * h)
     if not np.any(free):
         raise ValueError("hole covers the whole interval")
-    res = ops.solve(cfg, free, init)
+    res = _limit_operators(problem, x).solve(problem.config(), free)
     return LimitResult(res.value, res.u, x, (lo, hi), res.iterations,
                        res.converged)
 
@@ -165,63 +159,59 @@ class HoleSweep:
     converged: bool             # every solve of the sweep converged
 
 
-def _warm_chain(problem: OneDimProblem, x: np.ndarray, ops: Operators,
-                cfg: ProblemConfig, holes) -> Tuple[list, bool]:
-    """The holes' values, each solve after the first started from the
-    previous hole's extremal and given ten times the iterations of the
-    cold first.  A warm start that does not converge is solved again cold,
-    and the next hole starts from the cold result.  Also returns whether
-    every solve of the chain converged."""
-    result = _solve_on_grid(problem, x, ops, cfg, holes[0], None)
-    # a warm start needing more has stalled (p = 1.5: 3044 against 45)
-    warm = replace(cfg, max_inner_iterations=min(
-        cfg.max_inner_iterations, 10 * max(result.iterations, 1)))
-    values, converged = [result.value], result.converged
-    for hole in holes[1:]:
-        init = result.extremal
-        result = _solve_on_grid(problem, x, ops, warm, hole, init)
-        if not result.converged:
-            result = _solve_on_grid(problem, x, ops, cfg, hole, None)
-        values.append(result.value)
-        converged = converged and result.converged
-    return values, converged
+def _solve_parts(problem: OneDimProblem, x: np.ndarray, c: int,
+                 parts) -> Tuple[np.ndarray, bool]:
+    """Each part's value and whether their one solve converged.  Part
+    (s, i, j) is the grid's nodes i..j, with those of hole s (s..s+c) fixed."""
+    sizes = [j - i + 1 for _, i, j in parts]
+    nodes = np.concatenate([np.arange(i, j + 1) for _, i, j in parts])
+    hole = np.repeat([s for s, _, _ in parts], sizes)
+    ops = _limit_operators(problem, x[nodes],
+                           np.repeat(np.arange(len(parts)), sizes))
+    cfg = problem.config()
+    res = ops.solve(cfg, (nodes < hole) | (nodes > hole + c))
+    return ops.part_quotients(cfg, res.u), res.converged
 
 
 def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
     """Exhaustive sweep over cell-aligned holes of the target measure.
 
-    The grid, its operators and the config are built once.  Each hole's
-    value is the lower of two warm chains (see ``_warm_chain``): one
-    starts cold at the left-end hole and moves right, the other starts
-    cold at the right-end hole and moves left.  A warm start stays on the
-    free part it started on, so past the middle one chain alone would
-    report the shrinking part's value; each chain is right on the half
-    where its part is the larger one.  Taking the lower value is exact
-    when the optimum sits on one free part, which holds for q >= p.
-
-    Unweighted (rho and beta both None), the flip x -> a + b - x maps one
-    chain onto the other, so only the left chain runs, over the first
-    ceil(N/2) of the N holes, and hole N-1-s takes hole s's value.
-    ``converged`` is true when every solve converged; ties in the best
-    value go to the first hole."""
+    Each hole leaves m free cells.  Its subproblems (module docstring),
+    solved as the parts of one grid per ``_BATCH_NODES`` nodes, are:
+    unweighted at q >= p, the free segment of each length L from ceil(m/2)
+    to m, whose value hole s takes at L = max(s, m - s) (a segment's
+    fields extend by zero to longer ones); weighted at q >= p, both free
+    parts of every hole but those where beta vanishes; at q < p, every
+    hole on a copy of the whole grid.  Unweighted, hole m - s takes hole
+    s's value (the flip x -> a + b - x), so a tie goes to the first hole.
+    ``converged`` is true when every batch converged."""
     x = _limit_grid(problem, n_cells)
-    ops = _limit_operators(problem, x)
-    cfg = problem.config()
-    forms_h = (problem.b - problem.a) / n_cells
     c = max(1, round(problem.alpha * n_cells))
-    n = n_cells - c + 1
-    holes = [(problem.a + s * forms_h, problem.a + (s + c) * forms_h)
-             for s in range(n)]
-    if problem.rho is None and problem.beta is None:
-        left, converged = _warm_chain(problem, x, ops, cfg,
-                                      holes[:(n + 1) // 2])
-        values = np.array(left + left[:n // 2][::-1])
+    m = n_cells - c
+    if m < 1:
+        raise ValueError("hole covers the whole interval")
+    mirror = problem.rho is None and problem.beta is None
+    if problem.q < problem.p:
+        parts = [(s, 0, n_cells) for s in range(m // 2 + 1 if mirror else m + 1)]
+    elif mirror:
+        parts = [(s, 0, s) for s in range((m + 1) // 2, m + 1)]
     else:
-        left, left_converged = _warm_chain(problem, x, ops, cfg, holes)
-        right, right_converged = _warm_chain(problem, x, ops, cfg,
-                                             holes[::-1])
-        values = np.minimum(left, right[::-1])
-        converged = left_converged and right_converged
+        weighted = np.asarray((problem.beta or np.ones_like)(x)) > 0
+        parts = [(s, i, j) for s in range(m + 1)
+                 for i, j in ((0, s), (s + c, n_cells))
+                 if i < j and weighted[i:j + 1].any()]
+    values, converged = np.full(m + 1, np.inf), True
+    batch = np.cumsum([j - i + 1 for _, i, j in parts]) // _BATCH_NODES
+    for b in np.unique(batch):
+        chunk = [part for part, k in zip(parts, batch) if k == b]
+        chunk_values, chunk_converged = _solve_parts(problem, x, c, chunk)
+        np.minimum.at(values, [s for s, _, _ in chunk], chunk_values)
+        converged = converged and chunk_converged
+    values = np.minimum(values, values[::-1]) if mirror else values
+    if np.isinf(values).any():
+        raise ValueError("beta vanishes on both free parts of a hole")
+    h = (problem.b - problem.a) / n_cells
+    holes = [(problem.a + s * h, problem.a + (s + c) * h) for s in range(m + 1)]
     best = int(np.argmin(values))
     return HoleSweep(holes[best], float(values[best]),
                      np.array([lo for lo, _ in holes]), values, converged)

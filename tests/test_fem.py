@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceholes.fem import (
-    NotAdmissibleError, ProblemConfig, boundary_norm_q, energy,
+    NotAdmissibleError, Operators, ProblemConfig, boundary_norm_q, energy,
     energy_gradient, forms, quotient_gradient, rayleigh_quotient,
 )
 from traceholes.geometry import (
@@ -324,3 +324,89 @@ def test_density_is_fresh_for_every_changeable_array(square):
     # and for another epsilon
     other = ProblemConfig(3, 2, epsilon=0.5)
     assert energy(square, other, w) == energy(square, other, w.copy())
+
+
+def _interval(n_cells, h, fixed):
+    """(vertices, cells, cell measures, free mask) of n_cells cells of
+    width h with the field fixed at node ``fixed``."""
+    x = np.arange(n_cells + 1) * h
+    cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
+    return x.reshape(-1, 1), cells, np.diff(x), np.arange(n_cells + 1) != fixed
+
+
+def _union(*grids):
+    """The disjoint union of (vertices, cells, measures, free) grids whose
+    quadrature runs on the cells, and a part label per vertex."""
+    offsets = np.cumsum([0] + [g[0].shape[0] for g in grids[:-1]])
+    cells = np.concatenate([g[1] + k for g, k in zip(grids, offsets)])
+    labels = np.repeat(np.arange(len(grids)), [g[0].shape[0] for g in grids])
+    return (np.concatenate([g[0] for g in grids]), cells,
+            np.concatenate([g[2] for g in grids]),
+            np.concatenate([g[3] for g in grids]), labels)
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 1.5), (2, 2), (3, 3), (1.5, 2), (3, 2)])
+def test_parts_give_their_separate_solves(p, q):
+    # one descent over two grids of different lengths: each part's
+    # quotient is that of its own solve, and the value is their sum
+    cfg = ProblemConfig(p, q)
+    grids = (_interval(40, 1 / 40, 40), _interval(70, 1 / 64, 0))
+    alone = [Operators(v, c, c, m).solve(cfg, free) for v, c, m, free in grids]
+    assert all(res.converged for res in alone)
+    vertices, cells, measures, free, labels = _union(*grids)
+    ops = Operators(vertices, cells, cells, measures, parts=labels)
+    res = ops.solve(cfg, free)
+    assert res.converged
+    values = ops.part_quotients(cfg, res.u)
+    assert values == pytest.approx([r.value for r in alone], rel=1e-12, abs=0)
+    assert res.value == pytest.approx(values.sum(), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_parts_of_planar_meshes_give_their_separate_solves(p):
+    # the part labels of the gradient rows repeat per component
+    cfg = ProblemConfig(p, 2)
+    meshes = [generate_mesh(Rectangle(1, 1), 0.25),
+              generate_mesh(Rectangle(2, 1), 0.25)]
+    holes = [make_hole_from_arc(mesh, 0.0, 0.25 * mesh.perimeter)
+             for mesh in meshes]
+    frees = [free_dof_mask(mesh, hole) for mesh, hole in zip(meshes, holes)]
+    alone = [forms(mesh).solve(cfg, free) for mesh, free in zip(meshes, frees)]
+    offset = meshes[0].n_vertices
+    ops = Operators(
+        np.concatenate([mesh.vertices for mesh in meshes]),
+        np.concatenate([meshes[0].cells, meshes[1].cells + offset]),
+        np.concatenate([meshes[0].boundary, meshes[1].boundary + offset]),
+        np.concatenate([mesh.facet_lengths for mesh in meshes]),
+        parts=np.repeat([0, 1], [mesh.n_vertices for mesh in meshes]))
+    res = ops.solve(cfg, np.concatenate(frees))
+    assert res.converged and all(r.converged for r in alone)
+    assert ops.part_quotients(cfg, res.u) == pytest.approx(
+        [r.value for r in alone], rel=1e-12, abs=0)
+
+
+def test_one_part_is_the_mesh_without_parts():
+    cfg = ProblemConfig(3, 2)
+    vertices, cells, measures, free = _interval(50, 1 / 50, 50)
+    plain = Operators(vertices, cells, cells, measures)
+    one = Operators(vertices, cells, cells, measures,
+                    parts=np.zeros(51, dtype=int))
+    value = plain.solve(cfg, free).value
+    assert one.solve(cfg, free).value == pytest.approx(value, rel=1e-14)
+    assert one.part_quotients(cfg, plain.solve(cfg, free).u) \
+        == pytest.approx([value], rel=1e-14)
+
+
+def test_parts_are_checked():
+    vertices, cells, measures, _, labels = _union(
+        _interval(8, 1 / 8, 8), _interval(6, 1 / 6, 0))
+    # from x = 0 on part 1 to x = 1 on part 0
+    bridge, bridge_measures = np.vstack([cells, [[9, 8]]]), np.append(measures, 1.0)
+    for cell_set in (bridge, cells):    # a cell, then a quadrature simplex
+        with pytest.raises(ValueError, match="straddles two parts") as err:
+            Operators(vertices, cell_set, bridge, bridge_measures, parts=labels)
+        assert "\n" not in str(err.value)
+    beta = np.where(labels == 1, 0.0, 1.0)
+    with pytest.raises(ValueError, match="no denominator weight") as err:
+        Operators(vertices, cells, cells, measures, beta=beta, parts=labels)
+    assert "\n" not in str(err.value)

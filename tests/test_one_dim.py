@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from traceholes import one_dim
+from traceholes.fem import Operators, ProblemConfig
 from traceholes.one_dim import (
     OneDimProblem, closed_form_for_hole_fraction, closed_form_limit_constant,
     optimize_limit_hole, solve_limit_problem,
@@ -128,46 +128,117 @@ def test_swept_optimum_strictly_increasing_in_alpha():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+def _segment_value(p, q, n_cells, h):
+    """The one-part subproblem solved alone: n_cells free cells of width h
+    with the field fixed at zero on the right end node."""
+    x = np.arange(n_cells + 1) * h
+    cells = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
+    ops = Operators(x.reshape(-1, 1), cells, cells, np.diff(x))
+    res = ops.solve(ProblemConfig(p, q), np.arange(n_cells + 1) < n_cells)
+    assert res.converged
+    return res.value
+
+
+def _batches(monkeypatch):
+    """Record the parts (s, i, j) of every batched solve of a sweep."""
+    batches = []
+    solve = one_dim._solve_parts
+
+    def recorded(problem, x, c, parts):
+        batches.append(parts)
+        return solve(problem, x, c, parts)
+
+    monkeypatch.setattr(one_dim, "_solve_parts", recorded)
+    return batches
+
+
+def _both_parts(m, c):
+    """The parts (s, i, j) of every hole s: nodes 0..s and s+c..m+c."""
+    return [part for s in range(m + 1)
+            for part in ((s, 0, s), (s, s + c, m + c)) if part[1] < part[2]]
+
+
 def test_sweep_builds_its_operators_once(monkeypatch):
+    # one union grid of the 17 segments of 16..32 free cells
     calls = []
     build = one_dim._limit_operators
 
-    def counted(problem, x):
-        calls.append(x.size)
-        return build(problem, x)
+    def counted(problem, x, parts=None):
+        calls.append((x.size, np.unique(parts).size))
+        return build(problem, x, parts)
 
     monkeypatch.setattr(one_dim, "_limit_operators", counted)
     sweep = optimize_limit_hole(OneDimProblem(0, 1, 2, 2, 0.5), 64)
     assert sweep.values.size == 33
-    assert calls == [65]
+    assert calls == [(sum(L + 1 for L in range(16, 33)), 17)]
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_sweep_equals_chained_warm_solves(p):
-    # the sweep's shared grid changes no bit of a chain of public solves,
-    # each warm-started from the previous hole's extremal, over the first
-    # half of the holes; the second half mirrors the first exactly
-    problem = OneDimProblem(0, 1, p, p, 0.3)
+def test_sweep_batches_hold_the_node_budget(monkeypatch):
+    # a smaller budget splits the parts into consecutive batches, each
+    # within the budget plus its last part, and changes no row beyond
+    # the stopping tolerance
+    problem = OneDimProblem(0, 1, 3, 3, 0.5, beta=lambda x: 1.0 + x)
+    whole = optimize_limit_hole(problem, 64)
+    batches = _batches(monkeypatch)
+    monkeypatch.setattr(one_dim, "_BATCH_NODES", 300)
+    split = optimize_limit_hole(problem, 64)
+    assert len(batches) > 1
+    assert [part for batch in batches for part in batch] == _both_parts(32, 32)
+    for batch in batches:
+        sizes = [j - i + 1 for _, i, j in batch]
+        assert sum(sizes[1:]) < 300
+    assert split.converged
+    assert split.values == pytest.approx(whole.values, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 1.5), (2, 2), (3, 3), (1.5, 2)])
+def test_sweep_equals_one_part_solves(p, q):
+    # at q >= p each row is the lower of its hole's two one-part minima,
+    # which is the longer part's; the rows read the same backwards
+    problem = OneDimProblem(0, 1, p, q, 0.3)
     n = 64
     sweep = optimize_limit_hole(problem, n)
-    h, c = 1.0 / n, round(0.3 * n)
-    n_holes = n - c + 1
-    values, init = [], None
-    for s in range((n_holes + 1) // 2):
-        res = solve_limit_problem(problem, (s * h, (s + c) * h), n, init=init)
-        assert res.converged
-        values.append(res.value)
-        init = res.extremal
-    assert sweep.values[:len(values)].tolist() == values
+    m = n - round(0.3 * n)
+    oracle = {L: _segment_value(p, q, L, 1 / n)
+              for L in range((m + 1) // 2, m + 1)}
+    expected = [oracle[max(s, m - s)] for s in range(m + 1)]
+    assert sweep.converged
+    assert sweep.values == pytest.approx(expected, rel=1e-12, abs=0)
+    assert sweep.values.tolist() == sweep.values[::-1].tolist()
+
+
+def test_sweep_middle_row_at_q_above_p_is_the_one_part_value():
+    # at q > p the middle hole's two 64-cell parts tie; the symmetric
+    # critical point with the field on both parts (12.8387) is a saddle
+    problem = OneDimProblem(0, 1, 1.5, 2, 0.5)
+    sweep = optimize_limit_hole(problem, 256)
+    assert sweep.starts[64] == 0.25
+    one_part = _segment_value(1.5, 2, 64, 1 / 256)
+    assert one_part == pytest.approx(10.7960503021, rel=1e-10)
+    assert sweep.values[64] == pytest.approx(one_part, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p,q", [(2, 1.5), (3, 2)])
+def test_sweep_at_q_below_p_equals_cold_solves(p, q):
+    # at q < p the minimizer is unique: every hole is solved on a copy of
+    # the whole grid, and its row is a cold full-grid solve
+    problem = OneDimProblem(0, 1, p, q, 0.5)
+    n = 64
+    sweep = optimize_limit_hole(problem, n)
+    h = 1 / n
+    cold = [solve_limit_problem(problem, (s * h, (s + 32) * h), n).value
+            for s in range(33)]
+    assert sweep.converged
+    assert sweep.values == pytest.approx(cold, rel=1e-12, abs=0)
     assert sweep.values.tolist() == sweep.values[::-1].tolist()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("p", [2, 3])
 def test_sweep_equals_cold_solves(p, weighted):
-    # a single warm chain stays on the free part it started on, which past
-    # the middle is the smaller one; at p = 3 it reported values more
-    # than 1e5 times too large there
+    # at q = p a cold full-grid solve finds the minimum on the larger
+    # free part, past the middle hole too (where a single warm chain once
+    # reported values more than 1e5 times too large at p = 3)
     beta = (lambda x: 1.0 + x) if weighted else None
     problem = OneDimProblem(0, 1, p, p, 0.5, beta=beta)
     n = 128
@@ -178,88 +249,53 @@ def test_sweep_equals_cold_solves(p, weighted):
     assert sweep.values == pytest.approx(cold, rel=1e-12, abs=0)
 
 
-def _counted_solves(monkeypatch):
-    """Record (hole, warm start, converged) of every 1D grid solve."""
-    calls = []
-    solve = one_dim._solve_on_grid
-
-    def counted(problem, x, ops, cfg, hole, init):
-        result = solve(problem, x, ops, cfg, hole, init)
-        calls.append((hole, init is not None, result.converged))
-        return result
-
-    monkeypatch.setattr(one_dim, "_solve_on_grid", counted)
-    return calls
-
-
-def _first_attempts(calls):
-    """The holes in solve order, without the cold retries: a retry is
-    the cold solve that directly follows its hole's unconverged warm
-    start."""
-    return [hole for i, (hole, warm, _) in enumerate(calls)
-            if warm or not (i and calls[i - 1][0] == hole
-                            and calls[i - 1][1] and not calls[i - 1][2])]
-
-
 @pytest.mark.parametrize("p", [1.5, 3])
 def test_unweighted_sweep_solves_half_of_its_holes(monkeypatch, p):
-    calls = _counted_solves(monkeypatch)
+    # one part per hole s >= m/2: its free segment of s cells left of it,
+    # whose value also serves the mirror hole m - s
+    batches = _batches(monkeypatch)
     sweep = optimize_limit_hole(OneDimProblem(0, 1, p, p, 0.5), 64)
     assert sweep.values.size == 33
-    starts = [lo for lo, _ in _first_attempts(calls)]
-    assert starts == sweep.starts[:17].tolist()
+    assert batches == [[(s, 0, s) for s in range(16, 33)]]
 
 
-def test_weighted_sweep_solves_every_hole_in_both_chains(monkeypatch):
-    calls = _counted_solves(monkeypatch)
+def test_weighted_sweep_solves_both_parts_of_every_hole(monkeypatch):
+    batches = _batches(monkeypatch)
     problem = OneDimProblem(0, 1, 3, 3, 0.5, beta=lambda x: 1.0 + x)
     sweep = optimize_limit_hole(problem, 64)
-    starts = [lo for lo, _ in _first_attempts(calls)]
-    assert starts == sweep.starts.tolist() + sweep.starts[::-1].tolist()
+    assert sweep.values.size == 33
+    assert batches == [_both_parts(32, 32)]
 
 
-def test_sweep_retries_an_unconverged_warm_start_cold(monkeypatch):
-    # the warm start of the third hole is cut to one iteration, which
-    # cannot pass the stopping test (it needs a full window of values);
-    # solved again cold, that hole converges, with a cold solve's value
-    problem = OneDimProblem(0, 1, 1.5, 1.5, 0.5)
-    h = 1 / 200
-    stalled = (2 * h, 102 * h)
-    solve = one_dim._solve_on_grid
-
-    def stall(problem, x, ops, cfg, hole, init):
-        if init is not None and hole == stalled:
-            cfg = replace(cfg, max_inner_iterations=1)
-        return solve(problem, x, ops, cfg, hole, init)
-    monkeypatch.setattr(one_dim, "_solve_on_grid", stall)
-    calls = _counted_solves(monkeypatch)
-    sweep = optimize_limit_hole(problem, 200)
-    assert len(calls) > len(_first_attempts(calls))
-    assert (stalled, True, False) in calls and (stalled, False, True) in calls
+def test_weighted_sweep_drops_weightless_parts(monkeypatch):
+    # beta vanishes left of 0.3: the left part of every hole starting
+    # before cell 20 carries no weight and is not solved, and each hole
+    # keeps its weighted right part
+    batches = _batches(monkeypatch)
+    problem = OneDimProblem(0, 1, 2, 2, 0.5, beta=lambda x: (x > 0.3) * 1.0)
+    n = 64
+    sweep = optimize_limit_hole(problem, n)
+    (parts,) = batches
+    left = sorted(s for s, i, _ in parts if i == 0)
+    assert left == list(range(20, 33))
+    assert sorted(s for s, i, _ in parts if i > 0) == list(range(32))
+    h = 1 / n
+    cold = [solve_limit_problem(problem, (s * h, (s + 32) * h), n).value
+            for s in range(33)]
     assert sweep.converged
-    assert sweep.values[2] == solve_limit_problem(problem, stalled, 200).value
-    lo, hi = sweep.best_hole
-    assert lo <= 1 / 400 or hi >= 1 - 1 / 400
+    assert sweep.values == pytest.approx(cold, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("p,alpha,n", [(1.5, 0.5, 200), (3, 0.3, 64)])
-def test_warm_starts_get_ten_times_the_cold_first_solve(monkeypatch, p,
-                                                        alpha, n):
-    # a warm start past its budget is solved again cold under the full cap
-    caps = []
-    solve = one_dim._solve_on_grid
+def test_weighted_sweep_rejects_a_hole_without_weight():
+    problem = OneDimProblem(0, 1, 2, 2, 0.5,
+                            beta=lambda x: (abs(x - 0.5) < 0.1) * 1.0)
+    with pytest.raises(ValueError, match="both free parts"):
+        optimize_limit_hole(problem, 64)
 
-    def capped(problem, x, ops, cfg, hole, init):
-        result = solve(problem, x, ops, cfg, hole, init)
-        caps.append((init is not None, cfg.max_inner_iterations,
-                     result.iterations, result.converged))
-        return result
-    monkeypatch.setattr(one_dim, "_solve_on_grid", capped)
-    optimize_limit_hole(OneDimProblem(0, 1, p, p, alpha), n)
-    first_cold = caps[0][2]
-    assert not caps[0][0] and caps[0][1] == 20000
-    for i, (warm, cap, _, _) in enumerate(caps[1:], 1):
-        if warm:
-            assert cap == 10 * first_cold
-        else:   # a cold retry follows its hole's unconverged warm start
-            assert cap == 20000 and caps[i - 1][0] and not caps[i - 1][3]
+
+def test_sweep_flags_an_unconverged_batch():
+    # the batch is held to the problem's iteration cap
+    problem = OneDimProblem(0, 1, 3, 3, 0.5, max_inner_iterations=5)
+    sweep = optimize_limit_hole(problem, 64)
+    assert not sweep.converged
+    assert np.all(np.isfinite(sweep.values))

@@ -493,7 +493,9 @@ def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
     assert cold.iterations >= 30
     assert len(calls) == 1 + cold.iterations // 30
     del calls[:]
-    warm = solve_limit_problem(problem, (0.25, 0.75), 128, init=cold.extremal)
+    x = _limit_grid(problem, 128)
+    warm = _limit_operators(problem, x).solve(
+        problem.config(), (x < 0.25) | (x > 0.75), init=cold.extremal)
     assert warm.converged and warm.iterations >= 30
     assert len(calls) == 1 + warm.iterations // 30
 
@@ -532,6 +534,8 @@ def test_wrong_length_init_is_rejected(disk_coarse):
     with pytest.raises(ValueError, match="wrong length"):
         solve_trace_constant(disk_coarse, ProblemConfig(2, 2), hole,
                              init=np.ones(disk_coarse.n_vertices + 1))
+    problem = OneDimProblem(0, 1, 2, 2, 0.5)
+    x = _limit_grid(problem, 64)
     with pytest.raises(ValueError, match="wrong length"):
-        solve_limit_problem(OneDimProblem(0, 1, 2, 2, 0.5), (0.5, 1.0), 64,
-                            init=np.ones(64))
+        _limit_operators(problem, x).solve(problem.config(), x < 0.5,
+                                           init=np.ones(64))
