@@ -9,13 +9,17 @@ so B = 1, which is exact because both forms are homogeneous.
 Steps go along the gradient preconditioned by an SPD elliptic metric
 (stiffness plus lumped mass, passed as a sparse matrix); without it the
 raw quotient gradient needs O(1/h^2) iterations on fine meshes.  The
-metric's factor is single precision: it only shapes the step, while the
-gradient, line search, metric products and stopping test stay float64
-(Carson and Higham, SIAM J. Sci. Comput. 40, 2018).  At p = 2 the metric
-is fixed.  Otherwise the caller passes a callback for the lagged metric,
-whose weights are the p-Laplacian's coefficients frozen at the iterate,
-and the descent refactors it every REFRESH iterations (a relaxed Kacanov
-iteration: Diening, Fornasier, Tomasi and Wank, Numer. Math. 145, 2020).
+metric's factor is single precision: SuperLU gets the float32 free block,
+cut once from the symmetric CSR metric and read as CSC over the cut's
+arrays.  It only shapes the step, while the gradient, line search, metric
+products and stopping test stay float64 (Carson and Higham, SIAM J. Sci.
+Comput. 40, 2018); the BB step's metric products multiply the full
+metric by the full-length step, which is zero off the free set.  At
+p = 2 the metric is fixed.  Otherwise the caller passes a callback for
+the lagged metric, whose weights are the p-Laplacian's coefficients
+frozen at the iterate, and the descent refactors it every REFRESH
+iterations (a relaxed Kacanov iteration: Diening, Fornasier, Tomasi and
+Wank, Numer. Math. 145, 2020).
 Step lengths are Barzilai-Borwein in the current metric with a
 nonmonotone halving line search: a step is accepted when its value is at
 most the largest of the last WINDOW values, and the search gives up after
@@ -51,38 +55,46 @@ def _delta(rel_gnorm: float) -> float:
 
 @dataclass
 class Preconditioner:
-    """Factorized SPD metric: solve applies P^{-1}, matvec applies P."""
+    """Factorized SPD metric: solve applies P^{-1}."""
 
     solve: Callable[[np.ndarray], np.ndarray]
-    matvec: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def restricted(cls, metric, free: np.ndarray) -> "Preconditioner":
-        """Single-precision LU factor of a sparse SPD metric's free block,
-        whose ``matvec`` stays on the float64 block.
+        """Single-precision LU factor of a symmetric sparse SPD metric's
+        free block.
 
         SPD needs no pivoting, so SuperLU runs in symmetric mode: a minimum
         degree ordering of P + Pᵀ and diagonal pivots.  On disk meshes this
         cuts the fill and factor time of the default unsymmetric column
         ordering by about 40% and the triangular-solve time by half.
         """
-        P = _free_block(metric, free)
-        lu = spla.splu(P.astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(_free_block(metric, free), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        return cls(solve=lambda b: lu.solve(b.astype(np.float32)),
-                   matvec=lambda x: P @ x)
+        return cls(solve=lambda b: lu.solve(b.astype(np.float32)))
 
 
 def _free_block(metric, free: np.ndarray):
-    """``metric[np.ix_(idx, idx)].tocsc()`` of a CSR metric and the free
-    indices idx, with the same arrays: masks keep each row's entries in order."""
+    """The float32 block ``metric[np.ix_(idx, idx)]`` of a symmetric CSR
+    metric at the free indices idx, read as CSC: the CSR arrays of the cut
+    are the CSC arrays of its transpose, which is the block.  Masks keep
+    each row's entries in order; every row holds at least its diagonal."""
     idx = free.nonzero()[0]
-    keep = np.repeat(free, np.diff(metric.indptr)) & free[metric.indices]
-    indptr = np.append(0, np.cumsum(keep))[metric.indptr[np.append(idx, free.size)]]
-    renumber = np.cumsum(free) - 1
-    return sp.csr_matrix(
-        (metric.data[keep], renumber[metric.indices[keep]], indptr),
-        shape=(idx.size, idx.size)).tocsc()
+    renumber = np.full(free.size, -1, dtype=metric.indices.dtype)
+    renumber[idx] = np.arange(idx.size)
+    col = renumber[metric.indices]      # -1 in the fixed columns
+    keep = col >= 0
+    keep &= np.repeat(free, np.diff(metric.indptr))
+    indptr = np.zeros(idx.size + 1, dtype=metric.indptr.dtype)
+    np.cumsum(np.add.reduceat(keep, metric.indptr[:-1])[idx], out=indptr[1:])
+    return sp.csc_matrix((metric.data[keep].astype(np.float32), col[keep], indptr),
+                         shape=(idx.size, idx.size))
+
+
+def _metric_norm2(metric, s: np.ndarray) -> float:
+    """<s, s>_P of a step s that is zero off the free set, through the
+    full metric: on the free set it is the free block's product."""
+    return float(s @ (metric @ s))
 
 
 @dataclass
@@ -130,8 +142,9 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
             raise ValueError("init field has the wrong length")
         u[free] = np.maximum(u[free], 1e-12 * max(float(u.max()), 1.0))
     u[~free] = 0.0
-    precond = (None if metric is not None and init is not None
-               else Preconditioner.restricted(fixed, free))
+    # the metric P of the current factor, whose products give <s, s>_P
+    P = None if metric is not None and init is not None else fixed
+    precond = None if P is None else Preconditioner.restricted(P, free)
 
     def grad_at(u, E, product):
         g = gradient(u, E, product)
@@ -143,9 +156,6 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
         d[free] = precond.solve(g[free])
         return d
 
-    def metric_norm2(s):
-        return float(s[free] @ precond.matvec(s[free]))
-
     u, E, product = evaluate(u)
     g = grad_at(u, E, product)
     del product     # each product goes before the next is made
@@ -156,7 +166,8 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
         return DescentResult(best_u, best_val, 0, True, values)
     gnorm0 = gnorm
     if precond is None:
-        precond = Preconditioner.restricted(metric(u, DELTA_MAX), free)
+        P = metric(u, DELTA_MAX)
+        precond = Preconditioner.restricted(P, free)
 
     d = direction(g)
     alpha = 0.1 * max(float(np.linalg.norm(u)), 1.0) / max(float(np.linalg.norm(d)), 1e-30)
@@ -187,16 +198,16 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
         s = cand - u
         y = g_new - g
         if metric is not None and it % REFRESH == 0:
-            # refactor at the new iterate; the old factor goes first, and
-            # the fallback step keeps its length in the new metric
-            ss = metric_norm2(s)
-            precond = None
-            precond = Preconditioner.restricted(
-                metric(cand, _delta(gnorm / gnorm0)), free)
-            step *= metric_norm2(s) / max(ss, 1e-300)
+            # refactor at the new iterate; the old factor and metric go
+            # first, and the fallback step keeps its length in the new metric
+            ss = _metric_norm2(P, s)
+            precond = P = None
+            P = metric(cand, _delta(gnorm / gnorm0))
+            precond = Preconditioner.restricted(P, free)
+            step *= _metric_norm2(P, s) / max(ss, 1e-300)
         # BB1 in the P-metric: <s, s>_P / <s, y>_P, and <s, P d'>=<s, g'>
         sy = float(s @ y)
-        alpha = metric_norm2(s) / sy if sy > 0 else step * 2.0
+        alpha = _metric_norm2(P, s) / sy if sy > 0 else step * 2.0
         alpha = min(max(alpha, 1e-14), 1e10)
         u, E, g = cand, E_new, g_new
         d = direction(g)

@@ -197,7 +197,7 @@ def _finite(values) -> np.ndarray:
 
 class _Numbers(NamedTuple):
     """An array's shape and the ``repr`` of each of its numbers in C order
-    (the text json.dumps and csv.writer give a float), made with no Python
+    (the text json.dumps and csv.writer give a number), made with no Python
     call per number, so that files writing the same numbers share it."""
 
     shape: tuple
@@ -205,7 +205,15 @@ class _Numbers(NamedTuple):
 
     @classmethod
     def of(cls, values: np.ndarray) -> "_Numbers":
-        return cls(values.shape, tuple(map(repr, values.ravel().tolist())))
+        flat = values.ravel()
+        if (flat.dtype.kind in "iu" and flat.size and flat.min() >= 0
+                and flat.max() < flat.size):
+            # indices such as cells repeat: each value's text is made once,
+            # in a table of 0..max no longer than the array
+            n = int(flat.max()) + 1
+            table = np.fromiter(map(repr, range(n)), dtype=object, count=n)
+            return cls(values.shape, tuple(table[flat]))
+        return cls(values.shape, tuple(map(repr, flat.tolist())))
 
 
 def _json_template(shape, level=1) -> str:
@@ -442,6 +450,7 @@ def _cmd_verify_1d(spec: RunSpec):
         "fem_value": fem_res.value,
         "relative_gap": (fem_res.value - closed) / closed,
         "n_cells": spec.n_cells,
+        "sweep_n_cells": sweep_cells,
         "sweep_best_hole": [lo, hi],
         "sweep_endpoint_optimal": bool(abuts),
         "converged": fem_res.converged,
@@ -566,6 +575,10 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         else:
             setattr(spec, renamed.get(flag, flag), val)
     spec.domain = domain
+    if (spec.command == "verify-1d" and (args.q is not None or "q" in payload)
+            and spec.q != spec.p):
+        raise SpecError(f"verify-1d solves at q = p; got q = {spec.q!r} "
+                        f"with p = {spec.p!r}")
     return spec
 
 

@@ -16,7 +16,9 @@ exactly from the same quadratures.
 Every form is evaluated through one set of sparse operators per mesh
 (``Operators``): the cell-gradient matrix D, the interpolation Q to the
 quadrature points of the denominator, stacked as A = [D; Q], and the
-lumped mass.  Then
+lumped mass.  The gradients and cell measures are in closed form, the
+2x2 adjugate over the determinant (1/h in 1D), written straight into A's
+arrays.  Then
 
     E(u)  = vol . (eps^2 + |D u|^2)^(p/2) + m . |u|^p,
     dE(u) = D^T (p vol (eps^2 + |D u|^2)^((p-2)/2) D u) + p m |u|^(p-2) u,
@@ -113,13 +115,6 @@ class ProblemConfig:
                 f"for p = {self.p} in dimension {dim}")
 
 
-def _csr(data, indices, n_cols):
-    """CSR matrix whose row r holds ``data`` at the columns ``indices[r]``."""
-    n_rows, row_nnz = indices.shape
-    indptr = np.arange(0, indices.size + 1, row_nnz, dtype=np.int32)
-    return sp.csr_matrix((data, indices.ravel(), indptr), shape=(n_rows, n_cols))
-
-
 def _signed_power(x, e):
     """|x|^(e-1) x with the continuous extension 0 at x = 0 (needs e > 0)."""
     return np.sign(x) * np.abs(x) ** e
@@ -136,7 +131,8 @@ class Operators:
     Q     CSR interpolation to the quadrature points of the denominator on
           the simplices ``quad_simplices`` (row k * n + f is point k of
           simplex f); w holds the quadrature weights.
-    A     CSR [D; Q], the rows of D and then those of Q.
+    A     CSR [D; Q], the rows of D and then those of Q, built in place;
+          D and Q are views of its arrays.
 
     Optional nodal weights ``rho`` (of the energy: cell averages scale vol,
     nodal values scale mass) and ``beta`` (of the denominator, interpolated
@@ -151,29 +147,47 @@ class Operators:
 
     def __init__(self, vertices, cells, quad_simplices, quad_measures,
                  rho=None, beta=None, parts=None):
-        nv, npc = vertices.shape[0], cells.shape[1]
+        nv, (nc, npc) = vertices.shape[0], cells.shape
         self.dim = npc - 1
-        # rows of E are the edge vectors x_k - x_0; the columns of E^{-1}
-        # are the gradients of the hat functions of vertices 1..dim
+        # rows of E are the edge vectors x_k - x_0; the columns of E^{-1},
+        # the adjugate over the determinant (1/h in 1D), are the gradients
+        # of the hat functions of vertices 1..dim
         E = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
-        vol = np.linalg.det(E) / math.factorial(self.dim)
+        det = (E[:, 0, 0] if self.dim == 1
+               else E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0])
+        vol = det / math.factorial(self.dim)
         if np.any(vol <= 0):
             raise ValueError("mesh has non-positively oriented cells")
-        Einv = np.linalg.inv(E)
-        grads = np.concatenate([-Einv.sum(axis=2, keepdims=True), Einv], axis=2)
-        del E, Einv    # dense temporaries go before D and Q are built
-        D = _csr(grads.transpose(1, 0, 2).ravel(),
-                 np.tile(cells.astype(np.int32), (self.dim, 1)), nv)
-        del grads
+        # A is written in place: D's dim * nc gradient rows of npc entries,
+        # then Q's rows, one per quadrature point and simplex
         bary, weights = _RULES[quad_simplices.shape[1]]
-        Q = _csr(np.repeat(bary, quad_simplices.shape[0], axis=0).ravel(),
-                 np.tile(quad_simplices.astype(np.int32), (bary.shape[0], 1)), nv)
-        # D and Q keep views of A's arrays, so no operator is held twice
-        self.A, nnz = sp.vstack([D, Q], format="csr"), D.nnz
-        D.data, D.indices = self.A.data[:nnz], self.A.indices[:nnz]
-        D.indptr = self.A.indptr[:D.shape[0] + 1]
-        Q.data, Q.indices = self.A.data[nnz:], self.A.indices[nnz:]
-        self.D, self.Q = D, Q
+        n_grad, nnz = self.dim * nc, self.dim * nc * npc
+        points = (len(bary), len(quad_simplices), bary.shape[1])
+        data = np.empty(nnz + math.prod(points))
+        indices = np.empty(data.size, dtype=np.int32)
+        indptr = np.concatenate([
+            np.arange(0, nnz, npc, dtype=np.int32),
+            np.arange(nnz, data.size + 1, points[2], dtype=np.int32)])
+        grads = data[:nnz].reshape(self.dim, nc, npc)   # [component, cell, vertex]
+        if self.dim == 1:
+            grads[0, :, 1] = 1.0 / det
+        else:
+            grads[0, :, 1], grads[0, :, 2] = E[:, 1, 1] / det, -E[:, 0, 1] / det
+            grads[1, :, 1], grads[1, :, 2] = -E[:, 1, 0] / det, E[:, 0, 0] / det
+        del E
+        grads[:, :, 0] = -grads[:, :, 1:].sum(axis=2)
+        indices[:nnz].reshape(grads.shape)[:] = cells
+        data[nnz:].reshape(points)[:] = bary[:, None]       # [point, simplex, vertex]
+        indices[nnz:].reshape(points)[:] = quad_simplices
+        # D and Q are views of A's arrays, so no operator is held twice; they
+        # are set on empty matrices, as scipy copies a view under half its base
+        self.A = sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, nv))
+        self.D = sp.csr_matrix((n_grad, nv))
+        self.Q = sp.csr_matrix((indptr.size - 1 - n_grad, nv))
+        self.D.data, self.D.indices = data[:nnz], indices[:nnz]
+        self.D.indptr = indptr[:n_grad + 1]
+        self.Q.data, self.Q.indices = data[nnz:], indices[nnz:]
+        self.Q.indptr = indptr[n_grad:] - nnz
         self.mass = np.bincount(cells.ravel(), minlength=nv,
                                 weights=np.repeat(vol / npc, npc))
         if rho is not None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse as sp
 
 from traceholes.geometry import Disk, TangentialField, hole_arcs
 from traceholes.trace_solver import solve_trace_constant
@@ -95,6 +96,29 @@ def _cell_gradients(mesh, cell):
     c = np.array([pts[2][0] - pts[1][0], pts[0][0] - pts[2][0],
                   pts[1][0] - pts[0][0]])
     return area, np.column_stack([b, c]) / (2 * area)
+
+
+def linalg_operators(vertices, cells, quad_simplices, bary):
+    """(A = [D; Q] as CSR, cell measures, lumped mass) with the gradients
+    and measures from np.linalg.inv and np.linalg.det of the edge matrices,
+    and Q from the barycentric rows ``bary`` of the quadrature points."""
+    dim = cells.shape[1] - 1
+    E = vertices[cells[:, 1:]] - vertices[cells[:, :1]]
+    vol = np.linalg.det(E) / math.factorial(dim)
+    Einv = np.linalg.inv(E)
+    grads = np.concatenate([-Einv.sum(axis=2, keepdims=True), Einv], axis=2)
+    n = vertices.shape[0]
+
+    def rows(data, indices):
+        return sp.csr_matrix((data, indices.ravel(),
+                              np.arange(0, indices.size + 1, indices.shape[1])),
+                             shape=(indices.shape[0], n))
+    D = rows(grads.transpose(1, 0, 2).ravel(), np.tile(cells, (dim, 1)))
+    Q = rows(np.repeat(bary, len(quad_simplices), axis=0).ravel(),
+             np.tile(quad_simplices, (len(bary), 1)))
+    mass = np.zeros(n)
+    np.add.at(mass, cells, (vol / (dim + 1))[:, None])
+    return sp.vstack([D, Q], format="csr"), vol, mass
 
 
 def assemble_weighted_metric(mesh, c, c_m):

@@ -29,6 +29,36 @@ def test_verify_1d_command(tmp_path):
     assert (tmp_path / "v" / "data.csv").exists()
 
 
+@pytest.mark.parametrize("n_cells,sweep_n_cells", [(1000, 256), (64, 64)])
+def test_verify_1d_names_its_sweep_grid(tmp_path, n_cells, sweep_n_cells):
+    # the sweep runs on at most 256 cells: one row per hole start there
+    assert main(["verify-1d", "-p", "2", "--alpha", "0.5", "--n-cells",
+                 str(n_cells), "--out", str(tmp_path), "--run-id", "v"]) == 0
+    payload = read_summary(tmp_path, "v")
+    assert payload["n_cells"] == n_cells
+    assert payload["sweep_n_cells"] == sweep_n_cells
+    rows = (tmp_path / "v" / "data.csv").read_text().splitlines()[1:]
+    assert len(rows) == sweep_n_cells // 2 + 1
+
+
+def test_verify_1d_rejects_q_other_than_p(tmp_path, capsys):
+    # verify-1d solves at q = p: a -q flag or a config q that differs is
+    # invalid input, while a run that gives no q keeps the default run id
+    args = ["verify-1d", "-p", "3", "--alpha", "0.5", "--n-cells", "64",
+            "--out", str(tmp_path)]
+    assert main(args + ["-q", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "q = p" in err
+    assert main(args + ["--config", _write_config(tmp_path, {"q": 2.5})]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+    assert main(args) == 0
+    assert (tmp_path / "verify-1d-p3.0-q2.0-seed0" / "summary.json").exists()
+    assert main(args + ["-q", "3", "--run-id", "equal"]) == 0
+    assert read_summary(tmp_path, "equal")["p"] == 3.0
+
+
 def test_solve_writes_artifacts_and_schema(tmp_path):
     args = ["solve", "--domain", "disk", "--radius", "1",
             "--resolution", "0.25", "-p", "2", "-q", "2",
@@ -437,6 +467,31 @@ def test_artifact_writers_match_standard_formatters(tmp_path, domain, res):
     _write_json(tmp_path / "arrays.json", arrays)
     assert (tmp_path / "arrays.json").read_bytes() == json_text(
         {k: a.tolist() for k, a in arrays.items()}).encode()
+
+
+def test_integer_arrays_match_json_on_both_paths(tmp_path, monkeypatch):
+    # a nonnegative integer array whose max + 1 is at most its size is
+    # formatted through a table of index strings, any other by repr per
+    # element; both give json.dumps's bytes
+    mesh = generate_mesh(Disk(1.0), 0.2)
+    arrays = {"cells": mesh.cells, "boundary": mesh.boundary,
+              "far": np.array([[0, 3], [10**12, 7]]),
+              "negative": -mesh.cells[:4], "zeros": np.zeros((3, 2), np.int32),
+              "small": np.arange(6, dtype=np.uint8).reshape(2, 3)}
+    tables = []
+    fromiter = np.fromiter
+
+    def counted(values, *args, **kwargs):
+        table = fromiter(values, *args, **kwargs)
+        tables.append(table.size)
+        return table
+    monkeypatch.setattr(cli.np, "fromiter", counted)
+    _write_json(tmp_path / "arrays.json", arrays)
+    assert (tmp_path / "arrays.json").read_bytes() == json_text(
+        {k: a.tolist() for k, a in arrays.items()}).encode()
+    # sorted keys: boundary takes the fallback (its max is past its size)
+    assert mesh.boundary.max() + 1 > mesh.boundary.size
+    assert tables == [mesh.n_vertices, 6, 1]
 
 
 @pytest.mark.parametrize("domain,res", [

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceholes.fem import (
-    NotAdmissibleError, Operators, ProblemConfig, boundary_norm_q, energy,
-    energy_gradient, forms, quotient_gradient, rayleigh_quotient,
+    _RULES, NotAdmissibleError, Operators, ProblemConfig, boundary_norm_q,
+    energy, energy_gradient, forms, quotient_gradient, rayleigh_quotient,
 )
 from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh,
@@ -18,7 +18,7 @@ from traceholes.trace_solver import free_dof_mask
 
 from oracles import (
     assemble_p2_matrices, assemble_weighted_metric,
-    central_difference_gradient, lagged_weights,
+    central_difference_gradient, lagged_weights, linalg_operators,
 )
 
 
@@ -164,6 +164,51 @@ def test_h1_operator_matches_dense_assembly():
     K, Mdiag, _ = assemble_p2_matrices(mesh)
     P = forms(mesh).h1().toarray()
     assert np.allclose(P, K + np.diag(Mdiag), atol=1e-13)
+
+
+def _operator_case(case):
+    """(vertices, cells, quadrature simplices, their measures) of a mesh,
+    or of a graded 1D grid whose cells carry the quadrature."""
+    if case == "1d":
+        x = np.cumsum(np.random.default_rng(2).uniform(0.5, 2.0, 41))
+        cells = np.column_stack([np.arange(40), np.arange(1, 41)])
+        return x.reshape(-1, 1), cells, cells, np.diff(x)
+    domain, res = {"rectangle": (Rectangle(2, 1), 0.1),
+                   "thin": (ThinRectangle(0, 1, 1 / 64), 1 / 256),
+                   "disk": (Disk(1), 0.05)}[case]
+    mesh = generate_mesh(domain, res)
+    return mesh.vertices, mesh.cells, mesh.boundary, mesh.facet_lengths
+
+
+@pytest.mark.parametrize("case", ["1d", "rectangle", "thin", "disk"])
+def test_closed_form_operators_match_linalg(case):
+    # the adjugate over the determinant (1/h in 1D) gives the gradients and
+    # measures of np.linalg.inv and np.linalg.det to rounding; A has the
+    # same structure, and D and Q are views of its arrays
+    vertices, cells, quad, measures = _operator_case(case)
+    ops = Operators(vertices, cells, quad, measures)
+    A, vol, mass = linalg_operators(vertices, cells, quad,
+                                    _RULES[quad.shape[1]][0])
+    assert ops.A.format == "csr" and ops.A.shape == A.shape
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(ops.A, name), getattr(A, name))
+    for got, want in ((ops.A.data, A.data), (ops.vol, vol), (ops.mass, mass)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    n = ops.D.shape[0]
+    assert ops.D.shape == (len(cells) * (cells.shape[1] - 1), len(vertices))
+    for part, rows in ((ops.D, slice(0, n)), (ops.Q, slice(n, None))):
+        for name in ("data", "indices"):
+            assert np.shares_memory(getattr(part, name), getattr(ops.A, name))
+        assert (part != ops.A[rows]).nnz == 0
+
+
+@pytest.mark.parametrize("case", ["1d", "disk"])
+def test_flipped_cell_is_rejected(case):
+    vertices, cells, quad, measures = _operator_case(case)
+    cells = cells.copy()
+    cells[7, :2] = cells[7, 1::-1]
+    with pytest.raises(ValueError, match="non-positively oriented"):
+        Operators(vertices, cells, quad, measures)
 
 
 def test_cached_operators_do_not_keep_the_mesh_alive():

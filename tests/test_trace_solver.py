@@ -5,7 +5,7 @@ import scipy.sparse.linalg as spla
 from scipy.special import iv
 
 from traceholes import fem
-from traceholes._descent import Preconditioner, _free_block
+from traceholes._descent import Preconditioner, _metric_norm2
 from traceholes.fem import (
     NotAdmissibleError, ProblemConfig, forms,
 )
@@ -287,20 +287,25 @@ def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
     # u32, each amplified by at most the condition number kappa_2(P) to
     # first order, so the solve agrees with a dense float64 solve to
     # 3 kappa u32 (kappa is 1.6e3 on the disk and 64 on the thin mesh).
-    # The metric product stays float64.
+    # The metric product stays float64: the descent multiplies the full
+    # metric by a step that is zero off the free set, which on the free
+    # set is the block's product.
     mesh = generate_mesh(domain, res)
     hole = make_hole_from_arc(mesh, 0.0, fraction * mesh.perimeter)
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[hole.vertex_indices(mesh)] = False
-    P = forms(mesh).h1().toarray()[np.ix_(free, free)]
+    K = forms(mesh).h1()
+    P = K.toarray()[np.ix_(free, free)]
     bound = 3 * np.linalg.cond(P) * np.finfo(np.float32).eps / 2
-    pre = Preconditioner.restricted(forms(mesh).h1(), free)
+    pre = Preconditioner.restricted(K, free)
     rng = np.random.default_rng(0)
     for _ in range(3):
         b = rng.standard_normal(int(free.sum()))
         x = np.linalg.solve(P, b)
         assert np.linalg.norm(pre.solve(b) - x) <= bound * np.linalg.norm(x)
-        assert np.allclose(pre.matvec(b), P @ b, rtol=0, atol=1e-13 * np.abs(P).max())
+        s = np.zeros(mesh.n_vertices)
+        s[free] = b
+        assert np.allclose((K @ s)[free], P @ b, rtol=0, atol=1e-13 * np.abs(P).max())
 
 
 def _free_block_case(grid):
@@ -317,26 +322,37 @@ def _free_block_case(grid):
     return forms(mesh), mesh.vertices[:, 0], free
 
 
-@pytest.mark.parametrize("grid", ["disk", "square", "1d"])
-@pytest.mark.parametrize("lagged", [False, True])
-def test_restricted_hands_splu_the_fancy_indexed_block(monkeypatch, grid,
-                                                       lagged):
-    # the masked cut of the free block gives SuperLU the very arrays of
-    # metric[np.ix_(idx, idx)].tocsc(), its values cast to float32
+def _metric_case(grid, lagged):
+    """(metric, free mask) of a grid with a hole: the W^{1,2} metric or a
+    lagged one."""
     ops, x, free = _free_block_case(grid)
     metric = (ops.lagged_metric(ProblemConfig(1.5, 1.5),
                                 np.abs(np.sin(5 * x)) + 0.1, 1e-2)
               if lagged else ops.h1())
+    return metric, free
+
+
+@pytest.mark.parametrize("grid", ["disk", "square", "1d"])
+@pytest.mark.parametrize("lagged", [False, True])
+def test_restricted_hands_splu_the_fancy_indexed_block(monkeypatch, grid,
+                                                       lagged):
+    # the masked cut of the free block gives SuperLU, as CSC, the very
+    # arrays of the CSR metric[np.ix_(idx, idx)], its values cast to
+    # float32: the CSC reading is the block's transpose, which is the block
+    # to rounding, as the metric is symmetric.  The arrays are copied as
+    # handed, since SuperLU sorts unsorted indices in place.
+    metric, free = _metric_case(grid, lagged)
     handed = []
     splu = spla.splu
 
     def capture(P, **kwargs):
-        handed.append(P)
+        handed.append(P.copy())
         return splu(P, **kwargs)
     monkeypatch.setattr(spla, "splu", capture)
     Preconditioner.restricted(metric, free)
     idx = free.nonzero()[0]
-    expected = metric[np.ix_(idx, idx)].tocsc()
+    expected = metric[np.ix_(idx, idx)]
+    assert expected.format == "csr"
     assert len(handed) == 1 and handed[0].format == "csc"
     assert handed[0].shape == expected.shape
     for name in ("indptr", "indices"):
@@ -344,14 +360,33 @@ def test_restricted_hands_splu_the_fancy_indexed_block(monkeypatch, grid,
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert handed[0].data.dtype == np.float32
     assert np.array_equal(handed[0].data, expected.data.astype(np.float32))
+    block = expected.toarray()
+    assert (np.abs(handed[0].toarray() - block).max()
+            <= np.finfo(np.float32).eps * np.abs(block).max())
+
+
+@pytest.mark.parametrize("grid", ["disk", "square", "1d"])
+@pytest.mark.parametrize("lagged", [False, True])
+def test_metric_product_is_the_free_block_product(grid, lagged):
+    # <s, s>_P of a step zero off the free set, through the full metric,
+    # adds only exact zeros to the free block's product
+    metric, free = _metric_case(grid, lagged)
+    idx = free.nonzero()[0]
+    block = metric[np.ix_(idx, idx)]
+    rng = np.random.default_rng(3)
+    s = np.zeros(free.size)
+    s[free] = rng.standard_normal(idx.size)
+    want = float(s[free] @ (block @ s[free]))
+    assert _metric_norm2(metric, s) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def _float64_restricted(cls, metric, free):
-    """The preconditioner with a float64 factor, as a reference."""
-    P = _free_block(metric, free)
-    lu = spla.splu(P, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    return cls(solve=lu.solve, matvec=lambda x: P @ x)
+    """The preconditioner with a float64 factor of the fancy-indexed free
+    block, as a reference."""
+    idx = free.nonzero()[0]
+    lu = spla.splu(metric[np.ix_(idx, idx)].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return cls(solve=lu.solve)
 
 
 @pytest.mark.parametrize("case", ["disk", "thin", "1d"])
