@@ -9,9 +9,12 @@ so B = 1, which is exact because both forms are homogeneous.
 Steps go along the gradient preconditioned by an SPD elliptic metric
 (stiffness plus lumped mass, passed as a sparse matrix); without it the
 raw quotient gradient needs O(1/h^2) iterations on fine meshes.  The
-metric's factor is single precision: SuperLU gets the float32 free block,
-cut once from the symmetric CSR metric and read as CSC over the cut's
-arrays.  It only shapes the step, while the gradient, line search, metric
+metric's factor is single precision, made from the float32 free block cut
+once from the symmetric CSR metric.  A mesh whose metric has a narrow band
+in a coordinate order (``fem.Operators.order``) gets LAPACK's banded
+Cholesky (xPBTRF; George and Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981); any other hands the block to SuperLU.
+The factor only shapes the step, while the gradient, line search, metric
 products and stopping test stay float64 (Carson and Higham, SIAM J. Sci.
 Comput. 40, 2018); the BB step's metric products multiply the full
 metric by the full-length step, which is zero off the free set.  At
@@ -34,6 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 
 # The lagged metric's regularization delta (relative to the field's RMS
@@ -60,18 +64,53 @@ class Preconditioner:
     solve: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def restricted(cls, metric, free: np.ndarray) -> "Preconditioner":
-        """Single-precision LU factor of a symmetric sparse SPD metric's
-        free block.
+    def restricted(cls, metric, free: np.ndarray,
+                   order: Optional[np.ndarray] = None) -> "Preconditioner":
+        """Single-precision factor of a symmetric sparse SPD metric's free
+        block.
 
-        SPD needs no pivoting, so SuperLU runs in symmetric mode: a minimum
+        With a vertex ``order`` (a permutation of all vertices) the block is
+        renumbered in that order, restricted to the free set, scattered into
+        LAPACK's upper band storage and factored by banded Cholesky
+        (``spbtrf``, applied by ``spbtrs``); a failed factor raises, as the
+        metric is SPD.  Removing vertices from an order never widens its
+        band, so every free set of a mesh shares its order.  On the blocks
+        of a hole search SuperLU's fixed costs dominate: a banded factor of
+        disk 0.05's block takes 0.9 against 2.5 ms, of thin mu = 1/64's 0.5
+        against 1.5 ms, and its solves a quarter to a third less.
+
+        Without one, SuperLU factors the block, read as CSC over the cut's
+        arrays, in symmetric mode: SPD needs no pivoting, so a minimum
         degree ordering of P + Pᵀ and diagonal pivots.  On disk meshes this
         cuts the fill and factor time of the default unsymmetric column
         ordering by about 40% and the triangular-solve time by half.
         """
-        lu = spla.splu(_free_block(metric, free), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        return cls(solve=lambda b: lu.solve(b.astype(np.float32)))
+        block = _free_block(metric, free)
+        if order is None:
+            lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            return cls(solve=lambda b: lu.solve(b.astype(np.float32)))
+        # pos: the band position of each free index; perm: its inverse
+        at = np.empty(free.size, dtype=np.intp)
+        at[order] = np.cumsum(free[order]) - 1
+        pos = at[free]
+        perm = np.empty_like(pos)
+        perm[pos] = np.arange(pos.size)
+        row = pos[block.indices]
+        col = np.repeat(pos, np.diff(block.indptr))
+        upper = row <= col
+        offset = row[upper] - col[upper]
+        kd = -int(offset.min())
+        # LAPACK upper band storage: entry (i, j) at row kd + i - j, column j
+        ab = np.zeros((kd + 1, pos.size), dtype=np.float32, order="F")
+        ab[kd + offset, col[upper]] = block.data[upper]
+        del block, row, col, upper, offset
+        factor, info = lapack.spbtrf(ab, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"banded Cholesky failed at pivot {info}: metric not SPD")
+        return cls(solve=lambda b: lapack.spbtrs(
+            factor, b[perm].astype(np.float32))[0][pos])
 
 
 def _free_block(metric, free: np.ndarray):
@@ -107,7 +146,8 @@ class DescentResult:
 
 
 def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
-                      metric: Optional[Callable] = None) -> DescentResult:
+                      metric: Optional[Callable] = None,
+                      order: Optional[np.ndarray] = None) -> DescentResult:
     """Minimize E(u)/B(u)^(p/q) over the free DOFs.
 
     ``evaluate(u)`` returns u normalized to B = 1 (read-only), E there and a
@@ -133,6 +173,9 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
     ``fixed``, a warm start on the metric at its start field: the lagged
     metric at the constant field is a poor model, and on disks (p = 1.5,
     3) it raised cold solves from 22-32 to 59-95 iterations.
+
+    ``order``, when given, is the vertex order of a banded factor of every
+    metric (``Preconditioner.restricted``); otherwise SuperLU factors them.
     """
     if init is None:
         u = np.ones(free.size)
@@ -144,7 +187,7 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
     u[~free] = 0.0
     # the metric P of the current factor, whose products give <s, s>_P
     P = None if metric is not None and init is not None else fixed
-    precond = None if P is None else Preconditioner.restricted(P, free)
+    precond = None if P is None else Preconditioner.restricted(P, free, order)
 
     def grad_at(u, E, product):
         g = gradient(u, E, product)
@@ -167,7 +210,7 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
     gnorm0 = gnorm
     if precond is None:
         P = metric(u, DELTA_MAX)
-        precond = Preconditioner.restricted(P, free)
+        precond = Preconditioner.restricted(P, free, order)
 
     d = direction(g)
     alpha = 0.1 * max(float(np.linalg.norm(u)), 1.0) / max(float(np.linalg.norm(d)), 1e-30)
@@ -203,7 +246,7 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
             ss = _metric_norm2(P, s)
             precond = P = None
             P = metric(cand, _delta(gnorm / gnorm0))
-            precond = Preconditioner.restricted(P, free)
+            precond = Preconditioner.restricted(P, free, order)
             step *= _metric_norm2(P, s) / max(ss, 1e-300)
         # BB1 in the P-metric: <s, s>_P / <s, y>_P, and <s, P d'>=<s, g'>
         sy = float(s @ y)

@@ -529,28 +529,27 @@ def _load_config(path: str) -> dict:
 
 
 def _parser() -> argparse.ArgumentParser:
+    """One parser for every command: they all take the same flags."""
     ap = _Parser(
         prog="traceholes",
         description="Trace constants with boundary holes: solve, optimize, "
                     "and verify.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="JSON/TOML config file")
-        sp.add_argument("--domain", choices=["interval", "rectangle", "disk",
-                                             "thin"])
-        sp.add_argument("-p", type=float, dest="p")
-        sp.add_argument("-q", type=float, dest="q")
-        for flag in _DOMAIN_NUMBERS + ("resolution", "alpha", "hole-start",
-                                       "hole-length", "epsilon", "dof-tol",
-                                       "speed-amplitude"):
-            sp.add_argument("--" + flag, type=float)
-        for flag in ("alphas", "mu-values"):
-            sp.add_argument("--" + flag, type=float, nargs="+")
-        for flag in ("max-iter", "n-cells", "n-starts", "seed", "workers"):
-            sp.add_argument("--" + flag, type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--run-id")
+    ap.add_argument("command", choices=list(_DISPATCH))
+    ap.add_argument("--config", help="JSON/TOML config file")
+    ap.add_argument("--domain", choices=["interval", "rectangle", "disk",
+                                         "thin"])
+    ap.add_argument("-p", type=float, dest="p")
+    ap.add_argument("-q", type=float, dest="q")
+    for flag in _DOMAIN_NUMBERS + ("resolution", "alpha", "hole-start",
+                                   "hole-length", "epsilon", "dof-tol",
+                                   "speed-amplitude"):
+        ap.add_argument("--" + flag, type=float)
+    for flag in ("alphas", "mu-values"):
+        ap.add_argument("--" + flag, type=float, nargs="+")
+    for flag in ("max-iter", "n-cells", "n-starts", "seed", "workers"):
+        ap.add_argument("--" + flag, type=int)
+    ap.add_argument("--out")
+    ap.add_argument("--run-id")
     return ap
 
 

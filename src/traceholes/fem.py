@@ -59,6 +59,14 @@ _RULES = {
     1: (np.array([[1.0]]), np.array([1.0])),
     2: (np.array([[_G2, _G1], [_G1, _G2]]), np.array([0.5, 0.5])),
 }
+# A mesh's metrics get a banded factor when the full metric's band storage,
+# (bandwidth + 1) * n_vertices, is at most this many times its nonzeros:
+# every 1D grid (bandwidth 1), the thin meshes (5 at mu = 1/16 and 1/64) and
+# the disks at resolution 0.05 and 0.025 (bandwidth 61 and 120, ratios 9 and
+# 18).  The disk at 0.0125 (ratio 35) factors in about SuperLU's time, a
+# median of 71 against 75 ms, into a 17.8 MB band against 10.6 MB of L and
+# U, so it and finer disks keep SuperLU.
+_BAND_FILL = 24
 
 
 @dataclass
@@ -115,6 +123,23 @@ class ProblemConfig:
                 f"for p = {self.p} in dimension {dim}")
 
 
+def _band_order(vertices, parts, K) -> Optional[np.ndarray]:
+    """The vertices sorted by part, then by the coordinate of longest
+    extent, then by the other, when the metric K's band in that order is
+    narrow enough for a banded factor (``_BAND_FILL``); else None.  On a 1D
+    grid this is the natural order, and the band is tridiagonal.  Every
+    metric of a mesh has K's pattern, so K's band is theirs."""
+    x = vertices.T.copy()       # a row per axis
+    longest = np.argsort(-np.ptp(x, axis=1), kind="stable")    # ties: x first
+    keys = list(x[longest[::-1]]) + ([] if parts is None else [parts])
+    order = np.lexsort(keys)    # the last key leads
+    pos = np.empty(order.size, dtype=K.indices.dtype)
+    pos[order] = np.arange(order.size, dtype=pos.dtype)
+    # K is symmetric: its band is the widest reach of a row to its left
+    kd = int(np.max(pos - np.minimum.reduceat(pos[K.indices], K.indptr[:-1])))
+    return order if (kd + 1) * order.size <= _BAND_FILL * K.nnz else None
+
+
 def _signed_power(x, e):
     """|x|^(e-1) x with the continuous extension 0 at x = 0 (needs e > 0)."""
     return np.sign(x) * np.abs(x) ** e
@@ -143,6 +168,9 @@ class Operators:
     Vertex labels ``parts`` (0..k-1) split the mesh into weighted parts
     that share no simplex; ``solve`` then minimizes each part's quotient at
     once, with the step and the lagged metric's delta shared by all.
+
+    order The vertex order of the metrics' banded factor, or None for
+          SuperLU; set at the first ``h1()``.
     """
 
     def __init__(self, vertices, cells, quad_simplices, quad_measures,
@@ -208,7 +236,7 @@ class Operators:
                 raise ValueError("a part has no denominator weight")
             row = np.concatenate([np.tile(cell, self.dim), quad])
             self._parts = (k, parts, cell, row, quad)
-        self._h1 = None
+        self._vertices, self._h1, self.order = vertices, None, None
 
     def density(self, cfg: ProblemConfig, u):
         """D u and eps^2 + |grad u|^2 per cell."""
@@ -299,9 +327,12 @@ class Operators:
 
     def h1(self):
         """The unweighted metric, assembled on first use and kept, so
-        callers must not modify it."""
+        callers must not modify it.  Its first use also sets ``order``."""
         if self._h1 is None:
             self._h1 = self.metric()
+            parts = None if self._parts is None else self._parts[1]
+            self.order = _band_order(self._vertices, parts, self._h1)
+            self._vertices = None
         return self._h1
 
     def lagged_metric(self, cfg: ProblemConfig, u, delta: float):
@@ -325,13 +356,15 @@ class Operators:
     def solve(self, cfg: ProblemConfig, free, init=None) -> DescentResult:
         """The descent on E / B^(p/q) over fields vanishing off ``free``, from
         ``init`` (the constant field when None), on the W^{1,2} metric and,
-        for p != 2, the lagged one.  Its ``u`` is normalized to B = 1 and
-        read-only, and ``value`` is the quotient there."""
+        for p != 2, the lagged one, each factored in ``order`` when it is
+        set.  Its ``u`` is normalized to B = 1 and read-only, and ``value``
+        is the quotient there."""
         metric = None if cfg.p == 2 else functools.partial(self.lagged_metric, cfg)
+        fixed = self.h1()   # sets the order of every factor
         return minimize_quotient(
-            *self.quotient(cfg), cfg.p, free, init, self.h1(),
+            *self.quotient(cfg), cfg.p, free, init, fixed,
             tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
-            metric=metric)
+            metric=metric, order=self.order)
 
 
 _FORMS_CACHE: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()

@@ -53,17 +53,30 @@ def _target_measure(mesh: Mesh, alpha: float) -> float:
 
 
 def _slide_candidates(mesh: Mesh, target: float) -> list:
-    """Facet sets of every arc of the target measure starting at a facet
-    boundary, in start order (the family any snapped single-arc sweep
-    draws from)."""
+    """Every arc of the target measure starting at a facet boundary, as a
+    run (start facet, facet count), in start order and one per facet set
+    (the family any snapped single-arc sweep draws from).  A run of fewer
+    than all facets is the only run of its set; the whole boundary is kept
+    once."""
     nf = mesh.n_facets
-    seen, out = set(), []
-    for k, n in enumerate(_arc_counts(mesh, np.arange(nf), target)):
-        facets = frozenset(((k + np.arange(n)) % nf).tolist())
-        if facets and facets not in seen:
-            seen.add(facets)
-            out.append(facets)
+    out, whole = [], False
+    for k, n in enumerate(_arc_counts(mesh, np.arange(nf), target).tolist()):
+        if 0 < n < nf or (n == nf and not whole):
+            whole |= n == nf
+            out.append((k, n))
     return out
+
+
+def _run_facets(nf: int, run) -> np.ndarray:
+    """The facets of a run (start, count) on a boundary of nf facets."""
+    start, count = run
+    return (start + np.arange(count)) % nf
+
+
+def _run_masks(nf: int, runs) -> np.ndarray:
+    """One row per run: whether each of the nf facets lies in it."""
+    starts, counts = np.array(runs, dtype=np.intp).reshape(-1, 2).T
+    return (np.arange(nf) - starts[:, None]) % nf < counts[:, None]
 
 
 def _symmetry_group(mesh: Mesh) -> np.ndarray:
@@ -79,11 +92,9 @@ def _symmetry_group(mesh: Mesh) -> np.ndarray:
 
 
 def _orbit_representatives(group: np.ndarray, candidates) -> list:
-    """The candidates, in order, that are not the exact image of an
+    """The candidate runs, in order, that are not the exact image of an
     earlier kept one: one per orbit the candidates meet."""
-    masks = np.zeros((len(candidates), group.shape[1]), dtype=bool)
-    for row, facets in zip(masks, candidates):
-        row[list(facets)] = True
+    masks = _run_masks(group.shape[1], candidates)
     # column k of an image's mask is column g^-1[k] of the arc's own mask
     images = [np.packbits(masks[:, np.argsort(g)], axis=1) for g in group]
     covered, kept = set(), []
@@ -150,9 +161,9 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
     # bounded by -inf: it is never skipped
     bounds, cores = [], {}
     for b, block in enumerate(blocks):
-        core = frozenset.intersection(*block)
+        core = np.flatnonzero(_run_masks(mesh.n_facets, block).all(axis=0))
         bounds.append(-np.inf)
-        if core and len(block) > 1:
+        if core.size and len(block) > 1:
             res = solve_trace_constant(mesh, cfg, hole_from_facets(mesh, core))
             n_solves += 1
             cores[b] = res.extremal
@@ -167,8 +178,9 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
         warm = cores.pop(b, None)
         if warm is None and best_res is not None:
             warm = best_res.extremal
-        for facets in blocks[b]:
-            consider(hole_from_facets(mesh, facets), warm)
+        for run in blocks[b]:
+            consider(hole_from_facets(mesh, _run_facets(mesh.n_facets, run)),
+                     warm)
     if best_res is None:    # every arc snaps to no facet: the target is tiny
         consider(hole_from_facets(mesh, []))
 

@@ -98,11 +98,14 @@ class LimitResult:
     converged: bool
 
 
-# Nodes per batched solve of a sweep, whose parts grow as n_cells^2.  The
-# factor's workspace grows with the batch: one batch of the 256-cell sweep
-# (6305 nodes) raised a verify-1d run's peak memory by about 4 MB, and
-# batches of 2048 nodes by about 1 MB.
-_BATCH_NODES = 2048
+# Nodes per batched solve of a sweep, whose parts grow as n_cells^2.  A
+# batch's operators, metrics and descent vectors hold about 500 bytes per
+# node (the tracemalloc peak of the 256-cell p = 3 sweep, 6305 nodes, is
+# 1.0, 2.0 and 3.1 MB in batches of 2048, 4096 and all nodes); its banded
+# factor is two float32 rows.  Up to about 4100 nodes per batch something
+# else sets a thin-limit pass's peak memory; one batch of 6305 raised it by
+# 1.1 MB.  That sweep makes two batches at every cap from 3153 to 6304.
+_BATCH_NODES = 4096
 
 
 def _limit_operators(problem: OneDimProblem, x: np.ndarray,

@@ -552,3 +552,12 @@ def test_unwritable_out_fails_before_the_command(tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Not a directory" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_unknown_command_is_one_error_line(capsys):
+    # one parser serves every command: a command it does not know is
+    # invalid input, like an unknown flag
+    assert main(["bogus", "--domain", "disk", "--radius", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument command: invalid choice: 'bogus'")
+    assert err.count("\n") == 1

@@ -12,8 +12,9 @@ from traceholes.geometry import (
     make_hole_from_arc,
 )
 from traceholes.hole_optimizer import (
-    _SLIDE_BLOCK, _arc_counts, _orbit_representatives, _slide_candidates,
-    _symmetry_group, optimize_hole_alternating, zero_set_measure,
+    _SLIDE_BLOCK, _arc_counts, _orbit_representatives, _run_facets,
+    _run_masks, _slide_candidates, _symmetry_group, optimize_hole_alternating,
+    zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
 
@@ -135,8 +136,10 @@ def _running_sum_arc(mesh, first, target):
     (ThinRectangle(0, 1, 1 / 16), 1 / 64),
     (ThinRectangle(0, 1, 1 / 64), 1 / 256), (Rectangle(2, 1), 0.1)])
 def test_arc_facets_match_running_sum_loop(domain, resolution):
+    # arcs are held as runs (start, count); their facet sets and masks are
+    # the loop's, and a target near the perimeter keeps the whole boundary once
     mesh = generate_mesh(domain, resolution)
-    for alpha in (0.1, 0.25, 0.3, 0.5, 0.75, 0.9):
+    for alpha in (0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 0.999):
         target = alpha * mesh.perimeter
         loop = [_running_sum_arc(mesh, k, target) for k in range(mesh.n_facets)]
         counts = _arc_counts(mesh, np.arange(mesh.n_facets), target)
@@ -147,7 +150,17 @@ def test_arc_facets_match_running_sum_loop(domain, resolution):
             if arc and arc not in seen:
                 seen.add(arc)
                 expected.append(arc)
-        assert _slide_candidates(mesh, target) == expected
+        runs = _slide_candidates(mesh, target)
+        assert _arc_sets(mesh, runs) == expected
+        assert [frozenset(np.flatnonzero(row).tolist())
+                for row in _run_masks(mesh.n_facets, runs)] == expected
+    if isinstance(domain, Disk):    # every arc at 0.999 is the whole boundary
+        assert len(expected) == 1 and len(expected[0]) == mesh.n_facets
+
+
+def _arc_sets(mesh, runs):
+    """The facet set of each run (start, count), in order."""
+    return [frozenset(_run_facets(mesh.n_facets, run).tolist()) for run in runs]
 
 
 def _images(group, facets):
@@ -176,8 +189,8 @@ def _cold_sweep(mesh, cfg, alpha):
     cap (S = 2.93 against a best of 0.17)."""
     hole, best = None, None
     candidates = _slide_candidates(mesh, alpha * mesh.perimeter)
-    for facets in candidates:
-        cand_hole = hole_from_facets(mesh, facets)
+    for run in candidates:
+        cand_hole = hole_from_facets(mesh, _run_facets(mesh.n_facets, run))
         cand = solve_trace_constant(mesh, cfg, cand_hole)
         if best is None or cand.s_value < best.s_value:
             hole, best = cand_hole, cand
@@ -247,8 +260,8 @@ def test_best_first_matches_cold_full_family_sweep(request, mesh_name, alpha,
     # the kept arcs' orbits are exactly the full family
     candidates = _slide_candidates(mesh, alpha * mesh.perimeter)
     kept = _orbit_representatives(group, candidates)
-    assert set().union(*(_images(group, arc) for arc in kept)) \
-        == set(candidates)
+    assert set().union(*(_images(group, arc) for arc in _arc_sets(mesh, kept))) \
+        == set(_arc_sets(mesh, candidates))
 
 
 @pytest.mark.parametrize("domain,resolution,alpha,first", [
@@ -276,7 +289,8 @@ def test_symmetric_images_of_an_arc_share_its_value(cfg, domain, resolution,
 
 
 def test_block_core_bounds_its_arcs(thin, cfg):
-    block = _slide_candidates(thin, 0.5 * thin.perimeter)[:_SLIDE_BLOCK]
+    block = _arc_sets(thin, _slide_candidates(thin, 0.5 * thin.perimeter)
+                      [:_SLIDE_BLOCK])
     core = frozenset.intersection(*block)
     assert core and all(core < arc for arc in block)
     bound = solve_trace_constant(thin, cfg, hole_from_facets(thin, core))
@@ -295,10 +309,10 @@ def test_optimize_solves_only_holes(monkeypatch, p):
     all_free, holes = [], []
     restricted = Preconditioner.restricted.__func__
 
-    def counted(cls, metric, free):
+    def counted(cls, metric, free, order=None):
         if free.all():
             all_free.append(metric)
-        return restricted(cls, metric, free)
+        return restricted(cls, metric, free, order)
     monkeypatch.setattr(Preconditioner, "restricted", classmethod(counted))
     solve = hole_optimizer.solve_trace_constant
 
@@ -327,7 +341,7 @@ def test_a_losing_unconverged_arc_clears_converged(monkeypatch, tmp_path):
     mesh = generate_mesh(Disk(1), 0.25)
     cfg = ProblemConfig(2, 2)
     best = optimize_hole_alternating(mesh, cfg, 0.25).best_hole
-    arcs = set(_slide_candidates(mesh, 0.25 * mesh.perimeter))
+    arcs = set(_arc_sets(mesh, _slide_candidates(mesh, 0.25 * mesh.perimeter)))
     flagged = []
     solve = hole_optimizer.solve_trace_constant
 

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import iv
 
-from traceholes import fem
+from traceholes import _descent, fem
 from traceholes._descent import Preconditioner, _metric_norm2
 from traceholes.fem import (
     NotAdmissibleError, ProblemConfig, forms,
@@ -281,8 +281,9 @@ def test_quarter_hole_error_is_first_order(quarter_holes, p):
     (ThinRectangle(0, 1, 1 / 64), 1 / 256, 0.5),
 ])
 def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
-    # the factor is single precision: its solve is a float32 LU solve of
-    # the float32 cast of P.  The casts of P and b and the factorization's
+    # the factor is single precision: its solve is a float32 SuperLU or
+    # banded Cholesky solve of the float32 cast of P.  The casts of P and b
+    # and the factorization's
     # backward error are relative perturbations of order the unit roundoff
     # u32, each amplified by at most the condition number kappa_2(P) to
     # first order, so the solve agrees with a dense float64 solve to
@@ -297,15 +298,136 @@ def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
     K = forms(mesh).h1()
     P = K.toarray()[np.ix_(free, free)]
     bound = 3 * np.linalg.cond(P) * np.finfo(np.float32).eps / 2
-    pre = Preconditioner.restricted(K, free)
+    order = forms(mesh).order
+    assert order is not None
     rng = np.random.default_rng(0)
-    for _ in range(3):
+    for pre in (Preconditioner.restricted(K, free),
+                Preconditioner.restricted(K, free, order)) * 3:
         b = rng.standard_normal(int(free.sum()))
         x = np.linalg.solve(P, b)
         assert np.linalg.norm(pre.solve(b) - x) <= bound * np.linalg.norm(x)
         s = np.zeros(mesh.n_vertices)
         s[free] = b
         assert np.allclose((K @ s)[free], P @ b, rtol=0, atol=1e-13 * np.abs(P).max())
+
+
+def _union_grid_case(p):
+    """(operators, abscissae, free mask) of the disjoint-union grid of the
+    64-cell endpoint sweep at hole fraction 0.5: the free segments of
+    lengths 16..32 as parts, each fixed at its hole end."""
+    problem = OneDimProblem(0, 1, p, p, 0.5)
+    x = _limit_grid(problem, 64)
+    sizes = np.arange(17, 34)
+    nodes = np.concatenate([np.arange(n) for n in sizes])
+    ops = _limit_operators(problem, x[nodes],
+                           np.repeat(np.arange(sizes.size), sizes))
+    return ops, x[nodes], nodes < np.repeat(sizes - 1, sizes)
+
+
+def _backend_case(case, p):
+    """(operators, abscissae, free mask) of the meshes both back ends are
+    compared on, with the metric and its order made."""
+    if case == "1d-union":
+        ops, x, free = _union_grid_case(p)
+        ops.h1()
+        return ops, x, free
+    mesh, fraction = {
+        "disk": (generate_mesh(Disk(1), 0.05), 0.25),
+        "thin16": (generate_mesh(ThinRectangle(0, 1, 1 / 16), 1 / 64), 0.5),
+        "thin64": (generate_mesh(ThinRectangle(0, 1, 1 / 64), 1 / 256), 0.5),
+    }[case]
+    hole = make_hole_from_arc(mesh, 0.0, fraction * mesh.perimeter)
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[hole.vertex_indices(mesh)] = False
+    ops = forms(mesh)
+    ops.h1()
+    return ops, mesh.vertices[:, 0], free
+
+
+@pytest.mark.parametrize("case", ["disk", "thin16", "thin64", "1d-union"])
+@pytest.mark.parametrize("p", [1.5, 3])
+@pytest.mark.parametrize("lagged", [False, True])
+def test_banded_and_superlu_factors_agree(case, p, lagged):
+    # both back ends solve with the float32 cast of the same block, each to
+    # 3 kappa u32 of the exact solve (test above), so to 6 kappa u32 of each
+    # other, where kappa is the block's condition number
+    ops, x, free = _backend_case(case, p)
+    assert ops.order is not None
+    metric = (ops.lagged_metric(ProblemConfig(p, p), np.abs(np.sin(5 * x)) + 0.1,
+                                1e-2) if lagged else ops.h1())
+    idx = free.nonzero()[0]
+    eig = np.linalg.eigvalsh(metric[np.ix_(idx, idx)].toarray())
+    bound = 6 * eig[-1] / eig[0] * np.finfo(np.float32).eps / 2
+    banded = Preconditioner.restricted(metric, free, ops.order)
+    superlu = Preconditioner.restricted(metric, free)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        b = rng.standard_normal(idx.size)
+        x_superlu = superlu.solve(b)
+        assert (np.linalg.norm(banded.solve(b) - x_superlu)
+                <= bound * np.linalg.norm(x_superlu))
+
+
+def test_banded_factor_of_an_indefinite_block_raises():
+    # every metric is SPD by construction, so a failed Cholesky is a fault
+    K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="pivot 2"):
+        Preconditioner.restricted(K, np.ones(2, dtype=bool), np.arange(2))
+
+
+def _bandwidth(metric, order) -> int:
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    return int(np.max(np.repeat(pos, np.diff(metric.indptr)) - pos[metric.indices]))
+
+
+@pytest.mark.parametrize("case", ["disk", "thin64", "1d-union"])
+def test_restricted_order_never_widens_the_band(monkeypatch, case):
+    # the free block is factored in the mesh's order restricted to the free
+    # set, whose band is at most the full metric's
+    ops, _, hole_free = _backend_case(case, 2)
+    kd = _bandwidth(ops.h1(), ops.order)
+    bands = []
+    spbtrf = _descent.lapack.spbtrf
+
+    def capture(ab, **kwargs):
+        bands.append(ab.shape[0] - 1)
+        return spbtrf(ab, **kwargs)
+    monkeypatch.setattr(_descent.lapack, "spbtrf", capture)
+    rng = np.random.default_rng(2)
+    frees = [hole_free, np.ones_like(hole_free)]
+    frees += [rng.random(hole_free.size) < keep for keep in (0.9, 0.5, 0.1)]
+    for free in frees:
+        Preconditioner.restricted(ops.h1(), free, ops.order)
+    assert len(bands) == len(frees) and bands[1] == kd
+    assert max(bands) <= kd
+
+
+@pytest.mark.parametrize("domain,res,banded", [
+    (Disk(1), 0.05, True), (Disk(1), 0.025, True),
+    (Disk(1), 0.0125, False), (Disk(1), 0.00625, False),
+    (ThinRectangle(0, 1, 1 / 2), 1 / 64, True),
+    (ThinRectangle(0, 1, 1 / 16), 1 / 64, True),
+    (ThinRectangle(0, 1, 1 / 64), 1 / 256, True),
+    (Interval(0, 1), 1 / 1000, True),
+])
+def test_each_mesh_picks_its_factor_back_end(domain, res, banded):
+    # banded where the full metric's band storage is at most _BAND_FILL
+    # times its nonzeros: every 1D grid and thin mesh and the coarser disks
+    ops = forms(generate_mesh(domain, res))
+    assert ops.order is None
+    K = ops.h1()
+    assert (ops.order is not None) == banded
+    if isinstance(domain, Interval):    # the natural order: tridiagonal
+        assert np.array_equal(ops.order, np.arange(K.shape[0]))
+        assert _bandwidth(K, ops.order) == 1
+
+
+def test_union_grid_is_banded_in_its_natural_order():
+    ops, _, _ = _union_grid_case(2)
+    K = ops.h1()
+    assert np.array_equal(ops.order, np.arange(K.shape[0]))
+    assert _bandwidth(K, ops.order) == 1
 
 
 def _free_block_case(grid):
@@ -380,9 +502,9 @@ def test_metric_product_is_the_free_block_product(grid, lagged):
     assert _metric_norm2(metric, s) == pytest.approx(want, rel=1e-14, abs=0)
 
 
-def _float64_restricted(cls, metric, free):
-    """The preconditioner with a float64 factor of the fancy-indexed free
-    block, as a reference."""
+def _float64_restricted(cls, metric, free, order=None):
+    """The preconditioner with a float64 SuperLU factor of the fancy-indexed
+    free block, as a reference for either back end (``order`` is unused)."""
     idx = free.nonzero()[0]
     lu = spla.splu(metric[np.ix_(idx, idx)].tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -487,9 +609,9 @@ def _count_factorizations(monkeypatch):
     calls = []
     restricted = Preconditioner.restricted.__func__
 
-    def counted(cls, metric, free):
+    def counted(cls, metric, free, order=None):
         calls.append(metric)
-        return restricted(cls, metric, free)
+        return restricted(cls, metric, free, order)
     monkeypatch.setattr(Preconditioner, "restricted", classmethod(counted))
     return calls
 
