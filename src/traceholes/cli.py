@@ -47,7 +47,7 @@ class RunSpec:
     command: str
     domain: dict = field(default_factory=dict)
     p: float = 2.0
-    q: float = 2.0
+    q: Optional[float] = None   # 2.0 unless given; verify-1d takes only q = p
     resolution: float = 0.1
     alpha: Optional[float] = None
     hole_start: Optional[float] = None
@@ -74,7 +74,11 @@ class RunSpec:
     def validate(self) -> None:
         """Type, finiteness and range of every numeric field and domain
         parameter, and the alpha of the commands that need one, before any
-        command reads them."""
+        command reads them.  A q not given becomes 2.0."""
+        if self.command == "verify-1d" and self.q not in (None, self.p):
+            raise SpecError(f"verify-1d solves at q = p; got q = {self.q!r} "
+                            f"with p = {self.p!r}")
+        self.q = 2.0 if self.q is None else self.q
         self.config()
         for name, (low, high, integer) in _NUMBERS.items():
             value = getattr(self, name)
@@ -574,10 +578,6 @@ def _spec_from_args(args: argparse.Namespace) -> RunSpec:
         else:
             setattr(spec, renamed.get(flag, flag), val)
     spec.domain = domain
-    if (spec.command == "verify-1d" and (args.q is not None or "q" in payload)
-            and spec.q != spec.p):
-        raise SpecError(f"verify-1d solves at q = p; got q = {spec.q!r} "
-                        f"with p = {spec.p!r}")
     return spec
 
 

@@ -1,16 +1,18 @@
 """Search for optimal boundary holes of prescribed measure.
 
 A best-first branch and bound over contiguous arcs (Land and Doig,
-Econometrica 28, 1960).  The arcs are every run of whole facets of the
-target measure that starts at a facet boundary, one per orbit of the
-mesh's symmetry group (a symmetry maps an arc to an arc of equal S), in
-start order and split into blocks of consecutive arcs.  S is monotone
-under inclusion of holes, so a cold solve on the facets a block's arcs
-share bounds every arc of the block from below.  The blocks are visited
-in order of increasing bound, each arc solved warm from its block's core
-extremal, and the search stops at the first bound that clears the best
-value: the result is certified against every single arc at facet
-granularity.
+Econometrica 28, 1960): every run of whole facets of the target measure
+from a facet boundary, one per orbit of the mesh's symmetry group (images
+have equal S), in start order.  S is monotone under inclusion of holes,
+so a cold solve on the facets an interval of arcs shares (its core)
+bounds every arc in it.  Intervals are popped by increasing bound; the
+root, every arc, comes first whatever its bound, so it gets none.  An
+interval of at most 12 arcs has every arc solved; a larger one splits
+into at most 4 near-equal children with core bounds, so a level costs at
+most 4 solves and 260 arcs reach a leaf of 8 or 9 in three levels.  The
+search stops at the first bound that clears the best value: the result
+is certified against every single arc at facet granularity.  Solves are
+cold: a warm start from a core helps on thin meshes but not on disks.
 
 Measure bookkeeping is honest about facet quantization: every hole is
 within one facet length of the target and alpha_effective is reported.
@@ -18,6 +20,7 @@ within one facet length of the target and alpha_effective is reported.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -28,8 +31,8 @@ from .geometry import BoundaryHole, Mesh, hole_from_facets, symmetry_generators
 from .trace_solver import TraceResult, solve_trace_constant
 
 
-_SLIDE_BLOCK = 16       # consecutive slide arcs bounded by one core solve
-_PRUNE_MARGIN = 1e-6    # relative lead a core bound needs to skip a block
+_SLIDE_BLOCK = 12       # arcs of a leaf interval, each solved
+_PRUNE_MARGIN = 1e-6    # relative lead a core bound needs to skip an interval
 
 
 @dataclass
@@ -44,12 +47,6 @@ class OptimizationRun:
     converged: bool     # n_unconverged == 0
     n_unconverged: int  # solves compared with the best value (the starting
                         # hole and the arcs) that did not converge
-
-
-def _target_measure(mesh: Mesh, alpha: float) -> float:
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    return alpha * mesh.perimeter
 
 
 def _slide_candidates(mesh: Mesh, target: float) -> list:
@@ -105,7 +102,7 @@ def _orbit_representatives(group: np.ndarray, candidates) -> list:
     return kept
 
 
-_CHUNK = 1 << 16        # cumulative sums held at once by _arc_counts
+_CHUNK = 1 << 15        # cumulative sums held at once by _arc_counts
 
 
 def _arc_counts(mesh: Mesh, starts, target: float) -> np.ndarray:
@@ -131,60 +128,69 @@ def _arc_counts(mesh: Mesh, starts, target: float) -> np.ndarray:
     return counts
 
 
+def _core_facets(nf: int, runs) -> np.ndarray:
+    """The facets every run (start, count) covers, by a coverage count over
+    two laps of the boundary: a difference array, +1 at each start and -1
+    past each end, summed and folded back onto one lap."""
+    starts, counts = np.array(runs, dtype=np.intp).T
+    cover = np.cumsum(np.bincount(starts, minlength=2 * nf)
+                      - np.bincount(starts + counts, minlength=2 * nf))
+    return np.flatnonzero(cover[:nf] + cover[nf:] == len(starts))
+
+
 def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
                               init_hole: Optional[BoundaryHole] = None
                               ) -> OptimizationRun:
-    """Best-first search over the slide blocks.  ``init_hole``, when given,
+    """Best-first search over the arc intervals.  ``init_hole``, when given,
     is solved first and is the value to beat.  The run is converged when
     every solve that was compared with the best value converged."""
-    target = _target_measure(mesh, alpha)
-    history: List[Tuple[float, float]] = []  # (measure, value) per new best
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    nf = mesh.n_facets
+    history: List[Tuple[int, float, float]] = []     # per new best
     best_hole = best_res = None
     n_solves = n_unconverged = 0
 
-    def consider(hole, init=None):
+    def consider(hole):
         nonlocal best_hole, best_res, n_solves, n_unconverged
-        res = solve_trace_constant(mesh, cfg, hole, init=init)
+        res = solve_trace_constant(mesh, cfg, hole)
         n_solves += 1
         n_unconverged += not res.converged
         if best_res is None or res.s_value < best_res.s_value:
             best_hole, best_res = hole, res
-            history.append((hole.measure, res.s_value))
+            history.append((len(history) + 1, hole.measure, res.s_value))
 
     if init_hole is not None:
         consider(init_hole)
-    arcs = _orbit_representatives(_symmetry_group(mesh),
-                                  _slide_candidates(mesh, target))
-    blocks = [arcs[i:i + _SLIDE_BLOCK]
-              for i in range(0, len(arcs), _SLIDE_BLOCK)]
-    # a block with no core, a lone arc or an unconverged core solve is
-    # bounded by -inf: it is never skipped
-    bounds, cores = [], {}
-    for b, block in enumerate(blocks):
-        core = np.flatnonzero(_run_masks(mesh.n_facets, block).all(axis=0))
-        bounds.append(-np.inf)
-        if core.size and len(block) > 1:
-            res = solve_trace_constant(mesh, cfg, hole_from_facets(mesh, core))
-            n_solves += 1
-            cores[b] = res.extremal
-            if res.converged:
-                bounds[b] = res.s_value
-    # every arc of a block contains its core, so S(arc) >= S(core); the
-    # margin covers the converged solve's excess
-    for b in sorted(range(len(blocks)), key=bounds.__getitem__):
-        if best_res is not None and \
-                bounds[b] >= best_res.s_value * (1.0 + _PRUNE_MARGIN):
-            break
-        warm = cores.pop(b, None)
-        if warm is None and best_res is not None:
-            warm = best_res.extremal
-        for run in blocks[b]:
-            consider(hole_from_facets(mesh, _run_facets(mesh.n_facets, run)),
-                     warm)
+    arcs = _orbit_representatives(
+        _symmetry_group(mesh), _slide_candidates(mesh, alpha * mesh.perimeter))
+    heap = [(-np.inf, 0, len(arcs))]    # (bound, lo, hi) of arcs[lo:hi]
+    # every arc of an interval contains its core, so S(arc) >= S(core);
+    # the margin covers the converged solve's excess
+    while heap and (best_res is None or
+                    heap[0][0] < best_res.s_value * (1.0 + _PRUNE_MARGIN)):
+        _, lo, hi = heapq.heappop(heap)
+        n = hi - lo
+        if n <= _SLIDE_BLOCK:
+            for run in arcs[lo:hi]:
+                consider(hole_from_facets(mesh, _run_facets(nf, run)))
+            continue
+        k = min(4, -(-n // _SLIDE_BLOCK))
+        cuts = [lo - (-n * i // k) for i in range(k + 1)]    # larger first
+        for a, b in zip(cuts, cuts[1:]):
+            # a child holds at least 6 arcs; an empty core or an
+            # unconverged core solve bounds nothing: -inf, never skipped
+            bound, core = -np.inf, _core_facets(nf, arcs[a:b])
+            if core.size:
+                res = solve_trace_constant(mesh, cfg,
+                                           hole_from_facets(mesh, core))
+                n_solves += 1
+                if res.converged:
+                    bound = res.s_value
+            heapq.heappush(heap, (bound, a, b))
     if best_res is None:    # every arc snaps to no facet: the target is tiny
         consider(hole_from_facets(mesh, []))
 
-    history = [(i, m, v) for i, (m, v) in enumerate(history, 1)]
     return OptimizationRun(
         alpha, best_hole, best_res.s_value, history,
         best_hole.measure / mesh.perimeter, best_res, n_solves,

@@ -59,6 +59,27 @@ def test_verify_1d_rejects_q_other_than_p(tmp_path, capsys):
     assert read_summary(tmp_path, "equal")["p"] == 3.0
 
 
+def test_run_spec_verify_1d_rejects_q_other_than_p(tmp_path, capsys):
+    # through the Python API a given q is told from the default too: the
+    # same one-line error as the CLI's, and nothing written
+    spec = RunSpec(command="verify-1d", p=2, q=3, alpha=0.5, n_cells=64,
+                   out=str(tmp_path))
+    message = "^verify-1d solves at q = p; got q = 3 with p = 2$"
+    with pytest.raises(cli.SpecError, match=message):
+        run(spec)
+    assert main(["verify-1d", "-p", "2", "-q", "3", "--alpha", "0.5",
+                 "--n-cells", "64", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: verify-1d solves at q = p; got q = 3.0 with p = 2.0\n"
+    assert not list(tmp_path.iterdir())
+    assert run(RunSpec(command="verify-1d", p=2.0, alpha=0.5, n_cells=64,
+                       out=str(tmp_path))) == 0
+    assert run(RunSpec(command="verify-1d", p=2.0, q=2, alpha=0.5,
+                       n_cells=64, out=str(tmp_path), run_id="equal")) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "equal", "verify-1d-p2.0-q2.0-seed0"]
+
+
 def test_solve_writes_artifacts_and_schema(tmp_path):
     args = ["solve", "--domain", "disk", "--radius", "1",
             "--resolution", "0.25", "-p", "2", "-q", "2",

@@ -12,9 +12,9 @@ from traceholes.geometry import (
     make_hole_from_arc,
 )
 from traceholes.hole_optimizer import (
-    _SLIDE_BLOCK, _arc_counts, _orbit_representatives, _run_facets,
-    _run_masks, _slide_candidates, _symmetry_group, optimize_hole_alternating,
-    zero_set_measure,
+    _SLIDE_BLOCK, _arc_counts, _core_facets, _orbit_representatives,
+    _run_facets, _run_masks, _slide_candidates, _symmetry_group,
+    optimize_hole_alternating, zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
 
@@ -152,8 +152,19 @@ def test_arc_facets_match_running_sum_loop(domain, resolution):
                 expected.append(arc)
         runs = _slide_candidates(mesh, target)
         assert _arc_sets(mesh, runs) == expected
+        masks = _run_masks(mesh.n_facets, runs)
         assert [frozenset(np.flatnonzero(row).tolist())
-                for row in _run_masks(mesh.n_facets, runs)] == expected
+                for row in masks] == expected
+        # an interval's core by coverage count is its masks' intersection,
+        # also for intervals that wrap round the boundary
+        windows = [(lo, lo + n) for lo in range(0, len(runs), 5)
+                   for n in (2, 6, 13) if lo + n <= len(runs)]
+        windows += [(len(runs) - n, len(runs) + n) for n in (1, 3)]
+        for lo, hi in windows:
+            rows = [r % len(runs) for r in range(lo, hi)]
+            assert _core_facets(mesh.n_facets, [runs[r] for r in rows]
+                                ).tolist() == \
+                np.flatnonzero(masks[rows].all(axis=0)).tolist()
     if isinstance(domain, Disk):    # every arc at 0.999 is the whole boundary
         assert len(expected) == 1 and len(expected[0]) == mesh.n_facets
 
@@ -169,8 +180,9 @@ def _images(group, facets):
 
 
 def _unpruned(monkeypatch, mesh, cfg, alpha, **kwargs):
-    """The same search with no block skipped on its bound: every block's
-    arcs are solved, in the same order and from the same warm starts."""
+    """The same search with no interval skipped on its bound: every
+    interval is split or has its arcs solved, in the same order and every
+    solve cold."""
     with monkeypatch.context() as m:
         m.setattr(hole_optimizer, "_PRUNE_MARGIN", np.inf)
         return optimize_hole_alternating(mesh, cfg, alpha, **kwargs)
@@ -207,7 +219,7 @@ def test_pruned_polish_equals_exhaustive_sweep_thin(monkeypatch, thin, cfg,
                                                     thin_run):
     reference = _unpruned(monkeypatch, thin, cfg, 0.5)
     _assert_same_as_unpruned(thin_run, reference)
-    # most blocks are skipped on their core bound
+    # most intervals are skipped on their core bound
     representatives = _orbit_representatives(
         _symmetry_group(thin), _slide_candidates(thin, 0.5 * thin.perimeter))
     assert thin_run.n_solves < len(representatives) < reference.n_solves
@@ -216,13 +228,14 @@ def test_pruned_polish_equals_exhaustive_sweep_thin(monkeypatch, thin, cfg,
 def test_pruned_polish_equals_exhaustive_sweep_while_improving(
         monkeypatch, thin, cfg, thin_run):
     # from a poor arc, the search starts with a best value that no bound
-    # clears, improves on it once, at the first arc of the first block it
-    # visits, and ends where the search with no starting hole ends
+    # clears, improves on it at the first arc it solves and at every later
+    # best of the search with no starting hole, and ends where that ends
     start = make_hole_from_arc(thin, 1.1, 0.5 * thin.perimeter)
     run = optimize_hole_alternating(thin, cfg, 0.5, init_hole=start)
     reference = _unpruned(monkeypatch, thin, cfg, 0.5, init_hole=start)
     _assert_same_as_unpruned(run, reference)
-    assert len(run.history) == 2 and run.history[0][2] > 1.5 * run.best_value
+    assert len(run.history) == len(thin_run.history) + 1
+    assert run.history[0][2] > 1.5 * run.best_value
     assert run.best_value == thin_run.best_value
     assert run.best_hole == thin_run.best_hole
     assert run.n_solves == thin_run.n_solves + 1 < reference.n_solves
@@ -230,8 +243,8 @@ def test_pruned_polish_equals_exhaustive_sweep_while_improving(
 
 def test_pruned_polish_equals_exhaustive_sweep_disk(monkeypatch, disk, cfg,
                                                     disk_run):
-    # the disk's representatives fit in one block, whose core bound has
-    # no other block to skip: the search costs exactly the exhaustive one
+    # the disk's representatives fit in one leaf, the root, which has no
+    # bound: the search costs exactly the exhaustive one
     reference = _unpruned(monkeypatch, disk, cfg, 0.25)
     _assert_same_as_unpruned(disk_run, reference)
     assert reference.n_solves == disk_run.n_solves
@@ -296,8 +309,8 @@ def test_block_core_bounds_its_arcs(thin, cfg):
     bound = solve_trace_constant(thin, cfg, hole_from_facets(thin, core))
     assert bound.converged
     for arc in block:
-        value = solve_trace_constant(thin, cfg, hole_from_facets(thin, arc),
-                                     init=bound.extremal).s_value
+        value = solve_trace_constant(thin, cfg,
+                                     hole_from_facets(thin, arc)).s_value
         assert bound.s_value <= value
 
 
@@ -323,6 +336,39 @@ def test_optimize_solves_only_holes(monkeypatch, p):
     run = optimize_hole_alternating(mesh, ProblemConfig(p, 2), 0.25)
     assert all(hole.facet_indices for hole in holes)
     assert not all_free and run.n_solves == len(holes) > 0
+
+
+def test_every_solve_is_cold(monkeypatch, thin, cfg):
+    # no solve of the search, arc or core bound, starts from another's
+    # extremal, with or without a starting hole
+    inits = []
+    solve = hole_optimizer.solve_trace_constant
+
+    def recorded(mesh, cfg, hole, init=None):
+        inits.append(init)
+        return solve(mesh, cfg, hole, init=init)
+    monkeypatch.setattr(hole_optimizer, "solve_trace_constant", recorded)
+    run = optimize_hole_alternating(thin, cfg, 0.5)
+    optimize_hole_alternating(thin, cfg, 0.5, init_hole=run.best_hole)
+    assert len(inits) == 2 * run.n_solves + 1
+    assert all(init is None for init in inits)
+
+
+@pytest.mark.parametrize("domain,resolution,alpha,n_solves", [
+    (Disk(1), 0.05, 0.25, 11), (ThinRectangle(0, 1, 1 / 64), 1 / 256, 0.5, 18),
+    (ThinRectangle(0, 1, 1 / 2), 1 / 8, 0.5, 12),
+    (ThinRectangle(0, 1, 1 / 4), 1 / 16, 0.5, 12),
+    (ThinRectangle(0, 1, 1 / 8), 1 / 32, 0.5, 15),
+    (ThinRectangle(0, 1, 1 / 16), 1 / 64, 0.5, 14),
+    (Disk(1), 0.025, 0.25, 23)])
+def test_solve_counts_of_the_benchmark_searches(domain, resolution, alpha,
+                                                n_solves):
+    # hole-search's two meshes, sweep-mu's four (mu, resolution mu / 4) and
+    # the disk at 0.025, which the flat blocks of 16 arcs searched in 12,
+    # 33, 13, 18, 19, 21 and 23 solves
+    run = optimize_hole_alternating(generate_mesh(domain, resolution),
+                                    ProblemConfig(2, 2), alpha)
+    assert run.converged and run.n_solves == n_solves
 
 
 def test_tiny_alpha_gives_the_empty_hole(cfg):
