@@ -11,13 +11,8 @@ from .geometry import (
     TangentialField, ThinRectangle, generate_mesh, hole_from_facets,
     make_hole_from_arc, plateau_speed, tangential_field,
 )
-from .fem import (
-    NotAdmissibleError, ProblemConfig, boundary_norm_q, energy,
-    quotient_gradient, rayleigh_quotient,
-)
-from .trace_solver import (
-    TraceResult, el_residual, positivity_check, solve_trace_constant,
-)
+from .fem import NotAdmissibleError, ProblemConfig, boundary_norm_q
+from .trace_solver import TraceResult, solve_trace_constant
 from .shape_derivative import (
     ShapeDerivativeResult, evaluate_shape_derivative, fd_check,
     transport_hole,
@@ -26,8 +21,8 @@ from .hole_optimizer import (
     OptimizationRun, optimize_hole_alternating, zero_set_measure,
 )
 from .one_dim import (
-    OneDimProblem, closed_form_for_hole_fraction, closed_form_limit_constant,
-    optimize_limit_hole, solve_limit_problem,
+    OneDimProblem, closed_form_limit_constant, optimize_limit_hole,
+    solve_limit_problem,
 )
 from .thin_domain import MuSweep, run_mu_sweep
 

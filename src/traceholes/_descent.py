@@ -13,7 +13,8 @@ metric's factor is single precision, made from the float32 free block cut
 once from the symmetric CSR metric.  A mesh whose metric has a narrow band
 in a coordinate order (``fem.Operators.order``) gets LAPACK's banded
 Cholesky (xPBTRF; George and Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981); any other hands the block to SuperLU.
+Positive Definite Systems, 1981); any other, or a failed banded factor,
+hands the block to SuperLU.
 The factor only shapes the step, while the gradient, line search, metric
 products and stopping test stay float64 (Carson and Higham, SIAM J. Sci.
 Comput. 40, 2018); the BB step's metric products multiply the full
@@ -72,45 +73,48 @@ class Preconditioner:
         With a vertex ``order`` (a permutation of all vertices) the block is
         renumbered in that order, restricted to the free set, scattered into
         LAPACK's upper band storage and factored by banded Cholesky
-        (``spbtrf``, applied by ``spbtrs``); a failed factor raises, as the
-        metric is SPD.  Removing vertices from an order never widens its
-        band, so every free set of a mesh shares its order.  On the blocks
-        of a hole search SuperLU's fixed costs dominate: a banded factor of
-        disk 0.05's block takes 0.9 against 2.5 ms, of thin mu = 1/64's 0.5
-        against 1.5 ms, and its solves a quarter to a third less.
+        (``spbtrf``, applied by ``spbtrs``).  Removing vertices from an
+        order never widens its band, so every free set of a mesh shares its
+        order.  On the blocks of a hole search SuperLU's fixed costs
+        dominate: a banded factor of disk 0.05's block takes 0.9 against
+        2.5 ms, of thin mu = 1/64's 0.5 against 1.5 ms, and its solves a
+        quarter to a third less.
 
         Without one, SuperLU factors the block, read as CSC over the cut's
         arrays, in symmetric mode: SPD needs no pivoting, so a minimum
         degree ordering of P + Pᵀ and diagonal pivots.  On disk meshes this
         cuts the fill and factor time of the default unsymmetric column
         ordering by about 40% and the triangular-solve time by half.
+        SuperLU also takes the block when the banded factor fails: a metric
+        can be SPD yet so ill-conditioned that its float32 rounding is not
+        (the 1D lagged metric at p = 1.25, condition number 1.5e11), and
+        an LU factor needs no definite block.
         """
         block = _free_block(metric, free)
-        if order is None:
-            lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            return cls(solve=lambda b: lu.solve(b.astype(np.float32)))
-        # pos: the band position of each free index; perm: its inverse
-        at = np.empty(free.size, dtype=np.intp)
-        at[order] = np.cumsum(free[order]) - 1
-        pos = at[free]
-        perm = np.empty_like(pos)
-        perm[pos] = np.arange(pos.size)
-        row = pos[block.indices]
-        col = np.repeat(pos, np.diff(block.indptr))
-        upper = row <= col
-        offset = row[upper] - col[upper]
-        kd = -int(offset.min())
-        # LAPACK upper band storage: entry (i, j) at row kd + i - j, column j
-        ab = np.zeros((kd + 1, pos.size), dtype=np.float32, order="F")
-        ab[kd + offset, col[upper]] = block.data[upper]
-        del block, row, col, upper, offset
-        factor, info = lapack.spbtrf(ab, overwrite_ab=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"banded Cholesky failed at pivot {info}: metric not SPD")
-        return cls(solve=lambda b: lapack.spbtrs(
-            factor, b[perm].astype(np.float32))[0][pos])
+        if order is not None:
+            # pos: the band position of each free index; perm: its inverse
+            at = np.empty(free.size, dtype=np.intp)
+            at[order] = np.cumsum(free[order]) - 1
+            pos = at[free]
+            perm = np.empty_like(pos)
+            perm[pos] = np.arange(pos.size)
+            row = pos[block.indices]
+            col = np.repeat(pos, np.diff(block.indptr))
+            upper = row <= col
+            offset = row[upper] - col[upper]
+            kd = -int(offset.min())
+            # LAPACK upper band storage: (i, j) at row kd + i - j, column j
+            ab = np.zeros((kd + 1, pos.size), dtype=np.float32, order="F")
+            ab[kd + offset, col[upper]] = block.data[upper]
+            del block, row, col, upper, offset
+            factor, info = lapack.spbtrf(ab, overwrite_ab=1)
+            if info == 0:
+                return cls(solve=lambda b: lapack.spbtrs(
+                    factor, b[perm].astype(np.float32))[0][pos])
+            block = _free_block(metric, free)   # freed above, for the band's peak
+        lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        return cls(solve=lambda b: lu.solve(b.astype(np.float32)))
 
 
 def _free_block(metric, free: np.ndarray):

@@ -159,22 +159,19 @@ class Operators:
     A     CSR [D; Q], the rows of D and then those of Q, built in place;
           D and Q are views of its arrays.
 
-    Optional nodal weights ``rho`` (of the energy: cell averages scale vol,
-    nodal values scale mass) and ``beta`` (of the denominator, interpolated
-    to the quadrature points) give the weighted 1D limit forms.  The object
-    keeps no reference to a Mesh, so caching it under its mesh as a weak key
-    frees both together.
+    The object keeps no reference to a Mesh, so caching it under its mesh
+    as a weak key frees both together.
 
-    Vertex labels ``parts`` (0..k-1) split the mesh into weighted parts
-    that share no simplex; ``solve`` then minimizes each part's quotient at
-    once, with the step and the lagged metric's delta shared by all.
+    Vertex labels ``parts`` (0..k-1) split the mesh into parts that share
+    no simplex; ``solve`` then minimizes each part's quotient at once,
+    with the step and the lagged metric's delta shared by all.
 
     order The vertex order of the metrics' banded factor, or None for
           SuperLU; set at the first ``h1()``.
     """
 
     def __init__(self, vertices, cells, quad_simplices, quad_measures,
-                 rho=None, beta=None, parts=None):
+                 parts=None):
         nv, (nc, npc) = vertices.shape[0], cells.shape
         self.dim = npc - 1
         # rows of E are the edge vectors x_k - x_0; the columns of E^{-1},
@@ -218,13 +215,8 @@ class Operators:
         self.Q.indptr = indptr[n_grad:] - nnz
         self.mass = np.bincount(cells.ravel(), minlength=nv,
                                 weights=np.repeat(vol / npc, npc))
-        if rho is not None:
-            vol = vol * rho[cells].mean(axis=1)
-            self.mass = self.mass * rho
         self.vol = vol
         self.w = np.outer(weights, quad_measures).ravel()
-        if beta is not None:
-            self.w = self.w * (self.Q @ beta)
         self._parts = None
         if parts is not None:   # k and the parts of vertices, cells, rows of A and Q
             cell, simplex = parts[cells[:, 0]], parts[quad_simplices[:, 0]]
@@ -245,10 +237,6 @@ class Operators:
 
     def _square_gradient(self, cfg: ProblemConfig, Du) -> np.ndarray:
         return cfg.eps**2 + (Du * Du).reshape(self.dim, -1).sum(axis=0)
-
-    def energy(self, cfg: ProblemConfig, u) -> float:
-        return float(self.vol @ self.density(cfg, u)[1] ** (cfg.p / 2.0)
-                     + self.mass @ np.abs(u) ** cfg.p)
 
     def energy_gradient(self, cfg: ProblemConfig, u) -> np.ndarray:
         p = cfg.p
@@ -387,25 +375,9 @@ def boundary_arclengths(mesh: Mesh) -> np.ndarray:
             + np.outer(bary[:, -1], mesh.facet_lengths)).ravel()
 
 
-def energy(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> float:
-    return forms(mesh).energy(cfg, u)
-
-
 def boundary_norm_q(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> float:
     """Integral of |u|^q over the boundary."""
     return forms(mesh).norm(cfg, u)
-
-
-def _check_admissible(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> None:
-    if np.max(np.abs(u[mesh.boundary]), initial=0.0) <= cfg.dof_tolerance:
-        raise NotAdmissibleError(
-            "field vanishes on the whole boundary within dof_tolerance; "
-            "the quotient is only defined off W^{1,p}_0")
-
-
-def rayleigh_quotient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> float:
-    _check_admissible(mesh, cfg, u)
-    return energy(mesh, cfg, u) / boundary_norm_q(mesh, cfg, u) ** (cfg.p / cfg.q)
 
 
 def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarray:
@@ -415,15 +387,3 @@ def energy_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarray
 def boundary_norm_gradient(mesh: Mesh, cfg: ProblemConfig,
                            u: np.ndarray) -> np.ndarray:
     return forms(mesh).norm_gradient(cfg, u)
-
-
-def quotient_gradient(mesh: Mesh, cfg: ProblemConfig, u: np.ndarray) -> np.ndarray:
-    """Exact nodal gradient of the discrete Rayleigh quotient."""
-    _check_admissible(mesh, cfg, u)
-    E = energy(mesh, cfg, u)
-    B = boundary_norm_q(mesh, cfg, u)
-    dE = energy_gradient(mesh, cfg, u)
-    dB = boundary_norm_gradient(mesh, cfg, u)
-    r = cfg.p / cfg.q
-    return dE / B**r - r * E * dB / B ** (r + 1.0)
-

@@ -395,32 +395,17 @@ def _cutoff_derivative(t):
     return np.where(inside, -0.5 * np.pi * np.sin(np.pi * np.clip(t, 0.0, 1.0)), 0.0)
 
 
-def max_tube_width(mesh: Mesh) -> float:
-    """Supremum of the tube widths the interior extension admits: the
-    disk radius, or half the shortest side of a rectangle."""
-    dom = mesh.domain
-    if isinstance(dom, Disk):
-        return dom.radius
-    if isinstance(dom, Rectangle):
-        return 0.5 * min(dom.width, dom.height)
-    if isinstance(dom, ThinRectangle):
-        return 0.5 * min(dom.b - dom.a, dom.mu)
-    return float("inf")
-
-
 def tangential_field(mesh: Mesh, speed, dspeed,
                      delta: float = None) -> TangentialField:
-    """Build a tube field from a speed function of arclength and its
-    arclength derivative."""
-    if mesh.dim != 2:
-        raise ValueError("tangential fields need a 2D mesh")
+    """Build a tube field on a disk from a speed function of arclength and
+    its arclength derivative.  The tube is three cells wide by default, or
+    half the radius where three cells do not fit."""
+    if not isinstance(mesh.domain, Disk):
+        raise ValueError("tangential fields are defined on disk meshes only")
     if delta is None:
-        # three cells wide, or half the admissible width where three cells
-        # do not fit (every thin rectangle with resolution >= mu / 6)
-        limit = max_tube_width(mesh)
         delta = 3.0 * mesh.resolution
-        if not delta < limit:
-            delta = 0.5 * limit
+        if not delta < mesh.domain.radius:
+            delta = 0.5 * mesh.domain.radius
     return TangentialField(speed, dspeed, delta)
 
 
@@ -469,8 +454,7 @@ def field_divergence_and_jacobian(mesh: Mesh, V: TangentialField,
     """div V and the Jacobian DV of the extended field at interior points.
 
     Closed-form per extension rule; the tube extension is evaluated in the
-    boundary-fitted coordinates of the domain (polar for disks, per-side
-    slabs for rectangles).
+    disk's polar coordinates.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -484,17 +468,11 @@ def field_divergence_and_jacobian(mesh: Mesh, V: TangentialField,
         return div, DV
     if V.extension != "tube":
         raise ValueError(f"unknown extension rule {V.extension!r}")
-    if not V.delta < max_tube_width(mesh):
-        raise ValueError("field support exceeds the admissible boundary tube")
-    if isinstance(mesh.domain, Disk):
-        return _tube_disk(mesh, V, pts)
-    if isinstance(mesh.domain, (Rectangle, ThinRectangle)):
-        return _tube_polygon(mesh, V, pts)
-    raise ValueError("tube extension supports disk and rectangle domains")
-
-
-def _tube_disk(mesh, V, pts):
+    if not isinstance(mesh.domain, Disk):
+        raise ValueError("tangential fields are defined on disk meshes only")
     r = mesh.domain.radius
+    if not V.delta < r:
+        raise ValueError("field support exceeds the admissible boundary tube")
     delta = V.delta
     P = mesh.perimeter
     x, y = pts[:, 0], pts[:, 1]
@@ -527,42 +505,3 @@ def _tube_disk(mesh, V, pts):
     div = np.where(active, g_theta, 0.0)
     DV[~active] = 0.0
     return div, DV
-
-
-def _tube_polygon(mesh, V, pts):
-    dom = mesh.domain
-    if isinstance(dom, ThinRectangle):
-        x0, w, h = dom.a, dom.b - dom.a, dom.mu
-    else:
-        x0, w, h = 0.0, dom.width, dom.height
-    delta = V.delta
-    x = pts[:, 0] - x0
-    y = pts[:, 1]
-    # sides in boundary-walk order: bottom, right, top, left; per side the
-    # distance, the parameter from the side's start, its arclength offset,
-    # tangent and inward normal
-    dists = np.stack([y, w - x, h - y, x], axis=1)
-    params = np.stack([x, y, w - x, h - y], axis=1)
-    side = np.argmin(dists, axis=1)
-    ar = np.arange(pts.shape[0])
-    d = dists[ar, side]
-    s = np.array([0.0, w, w + h, 2 * w + h])[side] + params[ar, side]
-    tau = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])[side]
-    nin = np.array([[0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])[side]
-
-    active = d < delta
-    t = d / delta
-    chi = np.where(active, _cutoff(t), 0.0)
-    chi_p = np.where(active, _cutoff_derivative(t) / delta, 0.0)
-
-    v = np.asarray(V.speed(s), dtype=float)
-    vp = np.asarray(V.dspeed(s), dtype=float)
-
-    # V = v(s) chi(d/delta) tau;  grad(v chi) = v' chi tau + v chi' grad d,
-    # and grad d is the inward normal.
-    grad_mag = (vp * chi)[:, None] * tau + (v * chi_p)[:, None] * nin
-    DV = tau[:, :, None] * grad_mag[:, None, :]
-    div = vp * chi
-    DV[~active] = 0.0
-    return np.where(active, div, 0.0), DV
-

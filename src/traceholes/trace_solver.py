@@ -67,46 +67,3 @@ def _multiplier_and_residual(mesh, cfg, u, free):
     lam = float(a @ b) / bb
     residual = float(np.linalg.norm(a - lam * b))
     return lam, residual
-
-
-def el_residual(mesh: Mesh, cfg: ProblemConfig, result: TraceResult,
-                hole: BoundaryHole) -> float:
-    """Dual norm of the Euler-Lagrange residual over free nodal tests.
-
-    max_phi |a(u, phi) - lambda b(u, phi)| / ||phi|| with phi ranging over
-    free nodal directions equals the Euclidean norm of the free residual
-    vector.  lambda is the least-squares multiplier of the extremal, which
-    the solver reports as ``lam``; the extremal must be boundary-normalized.
-    """
-    u = result.extremal
-    B = fem.boundary_norm_q(mesh, cfg, u)
-    if abs(B - 1.0) > 1e-8:
-        raise ValueError("el_residual expects a normalized extremal")
-    return _multiplier_and_residual(mesh, cfg, u, free_dof_mask(mesh, hole))[1]
-
-
-@dataclass
-class PositivityReport:
-    min_off_hole: float
-    min_free: float
-    max_on_hole: float
-    violation: bool
-
-
-def positivity_check(result: TraceResult, hole: BoundaryHole) -> PositivityReport:
-    """Hopf-style check: the extremal should be strictly positive away from
-    the closed hole and exactly zero on it."""
-    mesh = result.mesh
-    u = result.extremal
-    hole_verts = hole.vertex_indices(mesh)
-    adjacent = np.zeros(mesh.n_vertices, dtype=bool)
-    if hole_verts.size:
-        touching = np.any(np.isin(mesh.cells, hole_verts), axis=1)
-        adjacent[np.unique(mesh.cells[touching])] = True
-    off = ~adjacent
-    min_off = float(u[off].min()) if np.any(off) else float("nan")
-    free = free_dof_mask(mesh, hole)
-    min_free = float(u[free].min()) if np.any(free) else float("nan")
-    max_on = float(np.abs(u[hole_verts]).max()) if hole_verts.size else 0.0
-    return PositivityReport(min_off, min_free, max_on,
-                            violation=bool(min_off < 0))

@@ -121,6 +121,99 @@ def linalg_operators(vertices, cells, quad_simplices, bary):
     return sp.vstack([D, Q], format="csr"), vol, mass
 
 
+# Quadrature of the boundary facets, keyed by their vertex count: a point
+# facet is one node of unit weight, a segment two-point Gauss.
+_G = 0.5 / math.sqrt(3.0)
+_GAUSS = {1: (np.array([[1.0]]), np.array([1.0])),
+         2: (np.array([[0.5 + _G, 0.5 - _G], [0.5 - _G, 0.5 + _G]]),
+             np.array([0.5, 0.5]))}
+
+
+def oracle_forms(mesh, cfg):
+    """u -> (E, dE, B, dB): the P1 energy and boundary norm of the module
+    docstring of ``traceholes.fem`` and their nodal gradients, for fields of
+    any sign, on the operators of ``linalg_operators``."""
+    p, q, eps = cfg.p, cfg.q, cfg.eps
+    bary, weights = _GAUSS[mesh.boundary.shape[1]]
+    A, vol, mass = linalg_operators(mesh.vertices, mesh.cells, mesh.boundary,
+                                    bary)
+    n = mesh.dim * len(mesh.cells)
+    D, Q = A[:n], A[n:]
+    w = np.outer(weights, mesh.facet_lengths).ravel()
+
+    def evaluate(u):
+        Du = (D @ u).reshape(mesh.dim, -1)
+        s = eps**2 + (Du * Du).sum(axis=0)
+        E = float(vol @ s ** (p / 2) + mass @ np.abs(u) ** p)
+        flux = Du * (p * vol * s ** ((p - 2) / 2))
+        dE = D.T @ flux.ravel() + p * mass * np.sign(u) * np.abs(u) ** (p - 1)
+        Qu = Q @ u
+        B = float(w @ np.abs(Qu) ** q)
+        dB = Q.T @ (q * w * np.sign(Qu) * np.abs(Qu) ** (q - 1))
+        return E, dE, B, dB
+    return evaluate
+
+
+def oracle_quotient(mesh, cfg):
+    """(value, gradient) of the quotient E / B^(p/q) from ``oracle_forms``."""
+    forms, r = oracle_forms(mesh, cfg), cfg.p / cfg.q
+
+    def value(u):
+        E, _, B, _ = forms(u)
+        return E / B**r
+
+    def gradient(u):
+        E, dE, B, dB = forms(u)
+        return dE / B**r - r * E * dB / B ** (r + 1)
+    return value, gradient
+
+
+def el_residual(mesh, cfg, result, hole):
+    """Dual norm of the Euler-Lagrange residual over free nodal tests.
+
+    max_phi |a(u, phi) - lambda b(u, phi)| / ||phi|| with phi ranging over
+    free nodal directions equals the Euclidean norm of the free residual
+    vector, a = dE / p and b = dB / q there.  lambda is their least-squares
+    multiplier; the extremal must be boundary-normalized.
+    """
+    _, dE, B, dB = oracle_forms(mesh, cfg)(result.extremal)
+    if abs(B - 1.0) > 1e-8:
+        raise ValueError("el_residual expects a normalized extremal")
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[hole.vertex_indices(mesh)] = False
+    a, b = dE[free] / cfg.p, dB[free] / cfg.q
+    lam = float(a @ b) / float(b @ b)
+    return float(np.linalg.norm(a - lam * b))
+
+
+@dataclass
+class PositivityReport:
+    min_off_hole: float
+    min_free: float
+    max_on_hole: float
+    violation: bool
+
+
+def positivity_check(result, hole):
+    """Hopf-style check: the extremal should be strictly positive away from
+    the closed hole and exactly zero on it."""
+    mesh = result.mesh
+    u = result.extremal
+    hole_verts = hole.vertex_indices(mesh)
+    adjacent = np.zeros(mesh.n_vertices, dtype=bool)
+    if hole_verts.size:
+        touching = np.any(np.isin(mesh.cells, hole_verts), axis=1)
+        adjacent[np.unique(mesh.cells[touching])] = True
+    off = ~adjacent
+    min_off = float(u[off].min()) if np.any(off) else float("nan")
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[hole_verts] = False
+    min_free = float(u[free].min()) if np.any(free) else float("nan")
+    max_on = float(np.abs(u[hole_verts]).max()) if hole_verts.size else 0.0
+    return PositivityReport(min_off, min_free, max_on,
+                            violation=bool(min_off < 0))
+
+
 def assemble_weighted_metric(mesh, c, c_m):
     """Dense sum over cells of |cell| c_cell grad phi_i . grad phi_j plus
     the lumped mass times c_m on the diagonal, with plain loops."""

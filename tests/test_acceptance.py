@@ -13,7 +13,7 @@ convergence diagnostics printed alongside.
 import numpy as np
 import pytest
 
-from traceholes.fem import ProblemConfig, quotient_gradient, rayleigh_quotient
+from traceholes.fem import ProblemConfig, forms
 from traceholes.geometry import (
     Disk, Interval, Rectangle, generate_mesh, hole_from_facets,
     make_hole_from_arc, plateau_speed, tangential_field,
@@ -27,11 +27,11 @@ from traceholes.one_dim import (
 )
 from traceholes.shape_derivative import evaluate_shape_derivative, fd_check
 from traceholes.thin_domain import run_mu_sweep
-from traceholes.trace_solver import positivity_check, solve_trace_constant
+from traceholes.trace_solver import solve_trace_constant
 
 from oracles import (
     central_difference_gradient, dense_trace_eigenpair, is_contiguous_arc,
-    rotation_field,
+    positivity_check, rotation_field,
 )
 
 
@@ -230,6 +230,28 @@ def test_thin_domain_scaling_law_extended_evidence():
     assert ratios[-1] < 0.6
 
 
+@pytest.mark.parametrize("p,q", [(3, 2), (1.5, 1.5)])
+def test_thin_domain_limit_at_p_other_than_2(p, q):
+    """Not a stated criterion: the thin-domain limit 2^(-p/q) S1d of the
+    paper at p != 2.  With k = 1 the scaling exponent is 1 at every (p, q),
+    so the sweep tests the limit constant.  The windows are those of the
+    p = 2 evidence above, over a longer mu range."""
+    mu_values = [2.0 ** -k for k in range(1, 9)]     # 1/2 ... 1/256
+    last_gap, fitted_gap, last_ratio = 0.05, 0.01, 0.6
+    cfg = ProblemConfig(p, q, dof_tolerance=1e-8)
+    sweep = run_mu_sweep(Interval(0, 1), 0.5, cfg, mu_values)
+    target = sweep.target_limit
+    assert all(r.converged for r in sweep.records)
+    gaps = [(r.rescaled - target) / target for r in sweep.records]
+    fitted = (sweep.fitted_limit - target) / target
+    print(f"\n          (p, q) = ({p}, {q}) sweep gaps: "
+          f"{['%+.2f%%' % (g * 100) for g in gaps]}, fitted "
+          f"{sweep.fitted_limit:.5f} vs target {target:.5f} ({fitted * 100:+.3f}%)")
+    assert abs(gaps[-1]) <= last_gap
+    assert abs(fitted) <= fitted_gap
+    assert abs(gaps[-1] / gaps[-2]) < last_ratio
+
+
 def _long_edge_holes_in_predicted_segment(sweep, alpha):
     rec = sweep.records[-1]
     mu = rec.mu
@@ -263,25 +285,24 @@ def test_criterion_6_property_suites():
     lines = []
     rng = np.random.default_rng(0)
 
-    # quotient homogeneity to 1e-12
+    # quotient homogeneity to 1e-12, on the descent's evaluation (E at B = 1)
     mesh = generate_mesh(Rectangle(1, 1), 0.25)
-    cfg = ProblemConfig(2, 2)
+    evaluate, _ = forms(mesh).quotient(ProblemConfig(2, 2))
     u = rng.uniform(0.5, 1.5, mesh.n_vertices)
-    dev = max(abs(rayleigh_quotient(mesh, cfg, c * u)
-                  - rayleigh_quotient(mesh, cfg, u)) for c in (1e-3, 1e3))
+    dev = max(abs(evaluate(c * u)[1] - evaluate(u)[1]) for c in (1e-3, 1e3))
     _report(lines, dev <= 1e-12,
             f"criterion 6: quotient 0-homogeneity dev {_within(dev, '1e-12')}")
 
-    # gradient vs central differences to 1e-5
+    # the descent's gradient vs central differences to 1e-5, at the field
+    # its evaluation scaled to B = 1
     gmesh = generate_mesh(Rectangle(1, 1), 0.34)
     worst = 0.0
     for p in (1.5, 2, 3):
         for q in (1, 2, 2.5):
-            c = ProblemConfig(p, q)
-            v = rng.uniform(0.5, 1.5, gmesh.n_vertices)
-            g = quotient_gradient(gmesh, c, v)
-            fd = central_difference_gradient(
-                lambda w: rayleigh_quotient(gmesh, c, w), v)
+            evaluate, gradient = forms(gmesh).quotient(ProblemConfig(p, q))
+            v, E, product = evaluate(rng.uniform(0.5, 1.5, gmesh.n_vertices))
+            g = gradient(v, E, product)
+            fd = central_difference_gradient(lambda w: evaluate(w)[1], v)
             worst = max(worst, float(np.max(np.abs(fd - g))
                                      / np.max(np.abs(g))))
     _report(lines, worst <= 1e-5,

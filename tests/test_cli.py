@@ -41,6 +41,19 @@ def test_verify_1d_names_its_sweep_grid(tmp_path, n_cells, sweep_n_cells):
     assert len(rows) == sweep_n_cells // 2 + 1
 
 
+@pytest.mark.parametrize("p", [1.25, 1.3])
+def test_verify_1d_near_p_1_exits_2_with_a_summary(tmp_path, p):
+    # the lagged metric rounds to an indefinite float32 block, which the
+    # banded Cholesky cannot factor: SuperLU takes it, and the unconverged
+    # run still lands on the closed form
+    code = main(["verify-1d", "-p", str(p), "--alpha", "0.5",
+                 "--out", str(tmp_path), "--run-id", "v"])
+    assert code == 2
+    payload = read_summary(tmp_path, "v")
+    assert payload["converged"] is False
+    assert abs(payload["relative_gap"]) <= 1e-5
+
+
 def test_verify_1d_rejects_q_other_than_p(tmp_path, capsys):
     # verify-1d solves at q = p: a -q flag or a config q that differs is
     # invalid input, while a run that gives no q keeps the default run id

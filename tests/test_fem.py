@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traceholes.fem import (
-    _RULES, NotAdmissibleError, Operators, ProblemConfig, boundary_norm_q,
-    energy, energy_gradient, forms, quotient_gradient, rayleigh_quotient,
+    _RULES, Operators, ProblemConfig, boundary_norm_q, energy_gradient, forms,
 )
 from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh,
@@ -19,12 +18,19 @@ from traceholes.trace_solver import free_dof_mask
 from oracles import (
     assemble_p2_matrices, assemble_weighted_metric,
     central_difference_gradient, lagged_weights, linalg_operators,
+    oracle_quotient,
 )
 
 
 @pytest.fixture(scope="module")
 def square():
     return generate_mesh(Rectangle(1, 1), 0.25)
+
+
+def _quotient(mesh, cfg, u):
+    """E / B^(p/q) at u >= 0 as the descent evaluates it: E at B = 1."""
+    evaluate, _ = forms(mesh).quotient(cfg)
+    return evaluate(u)[1]
 
 
 def test_config_validation():
@@ -50,33 +56,30 @@ def test_subcriticality_rule():
     ProblemConfig(3, 100).validate_subcritical(1)
 
 
-def test_energy_zero_field(square):
-    cfg = ProblemConfig(2, 2, epsilon=0.1)
-    u = np.zeros(square.n_vertices)
-    assert energy(square, cfg, u) == pytest.approx(0.1**2, rel=1e-12)
-    cfg0 = ProblemConfig(2, 2)
-    assert energy(square, cfg0, u) == 0.0
-
-
 def test_energy_constant_field(square):
-    cfg = ProblemConfig(2, 2)
+    # a constant field has no gradient, so its density is eps^2 on every
+    # cell; scaled to B = 1 on the unit square's perimeter 4 it is 1/2
     u = np.ones(square.n_vertices)
-    assert energy(square, cfg, u) == pytest.approx(1.0, rel=1e-12)
+    for eps, want in ((0.0, 0.25), (0.1, 0.1**2 + 0.25)):
+        assert _quotient(square, ProblemConfig(2, 2, epsilon=eps), u) \
+            == pytest.approx(want, rel=1e-12)
 
 
 def test_energy_linear_field_interval():
     # oracle by hand: int_0^1 1 dx + int_0^1 x^2 dx = 4/3 (mass term is
-    # trapezoidal under lumping, so compare at fine resolution)
+    # trapezoidal under lumping, so compare at fine resolution); u = x
+    # already has B = u(0)^2 + u(1)^2 = 1
     mesh = generate_mesh(Interval(0, 1), 1e-3)
-    cfg = ProblemConfig(2, 2)
     u = mesh.vertices[:, 0].copy()
-    assert energy(mesh, cfg, u) == pytest.approx(4.0 / 3.0, abs=2e-6)
+    assert _quotient(mesh, ProblemConfig(2, 2), u) \
+        == pytest.approx(4.0 / 3.0, abs=2e-6)
 
 
 def test_energy_monotone_in_epsilon(square):
+    # B does not depend on epsilon, so the quotient grows with E
     rng = np.random.default_rng(3)
     u = rng.uniform(0.5, 1.5, square.n_vertices)
-    vals = [energy(square, ProblemConfig(1.5, 2, epsilon=e), u)
+    vals = [_quotient(square, ProblemConfig(1.5, 2, epsilon=e), u)
             for e in [0.0, 1e-3, 1e-1, 1.0]]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
@@ -94,10 +97,10 @@ def test_boundary_norm_examples(square):
 
 def test_rayleigh_quotient_examples(square):
     cfg = ProblemConfig(2, 2)
-    assert rayleigh_quotient(square, cfg, np.ones(square.n_vertices)) \
+    assert _quotient(square, cfg, np.ones(square.n_vertices)) \
         == pytest.approx(0.25, rel=1e-13)
     disk = generate_mesh(Disk(1), 0.1)
-    q = rayleigh_quotient(disk, cfg, np.ones(disk.n_vertices))
+    q = _quotient(disk, cfg, np.ones(disk.n_vertices))
     assert q == pytest.approx(0.5, rel=0.02)
 
 
@@ -107,8 +110,8 @@ def test_rayleigh_rejects_boundary_zero(square):
     interior = np.setdiff1d(np.arange(square.n_vertices),
                             square.boundary_vertex_indices())
     u[interior] = 1.0
-    with pytest.raises(NotAdmissibleError):
-        rayleigh_quotient(square, cfg, u)
+    with pytest.raises(ValueError, match="boundary norm vanished"):
+        _quotient(square, cfg, u)
 
 
 @settings(max_examples=20, deadline=None)
@@ -117,19 +120,20 @@ def test_quotient_degree_zero_homogeneity(c, seed):
     mesh = generate_mesh(Rectangle(1, 1), 0.5)
     cfg = ProblemConfig(2, 2)
     u = np.random.default_rng(seed).uniform(0.5, 1.5, mesh.n_vertices)
-    assert abs(rayleigh_quotient(mesh, cfg, c * u)
-               - rayleigh_quotient(mesh, cfg, u)) <= 1e-12
+    assert abs(_quotient(mesh, cfg, c * u) - _quotient(mesh, cfg, u)) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [1.5, 2, 3])
 @pytest.mark.parametrize("q", [1, 2, 2.5])
 def test_gradient_matches_finite_differences(p, q):
+    # the descent's gradient at the field it scaled to B = 1
     mesh = generate_mesh(Rectangle(1, 1), 0.34)
     cfg = ProblemConfig(p, q)
     u = np.random.default_rng(7).uniform(0.5, 1.5, mesh.n_vertices)
-    g = quotient_gradient(mesh, cfg, u)
-    fd = central_difference_gradient(
-        lambda v: rayleigh_quotient(mesh, cfg, v), u)
+    evaluate, gradient = forms(mesh).quotient(cfg)
+    v, E, product = evaluate(u)
+    g = gradient(v, E, product)
+    fd = central_difference_gradient(lambda w: evaluate(w)[1], v)
     assert np.max(np.abs(fd - g)) <= 1e-5 * np.max(np.abs(g))
 
 
@@ -141,10 +145,12 @@ def test_quadratic_case_matches_bilinear_form():
     rng = np.random.default_rng(11)
     for _ in range(3):
         u = rng.normal(size=mesh.n_vertices)
-        quad = float(u @ (K @ u) + (Mdiag * u) @ u)
-        assert energy(mesh, cfg, u) == pytest.approx(quad, rel=1e-12)
         assert boundary_norm_q(mesh, cfg, u) == pytest.approx(
             float(u @ (B @ u)), rel=1e-12)
+        v = np.abs(u)
+        quad = float(v @ (K @ v) + (Mdiag * v) @ v)
+        assert _quotient(mesh, cfg, v) == pytest.approx(
+            quad / float(v @ (B @ v)), rel=1e-12)
 
 
 def test_p2_gradient_superposition():
@@ -317,8 +323,8 @@ def test_descent_makes_one_stacked_product_per_trial(monkeypatch, p):
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (1.5, 1.5)])
 def test_quotient_callables_match_the_forms(square, p, q):
     # evaluate normalizes by scaling its product, so it agrees with the
-    # forms at the normalized field up to rounding; at B = 1 the gradient
-    # is the quotient's
+    # oracle's forms at the normalized field up to rounding; at B = 1 the
+    # gradient is the quotient's
     cfg = ProblemConfig(p, q)
     x, y = square.vertices.T
     u = 1.0 + np.sin(3 * x) * np.cos(2 * y) ** 2
@@ -327,12 +333,10 @@ def test_quotient_callables_match_the_forms(square, p, q):
     assert not v.flags.writeable
     B = boundary_norm_q(square, cfg, u)
     assert np.allclose(v, u * B ** (-1.0 / q), rtol=1e-15, atol=0)
-    assert E == pytest.approx(energy(square, cfg, v.copy()), rel=1e-13)
-    g = quotient_gradient(square, cfg, v.copy())
+    value, oracle_gradient = oracle_quotient(square, cfg)
+    assert E == pytest.approx(value(v), rel=1e-13)
+    g = oracle_gradient(v)
     assert np.abs(gradient(v, E, product) - g).max() <= 1e-12 * np.abs(g).max()
-    u[square.boundary_vertex_indices()] = 0.0
-    with pytest.raises(ValueError, match="boundary norm vanished"):
-        evaluate(u)
 
 
 def test_density_is_fresh_for_every_changeable_array(square):
@@ -341,15 +345,15 @@ def test_density_is_fresh_for_every_changeable_array(square):
 
     def fresh(u):
         return energy_gradient(square, cfg, u.copy())
-    # a writable array changed in place between E and dE
+    # a writable array changed in place between two evaluations
     u = rng.random(square.n_vertices)
-    energy(square, cfg, u)
+    energy_gradient(square, cfg, u)
     u[::3] *= 2.0
     assert np.array_equal(energy_gradient(square, cfg, u), fresh(u))
     # a read-only array made writable and changed
     v = rng.random(square.n_vertices)
     v.flags.writeable = False
-    energy(square, cfg, v)
+    energy_gradient(square, cfg, v)
     v.flags.writeable = True
     v[::3] *= 2.0
     assert np.array_equal(energy_gradient(square, cfg, v), fresh(v))
@@ -357,18 +361,17 @@ def test_density_is_fresh_for_every_changeable_array(square):
     base = rng.random(square.n_vertices)
     view = base[:]
     view.flags.writeable = False
-    energy(square, cfg, view)
+    energy_gradient(square, cfg, view)
     base[::3] *= 2.0
     assert np.array_equal(energy_gradient(square, cfg, view), fresh(view))
     # a read-only array that owns its data
     w = rng.random(square.n_vertices)
     w.flags.writeable = False
-    E = energy(square, cfg, w)
-    assert E == energy(square, cfg, w.copy())
     assert np.array_equal(energy_gradient(square, cfg, w), fresh(w))
     # and for another epsilon
     other = ProblemConfig(3, 2, epsilon=0.5)
-    assert energy(square, other, w) == energy(square, other, w.copy())
+    assert np.array_equal(energy_gradient(square, other, w),
+                          energy_gradient(square, other, w.copy()))
 
 
 def _interval(n_cells, h, fixed):
@@ -451,7 +454,8 @@ def test_parts_are_checked():
         with pytest.raises(ValueError, match="straddles two parts") as err:
             Operators(vertices, cell_set, bridge, bridge_measures, parts=labels)
         assert "\n" not in str(err.value)
-    beta = np.where(labels == 1, 0.0, 1.0)
+    # part 1 has no quadrature simplex
+    own = labels[cells[:, 0]] == 0
     with pytest.raises(ValueError, match="no denominator weight") as err:
-        Operators(vertices, cells, cells, measures, beta=beta, parts=labels)
+        Operators(vertices, cells, cells[own], measures[own], parts=labels)
     assert "\n" not in str(err.value)

@@ -3,8 +3,9 @@ import pytest
 
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import (
-    Disk, Rectangle, ThinRectangle, generate_mesh, make_hole_from_arc,
-    max_tube_width, plateau_speed, tangential_field,
+    Disk, Rectangle, TangentialField, ThinRectangle,
+    field_divergence_and_jacobian, generate_mesh, make_hole_from_arc,
+    plateau_speed, tangential_field,
 )
 from traceholes.shape_derivative import (
     evaluate_shape_derivative, fd_check, transport_hole,
@@ -53,24 +54,13 @@ def test_rotation_invariance(disk, p, q):
     assert res.boundary_term == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("domain,res", [
-    (Disk(1), 0.1),
-    (Rectangle(2, 1), 0.1),
-    (ThinRectangle(0, 1, 1 / 16), 1 / 64),
-])
-def test_decomposition_and_linearity(domain, res):
-    # the rectangles run the polygon tube; on the thin mesh the default
-    # tube width 3h does not fit and falls back to half the widest tube
-    mesh = generate_mesh(domain, res)
-    cfg = ProblemConfig(2, 2, dof_tolerance=1e-10)
+def test_decomposition_and_linearity(disk, disk_setup):
+    mesh = disk
+    cfg, hole, trace = disk_setup
     P = mesh.perimeter
     end = 0.25 * P
-    hole = make_hole_from_arc(mesh, 0.0, end)
-    trace = solve_trace_constant(mesh, cfg, hole)
     V1 = _end_plateau_field(mesh, end, 1.0)
     V3 = _end_plateau_field(mesh, end, 3.0)
-    if isinstance(domain, ThinRectangle):
-        assert V1.delta == 0.5 * max_tube_width(mesh)
     r1 = evaluate_shape_derivative(mesh, cfg, hole, V1, trace)
     r3 = evaluate_shape_derivative(mesh, cfg, hole, V3, trace)
     assert r1.ds_dt == pytest.approx(r1.boundary_term + r1.volume_term, abs=0)
@@ -100,6 +90,18 @@ def test_requires_converged_normalized_trace(disk, disk_setup):
                                   replace(trace, extremal=2 * trace.extremal))
 
 
+@pytest.mark.parametrize("domain", [Rectangle(2, 1), ThinRectangle(0, 1, 0.25)])
+def test_tube_fields_are_disk_only(domain):
+    mesh = generate_mesh(domain, 0.25)
+    speed, dspeed = plateau_speed(mesh, 0.0, 1.0, 0.5, 1.0)
+    with pytest.raises(ValueError, match="disk meshes only") as err:
+        tangential_field(mesh, speed, dspeed)
+    assert "\n" not in str(err.value)
+    V = TangentialField(speed, dspeed, 0.1)
+    with pytest.raises(ValueError, match="disk meshes only"):
+        field_divergence_and_jacobian(mesh, V, mesh.vertices)
+
+
 def test_tube_width_validated(disk, disk_setup):
     cfg, hole, trace = disk_setup
     speed, dspeed = plateau_speed(disk, 0.0, 1.0, 0.5, 1.0)
@@ -109,7 +111,6 @@ def test_tube_width_validated(disk, disk_setup):
 
 
 def test_tube_extension_vanishes_outside_tube(disk):
-    from traceholes.geometry import field_divergence_and_jacobian
     V = _end_plateau_field(disk, 0.25 * disk.perimeter, 1.0)
     inner = np.array([[0.0, 0.0], [0.3, 0.2], [-0.4, 0.1]])
     assert np.all(np.hypot(*inner.T) < 1.0 - V.delta)

@@ -16,13 +16,11 @@ from traceholes.geometry import (
 from traceholes.one_dim import (
     OneDimProblem, _limit_grid, _limit_operators, solve_limit_problem,
 )
-from traceholes.trace_solver import (
-    el_residual, positivity_check, solve_trace_constant,
-)
+from traceholes.trace_solver import solve_trace_constant
 
 from oracles import (
-    dense_trace_eigenpair, interval_trace_constant_shooting,
-    solve_with_restarts,
+    dense_trace_eigenpair, el_residual, interval_trace_constant_shooting,
+    positivity_check, solve_with_restarts,
 )
 
 # frozen output of the shooting oracle (= coth(1)); the guard assertion in
@@ -319,8 +317,7 @@ def _union_grid_case(p):
     x = _limit_grid(problem, 64)
     sizes = np.arange(17, 34)
     nodes = np.concatenate([np.arange(n) for n in sizes])
-    ops = _limit_operators(problem, x[nodes],
-                           np.repeat(np.arange(sizes.size), sizes))
+    ops = _limit_operators(x[nodes], np.repeat(np.arange(sizes.size), sizes))
     return ops, x[nodes], nodes < np.repeat(sizes - 1, sizes)
 
 
@@ -368,11 +365,14 @@ def test_banded_and_superlu_factors_agree(case, p, lagged):
                 <= bound * np.linalg.norm(x_superlu))
 
 
-def test_banded_factor_of_an_indefinite_block_raises():
-    # every metric is SPD by construction, so a failed Cholesky is a fault
-    K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(np.linalg.LinAlgError, match="pivot 2"):
-        Preconditioner.restricted(K, np.ones(2, dtype=bool), np.arange(2))
+def test_banded_factor_of_an_indefinite_block_falls_back_to_superlu():
+    # an SPD metric can round to an indefinite float32 block; its banded
+    # Cholesky fails at pivot 2, and SuperLU's LU factor solves it instead
+    K = np.array([[1.0, 2.0], [2.0, 1.0]])
+    pre = Preconditioner.restricted(sp.csr_matrix(K), np.ones(2, dtype=bool),
+                                    np.arange(2))
+    b = np.array([1.0, -3.0])
+    assert pre.solve(b) == pytest.approx(np.linalg.solve(K, b), rel=1e-6)
 
 
 def _bandwidth(metric, order) -> int:
@@ -435,7 +435,7 @@ def _free_block_case(grid):
     if grid == "1d":
         problem = OneDimProblem(0, 1, 1.5, 1.5, 0.5)
         x = _limit_grid(problem, 256)
-        return _limit_operators(problem, x), x, (x < 0.25) | (x > 0.75)
+        return _limit_operators(x), x, (x < 0.25) | (x > 0.75)
     domain, res = {"disk": (Disk(1), 0.1), "square": (Rectangle(1, 1), 1 / 16)}[grid]
     mesh = generate_mesh(domain, res)
     hole = make_hole_from_arc(mesh, 0.3, 0.25 * mesh.perimeter)
@@ -651,7 +651,7 @@ def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
     assert len(calls) == 1 + cold.iterations // 30
     del calls[:]
     x = _limit_grid(problem, 128)
-    warm = _limit_operators(problem, x).solve(
+    warm = _limit_operators(x).solve(
         problem.config(), (x < 0.25) | (x > 0.75), init=cold.extremal)
     assert warm.converged and warm.iterations >= 30
     assert len(calls) == 1 + warm.iterations // 30
@@ -694,5 +694,4 @@ def test_wrong_length_init_is_rejected(disk_coarse):
     problem = OneDimProblem(0, 1, 2, 2, 0.5)
     x = _limit_grid(problem, 64)
     with pytest.raises(ValueError, match="wrong length"):
-        _limit_operators(problem, x).solve(problem.config(), x < 0.5,
-                                           init=np.ones(64))
+        _limit_operators(x).solve(problem.config(), x < 0.5, init=np.ones(64))
