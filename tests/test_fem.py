@@ -56,13 +56,25 @@ def test_subcriticality_rule():
     ProblemConfig(3, 100).validate_subcritical(1)
 
 
-def test_energy_constant_field(square):
-    # a constant field has no gradient, so its density is eps^2 on every
-    # cell; scaled to B = 1 on the unit square's perimeter 4 it is 1/2
+def test_energy_zero_field(square):
+    # the quotient is undefined at the zero field itself; a field with zero
+    # gradient adds the density eps^2 on every cell, eps^2 |Omega| in all
+    zero = np.zeros(square.n_vertices)
+    for eps in (0.0, 0.1):
+        with pytest.raises(ValueError, match="boundary norm vanished"):
+            _quotient(square, ProblemConfig(2, 2, epsilon=eps), zero)
     u = np.ones(square.n_vertices)
-    for eps, want in ((0.0, 0.25), (0.1, 0.1**2 + 0.25)):
-        assert _quotient(square, ProblemConfig(2, 2, epsilon=eps), u) \
-            == pytest.approx(want, rel=1e-12)
+    with_eps = _quotient(square, ProblemConfig(2, 2, epsilon=0.1), u)
+    without = _quotient(square, ProblemConfig(2, 2), u)
+    assert with_eps - without == pytest.approx(0.1**2, rel=1e-12)
+
+
+def test_energy_constant_field(square):
+    # a constant field has no gradient; scaled to B = 1 on the unit
+    # square's perimeter 4 it is 1/2, so E = |Omega| / 4
+    u = np.ones(square.n_vertices)
+    assert _quotient(square, ProblemConfig(2, 2), u) \
+        == pytest.approx(0.25, rel=1e-12)
 
 
 def test_energy_linear_field_interval():
