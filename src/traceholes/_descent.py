@@ -9,12 +9,16 @@ so B = 1, which is exact because both forms are homogeneous.
 Steps go along the gradient preconditioned by an SPD elliptic metric
 (stiffness plus lumped mass, passed as a sparse matrix); without it the
 raw quotient gradient needs O(1/h^2) iterations on fine meshes.  The
-metric's factor is single precision, made from the float32 free block cut
-once from the symmetric CSR metric.  A mesh whose metric has a narrow band
-in a coordinate order (``fem.Operators.order``) gets LAPACK's banded
-Cholesky (xPBTRF; George and Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981); any other, or a failed banded factor,
-hands the block to SuperLU.
+metric's factor is single precision and full length: the hole's rows and
+columns are replaced by the identity, so it pins the hole.  Its solve of
+a gradient that is zero on the hole is exactly zero there, and every
+iterate stays exactly zero there with no mask of its own.  A mesh whose
+metric has a narrow band in reverse Cuthill-McKee order
+(``fem.Operators.order``) gets LAPACK's banded Cholesky (xPBTRF; George
+and Liu, Computer Solution of Large Sparse Positive Definite Systems,
+1981); any other, or a failed banded factor, hands the pinned metric to
+SuperLU.  The first step is 1/p along the preconditioned gradient: at
+p = q = 2 that is one inverse iteration in the W^{1,2} metric.
 The factor only shapes the step, while the gradient, line search, metric
 products and stopping test stay float64 (Carson and Higham, SIAM J. Sci.
 Comput. 40, 2018); the BB step's metric products multiply the full
@@ -65,73 +69,73 @@ class Preconditioner:
     solve: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def restricted(cls, metric, free: np.ndarray,
-                   order: Optional[np.ndarray] = None) -> "Preconditioner":
-        """Single-precision factor of a symmetric sparse SPD metric's free
-        block.
+    def pinned(cls, metric, free: np.ndarray,
+               order: Optional[np.ndarray] = None) -> "Preconditioner":
+        """Single-precision factor of a symmetric sparse SPD metric on all
+        vertices, with the rows and columns off the free set replaced by the
+        identity.  The factor is then block diagonal, the identity on the
+        pinned vertices, so its solve of a right side that is zero there is
+        exactly zero there, and on the free set it is the free block's.
 
-        With a vertex ``order`` (a permutation of all vertices) the block is
-        renumbered in that order, restricted to the free set, scattered into
-        LAPACK's upper band storage and factored by banded Cholesky
-        (``spbtrf``, applied by ``spbtrs``).  Removing vertices from an
-        order never widens its band, so every free set of a mesh shares its
-        order.  On the blocks of a hole search SuperLU's fixed costs
-        dominate: a banded factor of disk 0.05's block takes 0.9 against
-        2.5 ms, of thin mu = 1/64's 0.5 against 1.5 ms, and its solves a
-        quarter to a third less.
+        With a vertex ``order`` (a permutation of all vertices) the pinned
+        metric is renumbered in that order, scattered into LAPACK's upper
+        band storage and factored by banded Cholesky (``spbtrf``, applied
+        by ``spbtrs``).  Pinning drops entries, so its band is at most the
+        full metric's.  On the metrics of a hole search SuperLU's fixed
+        costs dominate: a banded factor of disk 0.05's takes 0.7 against
+        2.7 ms, of thin mu = 1/64's 0.3 against 0.7 ms, and its solves on
+        the disks a half to three quarters as long.
 
-        Without one, SuperLU factors the block, read as CSC over the cut's
-        arrays, in symmetric mode: SPD needs no pivoting, so a minimum
+        Without one, SuperLU factors the pinned metric, read as CSC over the
+        cut's arrays, in symmetric mode: SPD needs no pivoting, so a minimum
         degree ordering of P + Pᵀ and diagonal pivots.  On disk meshes this
         cuts the fill and factor time of the default unsymmetric column
         ordering by about 40% and the triangular-solve time by half.
-        SuperLU also takes the block when the banded factor fails: a metric
+        SuperLU also takes the metric when the banded factor fails: a metric
         can be SPD yet so ill-conditioned that its float32 rounding is not
         (the 1D lagged metric at p = 1.25, condition number 1.5e11), and
         an LU factor needs no definite block.
         """
-        block = _free_block(metric, free)
         if order is not None:
-            # pos: the band position of each free index; perm: its inverse
-            at = np.empty(free.size, dtype=np.intp)
-            at[order] = np.cumsum(free[order]) - 1
-            pos = at[free]
-            perm = np.empty_like(pos)
-            perm[pos] = np.arange(pos.size)
-            row = pos[block.indices]
-            col = np.repeat(pos, np.diff(block.indptr))
-            upper = row <= col
-            offset = row[upper] - col[upper]
+            pos = np.empty(order.size, dtype=np.intp)   # the band position
+            pos[order] = np.arange(order.size)
+            counts = np.diff(metric.indptr)
+            row = pos[metric.indices]
+            col = np.repeat(pos, counts)
+            # the upper triangle, off the hole's rows and columns
+            keep = (row <= col) & free[metric.indices] & np.repeat(free, counts)
+            offset = row[keep] - col[keep]
             kd = -int(offset.min())
             # LAPACK upper band storage: (i, j) at row kd + i - j, column j
             ab = np.zeros((kd + 1, pos.size), dtype=np.float32, order="F")
-            ab[kd + offset, col[upper]] = block.data[upper]
-            del block, row, col, upper, offset
+            ab[kd + offset, col[keep]] = metric.data[keep]
+            ab[kd, pos[~free]] = 1.0
+            del row, col, keep, offset
             factor, info = lapack.spbtrf(ab, overwrite_ab=1)
             if info == 0:
                 return cls(solve=lambda b: lapack.spbtrs(
-                    factor, b[perm].astype(np.float32))[0][pos])
-            block = _free_block(metric, free)   # freed above, for the band's peak
-        lu = spla.splu(block, permc_spec="MMD_AT_PLUS_A",
+                    factor, b[order].astype(np.float32))[0][pos])
+        lu = spla.splu(_pinned_cut(metric, free), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return cls(solve=lambda b: lu.solve(b.astype(np.float32)))
 
 
-def _free_block(metric, free: np.ndarray):
-    """The float32 block ``metric[np.ix_(idx, idx)]`` of a symmetric CSR
-    metric at the free indices idx, read as CSC: the CSR arrays of the cut
-    are the CSC arrays of its transpose, which is the block.  Masks keep
+def _pinned_cut(metric, free: np.ndarray):
+    """The float32 symmetric CSR metric with the rows and columns off the
+    free set replaced by the identity, read as CSC: the CSR arrays of the
+    cut are the CSC arrays of its transpose, which is the cut.  Masks keep
     each row's entries in order; every row holds at least its diagonal."""
-    idx = free.nonzero()[0]
-    renumber = np.full(free.size, -1, dtype=metric.indices.dtype)
-    renumber[idx] = np.arange(idx.size)
-    col = renumber[metric.indices]      # -1 in the fixed columns
-    keep = col >= 0
-    keep &= np.repeat(free, np.diff(metric.indptr))
-    indptr = np.zeros(idx.size + 1, dtype=metric.indptr.dtype)
-    np.cumsum(np.add.reduceat(keep, metric.indptr[:-1])[idx], out=indptr[1:])
-    return sp.csc_matrix((metric.data[keep].astype(np.float32), col[keep], indptr),
-                         shape=(idx.size, idx.size))
+    counts = np.diff(metric.indptr)
+    keep = np.repeat(free, counts)
+    keep &= free[metric.indices]
+    keep |= metric.indices == np.repeat(
+        np.arange(free.size, dtype=metric.indices.dtype), counts)
+    indices = metric.indices[keep]
+    data = metric.data[keep].astype(np.float32)
+    data[~free[indices]] = 1.0      # a pinned vertex keeps only its diagonal
+    indptr = np.zeros_like(metric.indptr)
+    np.cumsum(np.add.reduceat(keep, metric.indptr[:-1]), out=indptr[1:])
+    return sp.csc_matrix((data, indices, indptr), shape=metric.shape)
 
 
 def _metric_norm2(metric, s: np.ndarray) -> float:
@@ -149,7 +153,7 @@ class DescentResult:
     values: list
 
 
-def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
+def minimize_quotient(evaluate, gradient, p, free, init, h1, tol, max_iter,
                       metric: Optional[Callable] = None,
                       order: Optional[np.ndarray] = None) -> DescentResult:
     """Minimize E(u)/B(u)^(p/q) over the free DOFs.
@@ -160,8 +164,8 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
 
     The start is the constant field when ``init`` is None, otherwise
     ``|init|`` with free entries floored at ``1e-12 max(max|init|, 1)``;
-    fixed DOFs start (and stay) at zero.  ``fixed`` is the SPD metric of
-    the preconditioner, a sparse matrix on all DOFs.
+    fixed DOFs start (and stay) at zero.  ``h1`` is the SPD metric of the
+    preconditioner, a sparse matrix on all DOFs.
 
     Convergence requires both the free-DOF gradient norm (scaled by 1/p,
     the Euler-Lagrange residual scale) to fall below ``tol`` and the
@@ -174,12 +178,12 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
     ``metric(u, delta)``, when given, returns the lagged metric at u (a
     sparse SPD matrix on all DOFs, regularized by ``delta``); it is
     refactored every ``REFRESH`` iterations.  A cold start begins on
-    ``fixed``, a warm start on the metric at its start field: the lagged
+    ``h1``, a warm start on the metric at its start field: the lagged
     metric at the constant field is a poor model, and on disks (p = 1.5,
     3) it raised cold solves from 22-32 to 59-95 iterations.
 
     ``order``, when given, is the vertex order of a banded factor of every
-    metric (``Preconditioner.restricted``); otherwise SuperLU factors them.
+    metric (``Preconditioner.pinned``); otherwise SuperLU factors them.
     """
     if init is None:
         u = np.ones(free.size)
@@ -188,20 +192,18 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
         if u.shape != free.shape:
             raise ValueError("init field has the wrong length")
         u[free] = np.maximum(u[free], 1e-12 * max(float(u.max()), 1.0))
-    u[~free] = 0.0
-    # the metric P of the current factor, whose products give <s, s>_P
-    P = None if metric is not None and init is not None else fixed
-    precond = None if P is None else Preconditioner.restricted(P, free, order)
+    hole = np.flatnonzero(~free)
+    u[hole] = 0.0
+    # the metric P of the current factor, whose products give <s, s>_P; the
+    # factor is pinned off the free set, so every direction, and with it
+    # every iterate, is exactly zero there
+    P = None if metric is not None and init is not None else h1
+    precond = None if P is None else Preconditioner.pinned(P, free, order)
 
     def grad_at(u, E, product):
         g = gradient(u, E, product)
-        g[~free] = 0.0
+        g[hole] = 0.0
         return g
-
-    def direction(g):
-        d = np.zeros_like(g)
-        d[free] = precond.solve(g[free])
-        return d
 
     u, E, product = evaluate(u)
     g = grad_at(u, E, product)
@@ -214,10 +216,11 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
     gnorm0 = gnorm
     if precond is None:
         P = metric(u, DELTA_MAX)
-        precond = Preconditioner.restricted(P, free, order)
+        precond = Preconditioner.pinned(P, free, order)
 
-    d = direction(g)
-    alpha = 0.1 * max(float(np.linalg.norm(u)), 1.0) / max(float(np.linalg.norm(d)), 1e-30)
+    d = precond.solve(g)
+    # at p = q = 2 the first step is one inverse iteration in the metric
+    alpha = 1.0 / p
     it = 0
     while it < max_iter:
         it += 1
@@ -226,7 +229,6 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
         accepted = False
         for _ in range(MAX_HALVINGS):
             cand = np.abs(u - step * d)
-            cand[~free] = 0.0
             try:
                 cand, E_new, product = evaluate(cand)
             except ValueError:
@@ -250,14 +252,14 @@ def minimize_quotient(evaluate, gradient, p, free, init, fixed, tol, max_iter,
             ss = _metric_norm2(P, s)
             precond = P = None
             P = metric(cand, _delta(gnorm / gnorm0))
-            precond = Preconditioner.restricted(P, free, order)
+            precond = Preconditioner.pinned(P, free, order)
             step *= _metric_norm2(P, s) / max(ss, 1e-300)
         # BB1 in the P-metric: <s, s>_P / <s, y>_P, and <s, P d'>=<s, g'>
         sy = float(s @ y)
         alpha = _metric_norm2(P, s) / sy if sy > 0 else step * 2.0
         alpha = min(max(alpha, 1e-14), 1e10)
         u, E, g = cand, E_new, g_new
-        d = direction(g)
+        d = precond.solve(g)
         values.append(E)
         if E < best_val:
             best_val, best_u = E, u

@@ -41,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ._descent import DescentResult, minimize_quotient
 from .geometry import Mesh
@@ -62,10 +63,10 @@ _RULES = {
 # A mesh's metrics get a banded factor when the full metric's band storage,
 # (bandwidth + 1) * n_vertices, is at most this many times its nonzeros:
 # every 1D grid (bandwidth 1), the thin meshes (5 at mu = 1/16 and 1/64) and
-# the disks at resolution 0.05 and 0.025 (bandwidth 61 and 120, ratios 9 and
-# 18).  The disk at 0.0125 (ratio 35) factors in about SuperLU's time, a
-# median of 71 against 75 ms, into a 17.8 MB band against 10.6 MB of L and
-# U, so it and finer disks keep SuperLU.
+# the disks at resolution 0.05, 0.025 and 0.0125 (bandwidth 41, 81 and 161,
+# ratios 6, 12 and 23).  At 0.0125 the band holds 3.1M entries against 1.4M
+# in SuperLU's L and U, but factors about a third faster, a median of 43
+# against 63 ms.  The disk at 0.00625 (bandwidth 321, ratio 46) keeps SuperLU.
 _BAND_FILL = 24
 
 
@@ -123,16 +124,14 @@ class ProblemConfig:
                 f"for p = {self.p} in dimension {dim}")
 
 
-def _band_order(vertices, parts, K) -> Optional[np.ndarray]:
-    """The vertices sorted by part, then by the coordinate of longest
-    extent, then by the other, when the metric K's band in that order is
-    narrow enough for a banded factor (``_BAND_FILL``); else None.  On a 1D
-    grid this is the natural order, and the band is tridiagonal.  Every
-    metric of a mesh has K's pattern, so K's band is theirs."""
-    x = vertices.T.copy()       # a row per axis
-    longest = np.argsort(-np.ptp(x, axis=1), kind="stable")    # ties: x first
-    keys = list(x[longest[::-1]]) + ([] if parts is None else [parts])
-    order = np.lexsort(keys)    # the last key leads
+def _band_order(K) -> Optional[np.ndarray]:
+    """The reverse Cuthill-McKee order of the metric K's graph (Cuthill and
+    McKee, Proc. ACM Nat. Conf., 1969), when K's band in it is narrow
+    enough for a banded factor (``_BAND_FILL``); else None.  Parts share no
+    edge, so each is contiguous in it, and a 1D grid is in its natural
+    order or the reverse: tridiagonal.  Every metric of a mesh has K's
+    pattern, so K's band is theirs."""
+    order = reverse_cuthill_mckee(K, symmetric_mode=True)
     pos = np.empty(order.size, dtype=K.indices.dtype)
     pos[order] = np.arange(order.size, dtype=pos.dtype)
     # K is symmetric: its band is the widest reach of a row to its left
@@ -228,7 +227,7 @@ class Operators:
                 raise ValueError("a part has no denominator weight")
             row = np.concatenate([np.tile(cell, self.dim), quad])
             self._parts = (k, parts, cell, row, quad)
-        self._vertices, self._h1, self.order = vertices, None, None
+        self._h1, self.order = None, None
 
     def density(self, cfg: ProblemConfig, u):
         """D u and eps^2 + |grad u|^2 per cell."""
@@ -318,9 +317,7 @@ class Operators:
         callers must not modify it.  Its first use also sets ``order``."""
         if self._h1 is None:
             self._h1 = self.metric()
-            parts = None if self._parts is None else self._parts[1]
-            self.order = _band_order(self._vertices, parts, self._h1)
-            self._vertices = None
+            self.order = _band_order(self._h1)
         return self._h1
 
     def lagged_metric(self, cfg: ProblemConfig, u, delta: float):
@@ -348,9 +345,9 @@ class Operators:
         set.  Its ``u`` is normalized to B = 1 and read-only, and ``value``
         is the quotient there."""
         metric = None if cfg.p == 2 else functools.partial(self.lagged_metric, cfg)
-        fixed = self.h1()   # sets the order of every factor
+        h1 = self.h1()      # sets the order of every factor
         return minimize_quotient(
-            *self.quotient(cfg), cfg.p, free, init, fixed,
+            *self.quotient(cfg), cfg.p, free, init, h1,
             tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
             metric=metric, order=self.order)
 

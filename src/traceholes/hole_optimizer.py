@@ -70,35 +70,30 @@ def _run_facets(nf: int, run) -> np.ndarray:
     return (start + np.arange(count)) % nf
 
 
-def _run_masks(nf: int, runs) -> np.ndarray:
-    """One row per run: whether each of the nf facets lies in it."""
-    starts, counts = np.array(runs, dtype=np.intp).reshape(-1, 2).T
-    return (np.arange(nf) - starts[:, None]) % nf < counts[:, None]
-
-
-def _symmetry_group(mesh: Mesh) -> np.ndarray:
-    """Every facet permutation the mesh's symmetry generators span, one
-    per row, the identity included."""
-    gens = symmetry_generators(mesh)
-    group = {tuple(range(mesh.n_facets))}
-    while True:
-        images = {tuple(s[list(g)].tolist()) for g in group for s in gens}
-        if images <= group:
-            return np.array(sorted(group), dtype=np.intp)
-        group |= images
-
-
-def _orbit_representatives(group: np.ndarray, candidates) -> list:
+def _orbit_representatives(generators, candidates) -> list:
     """The candidate runs, in order, that are not the exact image of an
-    earlier kept one: one per orbit the candidates meet."""
-    masks = _run_masks(group.shape[1], candidates)
-    # column k of an image's mask is column g^-1[k] of the arc's own mask
-    images = [np.packbits(masks[:, np.argsort(g)], axis=1) for g in group]
+    earlier kept one: one per orbit the candidates meet.  Orbits are closed
+    over runs under the ``generators`` (facet permutations): one maps the
+    run (start, count) to (g[start], count), or to (g[start + count - 1],
+    count) when it reverses the boundary walk; the whole boundary maps to
+    itself."""
+    reverses = [(g[1] - g[0]) % g.size != 1 for g in generators]
     covered, kept = set(), []
-    for c, own in enumerate(np.packbits(masks, axis=1)):
-        if own.tobytes() not in covered:
-            kept.append(candidates[c])
-            covered.update(image[c].tobytes() for image in images)
+    for run in candidates:
+        if run in covered:
+            continue
+        kept.append(run)
+        covered.add(run)
+        orbit = [run]
+        for start, count in orbit:      # grows while it is walked
+            for g, rev in zip(generators, reverses):
+                if count == g.size:
+                    break
+                image = (int(g[(start + count - 1) % g.size] if rev else g[start]),
+                         count)
+                if image not in covered:
+                    covered.add(image)
+                    orbit.append(image)
     return kept
 
 
@@ -163,7 +158,7 @@ def optimize_hole_alternating(mesh: Mesh, cfg: ProblemConfig, alpha: float,
     if init_hole is not None:
         consider(init_hole)
     arcs = _orbit_representatives(
-        _symmetry_group(mesh), _slide_candidates(mesh, alpha * mesh.perimeter))
+        symmetry_generators(mesh), _slide_candidates(mesh, alpha * mesh.perimeter))
     heap = [(-np.inf, 0, len(arcs))]    # (bound, lo, hi) of arcs[lo:hi]
     # every arc of an interval contains its core, so S(arc) >= S(core);
     # the margin covers the converged solve's excess

@@ -45,7 +45,7 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
     """Minimize the discrete quotient over fields vanishing on the hole."""
     cfg.validate_subcritical(mesh.dim)
     free = free_dof_mask(mesh, hole)
-    if not np.any(free[mesh.boundary_vertex_indices()]):
+    if not free[mesh.boundary].any():
         raise NotAdmissibleError(
             "hole covers every boundary vertex: empty admissible class")
     res = fem.forms(mesh).solve(cfg, free, init)

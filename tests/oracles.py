@@ -452,6 +452,39 @@ def is_contiguous_arc(mesh, hole):
     return len(hole_arcs(mesh, hole)) == 1
 
 
+def run_masks(nf, runs):
+    """One row per run (start, count): whether each of the nf boundary
+    facets lies in it."""
+    starts, counts = np.array(runs, dtype=np.intp).reshape(-1, 2).T
+    return (np.arange(nf) - starts[:, None]) % nf < counts[:, None]
+
+
+def symmetry_group(generators, nf):
+    """Every facet permutation the generators span, one per row, the
+    identity included."""
+    group = {tuple(range(nf))}
+    while True:
+        images = {tuple(s[list(g)].tolist()) for g in group for s in generators}
+        if images <= group:
+            return np.array(sorted(group), dtype=np.intp)
+        group |= images
+
+
+def orbit_representatives_by_mask(group, candidates):
+    """The candidate runs, in order, whose facet set is not the image of an
+    earlier kept one's under any element of the group: facet sets compared
+    as packed masks."""
+    masks = run_masks(group.shape[1], candidates)
+    # column k of an image's mask is column g^-1[k] of the arc's own mask
+    images = [np.packbits(masks[:, np.argsort(g)], axis=1) for g in group]
+    covered, kept = set(), []
+    for c, own in enumerate(np.packbits(masks, axis=1)):
+        if own.tobytes() not in covered:
+            kept.append(candidates[c])
+            covered.update(image[c].tobytes() for image in images)
+    return kept
+
+
 def solve_with_restarts(mesh, cfg, hole, restarts=3, seed=0):
     """A cold solve plus random positive restarts: the best result, the
     relative spread of the values found, and the values."""

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -9,16 +10,19 @@ from traceholes._descent import Preconditioner
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import (
     Disk, Rectangle, ThinRectangle, generate_mesh, hole_from_facets,
-    make_hole_from_arc,
+    make_hole_from_arc, symmetry_generators,
 )
 from traceholes.hole_optimizer import (
     _SLIDE_BLOCK, _arc_counts, _core_facets, _orbit_representatives,
-    _run_facets, _run_masks, _slide_candidates, _symmetry_group,
-    optimize_hole_alternating, zero_set_measure,
+    _run_facets, _slide_candidates, optimize_hole_alternating,
+    zero_set_measure,
 )
 from traceholes.trace_solver import solve_trace_constant
 
-from oracles import is_contiguous_arc
+from oracles import (
+    is_contiguous_arc, orbit_representatives_by_mask, run_masks,
+    symmetry_group,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +156,7 @@ def test_arc_facets_match_running_sum_loop(domain, resolution):
                 expected.append(arc)
         runs = _slide_candidates(mesh, target)
         assert _arc_sets(mesh, runs) == expected
-        masks = _run_masks(mesh.n_facets, runs)
+        masks = run_masks(mesh.n_facets, runs)
         assert [frozenset(np.flatnonzero(row).tolist())
                 for row in masks] == expected
         # an interval's core by coverage count is its masks' intersection,
@@ -172,6 +176,11 @@ def test_arc_facets_match_running_sum_loop(domain, resolution):
 def _arc_sets(mesh, runs):
     """The facet set of each run (start, count), in order."""
     return [frozenset(_run_facets(mesh.n_facets, run).tolist()) for run in runs]
+
+
+def _group(mesh):
+    """The mesh's symmetry group, every element a facet permutation."""
+    return symmetry_group(symmetry_generators(mesh), mesh.n_facets)
 
 
 def _images(group, facets):
@@ -221,7 +230,7 @@ def test_pruned_polish_equals_exhaustive_sweep_thin(monkeypatch, thin, cfg,
     _assert_same_as_unpruned(thin_run, reference)
     # most intervals are skipped on their core bound
     representatives = _orbit_representatives(
-        _symmetry_group(thin), _slide_candidates(thin, 0.5 * thin.perimeter))
+        symmetry_generators(thin), _slide_candidates(thin, 0.5 * thin.perimeter))
     assert thin_run.n_solves < len(representatives) < reference.n_solves
 
 
@@ -267,14 +276,35 @@ def test_best_first_matches_cold_full_family_sweep(request, mesh_name, alpha,
     assert run.converged
     hole, value, n_solves = _cold_sweep(mesh, cfg, alpha)
     assert run.best_value == pytest.approx(value, rel=1e-12, abs=0)
-    group = _symmetry_group(mesh)
+    group = _group(mesh)
     assert run.best_hole.facet_indices in _images(group, hole.facet_indices)
     assert run.n_solves < n_solves
     # the kept arcs' orbits are exactly the full family
     candidates = _slide_candidates(mesh, alpha * mesh.perimeter)
-    kept = _orbit_representatives(group, candidates)
+    kept = _orbit_representatives(symmetry_generators(mesh), candidates)
     assert set().union(*(_images(group, arc) for arc in _arc_sets(mesh, kept))) \
         == set(_arc_sets(mesh, candidates))
+
+
+@functools.lru_cache(maxsize=None)
+def _mesh(domain, resolution):
+    return generate_mesh(domain, resolution)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("domain,resolution", [
+    (Disk(1), 0.05), (Disk(1), 0.1), (Rectangle(2, 1), 0.1),
+    (Rectangle(1, 1), 0.1), (ThinRectangle(0, 1, 1 / 16), 1 / 64),
+    (ThinRectangle(0, 1, 1 / 64), 1 / 256)])
+def test_run_keyed_orbits_keep_the_mask_oracles_arcs(domain, resolution,
+                                                     alpha):
+    # closing each kept run under the generators keeps the same arcs, in
+    # the same order, as comparing facet masks under the whole group
+    mesh = _mesh(domain, resolution)
+    candidates = _slide_candidates(mesh, alpha * mesh.perimeter)
+    kept = _orbit_representatives(symmetry_generators(mesh), candidates)
+    assert kept == orbit_representatives_by_mask(_group(mesh), candidates)
+    assert len(kept) < len(candidates)
 
 
 @pytest.mark.parametrize("domain,resolution,alpha,first", [
@@ -287,7 +317,7 @@ def test_symmetric_images_of_an_arc_share_its_value(cfg, domain, resolution,
     mesh = generate_mesh(domain, resolution)
     n = _arc_counts(mesh, [first], alpha * mesh.perimeter)[0]
     arc = ((first + np.arange(n)) % mesh.n_facets).tolist()
-    images = _images(_symmetry_group(mesh), arc)
+    images = _images(_group(mesh), arc)
     if isinstance(domain, Disk):
         assert len(images) == 12
     else:   # a square grid adds the flips across its diagonals
@@ -320,13 +350,13 @@ def test_optimize_solves_only_holes(monkeypatch, p):
     # every vertex free, and n_solves counts every quotient solve
     mesh = generate_mesh(Disk(1), 0.2)
     all_free, holes = [], []
-    restricted = Preconditioner.restricted.__func__
+    pinned = Preconditioner.pinned.__func__
 
     def counted(cls, metric, free, order=None):
         if free.all():
             all_free.append(metric)
-        return restricted(cls, metric, free, order)
-    monkeypatch.setattr(Preconditioner, "restricted", classmethod(counted))
+        return pinned(cls, metric, free, order)
+    monkeypatch.setattr(Preconditioner, "pinned", classmethod(counted))
     solve = hole_optimizer.solve_trace_constant
 
     def counted_solve(mesh, cfg, hole, init=None):

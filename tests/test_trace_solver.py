@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -279,9 +281,11 @@ def test_quarter_hole_error_is_first_order(quarter_holes, p):
     (ThinRectangle(0, 1, 1 / 64), 1 / 256, 0.5),
 ])
 def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
-    # the factor is single precision: its solve is a float32 SuperLU or
-    # banded Cholesky solve of the float32 cast of P.  The casts of P and b
-    # and the factorization's
+    # the factor is single precision and pinned: the metric with the hole's
+    # rows and columns replaced by the identity.  Its solve of a right side
+    # that is zero on the hole is exactly zero there, and on the free set
+    # it is a float32 SuperLU or banded Cholesky solve of the float32 cast
+    # of the free block P.  The casts of P and b and the factorization's
     # backward error are relative perturbations of order the unit roundoff
     # u32, each amplified by at most the condition number kappa_2(P) to
     # first order, so the solve agrees with a dense float64 solve to
@@ -299,13 +303,14 @@ def test_restricted_factorization_matches_dense_solve(domain, res, fraction):
     order = forms(mesh).order
     assert order is not None
     rng = np.random.default_rng(0)
-    for pre in (Preconditioner.restricted(K, free),
-                Preconditioner.restricted(K, free, order)) * 3:
-        b = rng.standard_normal(int(free.sum()))
-        x = np.linalg.solve(P, b)
-        assert np.linalg.norm(pre.solve(b) - x) <= bound * np.linalg.norm(x)
+    for pre in (Preconditioner.pinned(K, free),
+                Preconditioner.pinned(K, free, order)) * 3:
         s = np.zeros(mesh.n_vertices)
-        s[free] = b
+        s[free] = b = rng.standard_normal(int(free.sum()))
+        x = np.linalg.solve(P, b)
+        got = pre.solve(s)
+        assert got.shape == s.shape and np.all(got[~free] == 0)
+        assert np.linalg.norm(got[free] - x) <= bound * np.linalg.norm(x)
         assert np.allclose((K @ s)[free], P @ b, rtol=0, atol=1e-13 * np.abs(P).max())
 
 
@@ -345,9 +350,10 @@ def _backend_case(case, p):
 @pytest.mark.parametrize("p", [1.5, 3])
 @pytest.mark.parametrize("lagged", [False, True])
 def test_banded_and_superlu_factors_agree(case, p, lagged):
-    # both back ends solve with the float32 cast of the same block, each to
-    # 3 kappa u32 of the exact solve (test above), so to 6 kappa u32 of each
-    # other, where kappa is the block's condition number
+    # both back ends solve with the float32 cast of the same pinned metric,
+    # each exactly 0 on the hole and on the free set to 3 kappa u32 of the
+    # exact solve (test above), so to 6 kappa u32 of each other, where
+    # kappa is the free block's condition number
     ops, x, free = _backend_case(case, p)
     assert ops.order is not None
     metric = (ops.lagged_metric(ProblemConfig(p, p), np.abs(np.sin(5 * x)) + 0.1,
@@ -355,13 +361,15 @@ def test_banded_and_superlu_factors_agree(case, p, lagged):
     idx = free.nonzero()[0]
     eig = np.linalg.eigvalsh(metric[np.ix_(idx, idx)].toarray())
     bound = 6 * eig[-1] / eig[0] * np.finfo(np.float32).eps / 2
-    banded = Preconditioner.restricted(metric, free, ops.order)
-    superlu = Preconditioner.restricted(metric, free)
+    banded = Preconditioner.pinned(metric, free, ops.order)
+    superlu = Preconditioner.pinned(metric, free)
     rng = np.random.default_rng(1)
     for _ in range(3):
-        b = rng.standard_normal(idx.size)
-        x_superlu = superlu.solve(b)
-        assert (np.linalg.norm(banded.solve(b) - x_superlu)
+        b = np.zeros(free.size)
+        b[idx] = rng.standard_normal(idx.size)
+        x_superlu, x_banded = superlu.solve(b), banded.solve(b)
+        assert np.all(x_superlu[~free] == 0) and np.all(x_banded[~free] == 0)
+        assert (np.linalg.norm(x_banded - x_superlu)
                 <= bound * np.linalg.norm(x_superlu))
 
 
@@ -369,8 +377,8 @@ def test_banded_factor_of_an_indefinite_block_falls_back_to_superlu():
     # an SPD metric can round to an indefinite float32 block; its banded
     # Cholesky fails at pivot 2, and SuperLU's LU factor solves it instead
     K = np.array([[1.0, 2.0], [2.0, 1.0]])
-    pre = Preconditioner.restricted(sp.csr_matrix(K), np.ones(2, dtype=bool),
-                                    np.arange(2))
+    pre = Preconditioner.pinned(sp.csr_matrix(K), np.ones(2, dtype=bool),
+                                np.arange(2))
     b = np.array([1.0, -3.0])
     assert pre.solve(b) == pytest.approx(np.linalg.solve(K, b), rel=1e-6)
 
@@ -383,51 +391,77 @@ def _bandwidth(metric, order) -> int:
 
 @pytest.mark.parametrize("case", ["disk", "thin64", "1d-union"])
 def test_restricted_order_never_widens_the_band(monkeypatch, case):
-    # the free block is factored in the mesh's order restricted to the free
-    # set, whose band is at most the full metric's
+    # every factor of a mesh stores the pinned metric in the mesh's order:
+    # the metric's upper triangle, cast to float32, off the hole's rows and
+    # columns, with the hole's diagonal 1.  Pinning drops entries, so the
+    # band is at most the full metric's, and is the full metric's when
+    # nothing is pinned.  The band takes the CSR rows as columns, so it
+    # holds the transpose's triangle
     ops, _, hole_free = _backend_case(case, 2)
-    kd = _bandwidth(ops.h1(), ops.order)
+    K, order = ops.h1(), ops.order
+    kd = _bandwidth(K, order)
     bands = []
     spbtrf = _descent.lapack.spbtrf
 
     def capture(ab, **kwargs):
-        bands.append(ab.shape[0] - 1)
+        bands.append(ab.copy())
         return spbtrf(ab, **kwargs)
     monkeypatch.setattr(_descent.lapack, "spbtrf", capture)
     rng = np.random.default_rng(2)
     frees = [hole_free, np.ones_like(hole_free)]
     frees += [rng.random(hole_free.size) < keep for keep in (0.9, 0.5, 0.1)]
+    n = K.shape[0]
     for free in frees:
-        Preconditioner.restricted(ops.h1(), free, ops.order)
-    assert len(bands) == len(frees) and bands[1] == kd
-    assert max(bands) <= kd
+        Preconditioner.pinned(K, free, order)
+        ab = bands[-1]
+        assert ab.dtype == np.float32 and ab.shape[1] == n
+        w = ab.shape[0] - 1
+        assert w == kd if free.all() else w <= kd
+        j = np.repeat(np.arange(n), w + 1)
+        i = j - w + np.tile(np.arange(w + 1), n)    # ab[r, j] holds (j - w + r, j)
+        inside = i >= 0
+        got = np.zeros((n, n), dtype=np.float32)
+        got[i[inside], j[inside]] = ab.T.ravel()[inside]
+        want = K.T.toarray()
+        want[~free], want[:, ~free] = 0.0, 0.0
+        want[~free, ~free] = 1.0
+        want = np.triu(want[np.ix_(order, order)]).astype(np.float32)
+        assert np.array_equal(got, want)
+    assert len(bands) == len(frees)
 
 
 @pytest.mark.parametrize("domain,res,banded", [
     (Disk(1), 0.05, True), (Disk(1), 0.025, True),
-    (Disk(1), 0.0125, False), (Disk(1), 0.00625, False),
+    (Disk(1), 0.0125, True), (Disk(1), 0.00625, False),
     (ThinRectangle(0, 1, 1 / 2), 1 / 64, True),
     (ThinRectangle(0, 1, 1 / 16), 1 / 64, True),
     (ThinRectangle(0, 1, 1 / 64), 1 / 256, True),
     (Interval(0, 1), 1 / 1000, True),
 ])
 def test_each_mesh_picks_its_factor_back_end(domain, res, banded):
-    # banded where the full metric's band storage is at most _BAND_FILL
-    # times its nonzeros: every 1D grid and thin mesh and the coarser disks
+    # banded where the full metric's band storage in reverse Cuthill-McKee
+    # order is at most _BAND_FILL times its nonzeros: every 1D grid and
+    # thin mesh and the disks up to resolution 0.0125 (kd 41, 81 and 161)
     ops = forms(generate_mesh(domain, res))
     assert ops.order is None
     K = ops.h1()
     assert (ops.order is not None) == banded
-    if isinstance(domain, Interval):    # the natural order: tridiagonal
-        assert np.array_equal(ops.order, np.arange(K.shape[0]))
+    if isinstance(domain, Interval):    # natural or reversed: tridiagonal
+        assert np.array_equal(np.sort(ops.order), np.arange(K.shape[0]))
+        assert np.abs(np.diff(ops.order)).max() == 1
         assert _bandwidth(K, ops.order) == 1
+    elif isinstance(domain, Disk) and banded:
+        assert _bandwidth(K, ops.order) == {0.05: 41, 0.025: 81, 0.0125: 161}[res]
 
 
-def test_union_grid_is_banded_in_its_natural_order():
+def test_union_grid_is_tridiagonal_part_by_part():
+    # the parts share no edge, so reverse Cuthill-McKee keeps each one
+    # contiguous, in its natural order or the reverse
     ops, _, _ = _union_grid_case(2)
     K = ops.h1()
-    assert np.array_equal(ops.order, np.arange(K.shape[0]))
     assert _bandwidth(K, ops.order) == 1
+    parts = ops._parts[1][ops.order]
+    assert np.count_nonzero(np.diff(parts)) == parts.max()
 
 
 def _free_block_case(grid):
@@ -458,11 +492,13 @@ def _metric_case(grid, lagged):
 @pytest.mark.parametrize("lagged", [False, True])
 def test_restricted_hands_splu_the_fancy_indexed_block(monkeypatch, grid,
                                                        lagged):
-    # the masked cut of the free block gives SuperLU, as CSC, the very
-    # arrays of the CSR metric[np.ix_(idx, idx)], its values cast to
-    # float32: the CSC reading is the block's transpose, which is the block
-    # to rounding, as the metric is symmetric.  The arrays are copied as
-    # handed, since SuperLU sorts unsorted indices in place.
+    # the masked cut gives SuperLU, as CSC, the CSR arrays of the pinned
+    # metric, its values cast to float32: each free row holds the entries
+    # of the CSR metric[np.ix_(idx, idx)], in order, at the free columns,
+    # and each hole row its diagonal 1.  The CSC reading is the pinned
+    # metric's transpose, which is the metric to rounding, as it is
+    # symmetric.  The arrays are copied as handed, since SuperLU sorts
+    # unsorted indices in place.
     metric, free = _metric_case(grid, lagged)
     handed = []
     splu = spla.splu
@@ -471,20 +507,25 @@ def test_restricted_hands_splu_the_fancy_indexed_block(monkeypatch, grid,
         handed.append(P.copy())
         return splu(P, **kwargs)
     monkeypatch.setattr(spla, "splu", capture)
-    Preconditioner.restricted(metric, free)
+    Preconditioner.pinned(metric, free)
     idx = free.nonzero()[0]
     expected = metric[np.ix_(idx, idx)]
     assert expected.format == "csr"
     assert len(handed) == 1 and handed[0].format == "csc"
-    assert handed[0].shape == expected.shape
-    for name in ("indptr", "indices"):
-        got, want = getattr(handed[0], name), getattr(expected, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert handed[0].data.dtype == np.float32
-    assert np.array_equal(handed[0].data, expected.data.astype(np.float32))
-    block = expected.toarray()
-    assert (np.abs(handed[0].toarray() - block).max()
-            <= np.finfo(np.float32).eps * np.abs(block).max())
+    cut = handed[0]
+    assert cut.shape == metric.shape
+    assert cut.indptr.dtype == cut.indices.dtype == metric.indices.dtype
+    assert cut.data.dtype == np.float32
+    row = np.repeat(np.arange(free.size), np.diff(cut.indptr))
+    on_free = free[row]
+    assert np.array_equal(cut.indices[on_free], idx[expected.indices])
+    assert np.array_equal(cut.data[on_free], expected.data.astype(np.float32))
+    assert np.array_equal(cut.indices[~on_free], row[~on_free])
+    assert np.all(cut.data[~on_free] == 1)
+    pinned = np.eye(free.size)
+    pinned[np.ix_(idx, idx)] = expected.toarray()
+    assert (np.abs(cut.toarray() - pinned).max()
+            <= np.finfo(np.float32).eps * np.abs(pinned).max())
 
 
 @pytest.mark.parametrize("grid", ["disk", "square", "1d"])
@@ -502,11 +543,13 @@ def test_metric_product_is_the_free_block_product(grid, lagged):
     assert _metric_norm2(metric, s) == pytest.approx(want, rel=1e-14, abs=0)
 
 
-def _float64_restricted(cls, metric, free, order=None):
-    """The preconditioner with a float64 SuperLU factor of the fancy-indexed
-    free block, as a reference for either back end (``order`` is unused)."""
-    idx = free.nonzero()[0]
-    lu = spla.splu(metric[np.ix_(idx, idx)].tocsc(), permc_spec="MMD_AT_PLUS_A",
+def _float64_pinned(cls, metric, free, order=None):
+    """The preconditioner with a float64 SuperLU factor of the metric with
+    the hole's rows and columns replaced by the identity, built by sparse
+    products, as a reference for either back end (``order`` is unused)."""
+    keep = sp.diags(free.astype(float))
+    pinned = keep @ metric @ keep + sp.diags((~free).astype(float))
+    lu = spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     return cls(solve=lu.solve)
 
@@ -531,12 +574,44 @@ def test_single_precision_factor_leaves_the_answer(monkeypatch, case, p):
         r = solve_trace_constant(mesh, ProblemConfig(p, 2 if case == "disk" else p), hole)
         return r.converged, r.s_value, r.iterations
     converged, value, iterations = solve()
-    monkeypatch.setattr(Preconditioner, "restricted",
-                        classmethod(_float64_restricted))
+    monkeypatch.setattr(Preconditioner, "pinned", classmethod(_float64_pinned))
     ref_converged, ref_value, ref_iterations = solve()
     assert converged and ref_converged
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
     assert abs(iterations - ref_iterations) <= 0.1 * ref_iterations + 2
+
+
+@pytest.mark.parametrize("banded", [True, False])
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+def test_pinned_factor_keeps_every_iterate_zero_on_the_hole(banded, p):
+    # the pinned solve of a right side zero on the hole is exactly zero
+    # there, fixed and lagged metric alike, so every trial field the
+    # descent evaluates is exactly zero on the hole with no mask of its own
+    mesh = generate_mesh(Disk(1), 0.05)
+    hole = make_hole_from_arc(mesh, 0.0, 0.25 * mesh.perimeter)
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[hole.vertex_indices(mesh)] = False
+    ops, cfg = forms(mesh), ProblemConfig(p, 2)
+    h1 = ops.h1()
+    order = ops.order if banded else None
+    assert (order is not None) == banded
+    x = mesh.vertices[:, 0]
+    b = np.where(free, np.sin(7 * x) + 0.2, 0.0)
+    for metric in (h1, ops.lagged_metric(cfg, np.abs(np.sin(5 * x)) + 0.1, 1e-2)):
+        d = Preconditioner.pinned(metric, free, order).solve(b)
+        assert np.all(d[~free] == 0) and np.all(d[free] != 0)
+    evaluate, gradient = ops.quotient(cfg)
+    trials = []
+
+    def recorded(u):
+        trials.append(u[~free].copy())
+        return evaluate(u)
+    metric = None if p == 2 else functools.partial(ops.lagged_metric, cfg)
+    res = _descent.minimize_quotient(recorded, gradient, p, free, None, h1,
+                                     cfg.dof_tolerance, cfg.max_inner_iterations,
+                                     metric=metric, order=order)
+    assert res.converged and len(trials) > res.iterations > 0
+    assert all(np.all(t == 0) for t in trials) and np.all(res.u[~free] == 0)
 
 
 @pytest.mark.parametrize("grid", ["disk", "square", "1d"])
@@ -607,12 +682,12 @@ def test_disk_cold_starts_stay_short(p):
 
 def _count_factorizations(monkeypatch):
     calls = []
-    restricted = Preconditioner.restricted.__func__
+    pinned = Preconditioner.pinned.__func__
 
     def counted(cls, metric, free, order=None):
         calls.append(metric)
-        return restricted(cls, metric, free, order)
-    monkeypatch.setattr(Preconditioner, "restricted", classmethod(counted))
+        return pinned(cls, metric, free, order)
+    monkeypatch.setattr(Preconditioner, "pinned", classmethod(counted))
     return calls
 
 
