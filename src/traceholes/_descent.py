@@ -69,48 +69,38 @@ class Preconditioner:
     solve: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def pinned(cls, metric, free: np.ndarray,
-               order: Optional[np.ndarray] = None) -> "Preconditioner":
+    def pinned(cls, metric, free: np.ndarray, order: Optional[np.ndarray] = None,
+               image: Optional[np.ndarray] = None) -> "Preconditioner":
         """Single-precision factor of a symmetric sparse SPD metric on all
         vertices, with the rows and columns off the free set replaced by the
         identity.  The factor is then block diagonal, the identity on the
         pinned vertices, so its solve of a right side that is zero there is
         exactly zero there, and on the free set it is the free block's.
 
-        With a vertex ``order`` (a permutation of all vertices) the pinned
-        metric is renumbered in that order, scattered into LAPACK's upper
-        band storage and factored by banded Cholesky (``spbtrf``, applied
-        by ``spbtrs``).  Pinning drops entries, so its band is at most the
-        full metric's.  On the metrics of a hole search SuperLU's fixed
-        costs dominate: a banded factor of disk 0.05's takes 0.7 against
-        2.7 ms, of thin mu = 1/64's 0.3 against 0.7 ms, and its solves on
-        the disks a half to three quarters as long.
+        With a vertex ``order`` (a permutation of all vertices), the metric's
+        band image in that order (``band_image``, or ``image``, overwritten)
+        is pinned by zeroing the hole's rows and columns and setting its
+        diagonal to 1, and factored by banded Cholesky (``spbtrf``, applied
+        by ``spbtrs``), as SuperLU's fixed costs dominate on small metrics.
 
         Without one, SuperLU factors the pinned metric, read as CSC over the
         cut's arrays, in symmetric mode: SPD needs no pivoting, so a minimum
-        degree ordering of P + Pᵀ and diagonal pivots.  On disk meshes this
-        cuts the fill and factor time of the default unsymmetric column
-        ordering by about 40% and the triangular-solve time by half.
-        SuperLU also takes the metric when the banded factor fails: a metric
-        can be SPD yet so ill-conditioned that its float32 rounding is not
-        (the 1D lagged metric at p = 1.25, condition number 1.5e11), and
-        an LU factor needs no definite block.
+        degree ordering of P + Pᵀ and diagonal pivots.  SuperLU also takes
+        the metric when the banded factor fails: a metric can be SPD yet so
+        ill-conditioned that its float32 rounding is not (the 1D lagged
+        metric at p = 1.25, condition number 1.5e11), and an LU factor needs
+        no definite block.
         """
         if order is not None:
             pos = np.empty(order.size, dtype=np.intp)   # the band position
             pos[order] = np.arange(order.size)
-            counts = np.diff(metric.indptr)
-            row = pos[metric.indices]
-            col = np.repeat(pos, counts)
-            # the upper triangle, off the hole's rows and columns
-            keep = (row <= col) & free[metric.indices] & np.repeat(free, counts)
-            offset = row[keep] - col[keep]
-            kd = -int(offset.min())
-            # LAPACK upper band storage: (i, j) at row kd + i - j, column j
-            ab = np.zeros((kd + 1, pos.size), dtype=np.float32, order="F")
-            ab[kd + offset, col[keep]] = metric.data[keep]
-            ab[kd, pos[~free]] = 1.0
-            del row, col, keep, offset
+            ab = band_image(metric, pos) if image is None else image
+            # clear the hole's columns h, ab[:, h], and rows, ab[kd - k, h + k]
+            kd, k, hole = ab.shape[0] - 1, np.arange(1, ab.shape[0]), pos[~free]
+            ab[:, hole] = 0.0
+            row, col = np.broadcast_arrays(kd - k, hole[:, None] + k)
+            ab[row[col < pos.size], col[col < pos.size]] = 0.0
+            ab[kd, hole] = 1.0
             factor, info = lapack.spbtrf(ab, overwrite_ab=1)
             if info == 0:
                 return cls(solve=lambda b: lapack.spbtrs(
@@ -118,6 +108,18 @@ class Preconditioner:
         lu = spla.splu(_pinned_cut(metric, free), permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return cls(solve=lambda b: lu.solve(b.astype(np.float32)))
+
+
+def band_image(metric, pos: np.ndarray) -> np.ndarray:
+    """A symmetric CSR metric with vertex i at band position pos[i], in
+    float32 LAPACK upper band storage: (i, j) at row kd + i - j, column j."""
+    row, col = pos[metric.indices], np.repeat(pos, np.diff(metric.indptr))
+    upper = row <= col
+    offset, col = row[upper] - col[upper], col[upper]
+    kd = -int(offset.min())
+    ab = np.zeros((kd + 1, pos.size), dtype=np.float32, order="F")
+    ab[kd + offset, col] = metric.data[upper]
+    return ab
 
 
 def _pinned_cut(metric, free: np.ndarray):
@@ -128,8 +130,9 @@ def _pinned_cut(metric, free: np.ndarray):
     counts = np.diff(metric.indptr)
     keep = np.repeat(free, counts)
     keep &= free[metric.indices]
-    keep |= metric.indices == np.repeat(
-        np.arange(free.size, dtype=metric.indices.dtype), counts)
+    hole, c = np.flatnonzero(~free), counts[~free]      # the hole's rows
+    at = np.repeat(metric.indptr[hole] + c - np.cumsum(c), c) + np.arange(c.sum())
+    keep[at[metric.indices[at] == np.repeat(hole, c)]] = True
     indices = metric.indices[keep]
     data = metric.data[keep].astype(np.float32)
     data[~free[indices]] = 1.0      # a pinned vertex keeps only its diagonal
@@ -155,7 +158,8 @@ class DescentResult:
 
 def minimize_quotient(evaluate, gradient, p, free, init, h1, tol, max_iter,
                       metric: Optional[Callable] = None,
-                      order: Optional[np.ndarray] = None) -> DescentResult:
+                      order: Optional[np.ndarray] = None,
+                      h1_image: Optional[Callable] = None) -> DescentResult:
     """Minimize E(u)/B(u)^(p/q) over the free DOFs.
 
     ``evaluate(u)`` returns u normalized to B = 1 (read-only), E there and a
@@ -183,7 +187,7 @@ def minimize_quotient(evaluate, gradient, p, free, init, h1, tol, max_iter,
     3) it raised cold solves from 22-32 to 59-95 iterations.
 
     ``order``, when given, is the vertex order of a banded factor of every
-    metric (``Preconditioner.pinned``); otherwise SuperLU factors them.
+    metric, h1's from the kept image ``h1_image()`` if any; else SuperLU's.
     """
     if init is None:
         u = np.ones(free.size)
@@ -198,7 +202,8 @@ def minimize_quotient(evaluate, gradient, p, free, init, h1, tol, max_iter,
     # factor is pinned off the free set, so every direction, and with it
     # every iterate, is exactly zero there
     P = None if metric is not None and init is not None else h1
-    precond = None if P is None else Preconditioner.pinned(P, free, order)
+    precond = None if P is None else Preconditioner.pinned(
+        P, free, order, image=None if h1_image is None else h1_image())
 
     def grad_at(u, E, product):
         g = gradient(u, E, product)

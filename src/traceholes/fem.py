@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from ._descent import DescentResult, minimize_quotient
+from ._descent import DescentResult, band_image, minimize_quotient
 from .geometry import Mesh
 
 
@@ -227,7 +227,8 @@ class Operators:
                 raise ValueError("a part has no denominator weight")
             row = np.concatenate([np.tile(cell, self.dim), quad])
             self._parts = (k, parts, cell, row, quad)
-        self._h1, self.order = None, None
+        self.AT = self.A.T      # CSC on A's own arrays
+        self._h1, self.order, self._image, self._h1_factors = None, None, None, 0
 
     def density(self, cfg: ProblemConfig, u):
         """D u and eps^2 + |grad u|^2 per cell."""
@@ -253,7 +254,6 @@ class Operators:
         With parts, each is scaled to B_k = 1 and gets dE_k - (p/q) E_k dB_k."""
         n, w, q, p, parts = self.D.shape[0], self.w, cfg.q, cfg.p, self._parts
         k, vertex, cell, row, quad = parts or (None,) * 5
-        AT = self.A.T       # CSC on A's own arrays
 
         def evaluate(u):
             Au = self.A @ u
@@ -281,7 +281,7 @@ class Operators:
             flux *= p * self.vol * s_pow
             E_q = E if parts is None else E_k[quad]     # per quadrature point
             Au[n:] = -p * E_q * w * Au[n:] ** (q - 1.0)
-            return AT @ Au + p * self.mass * u_pow
+            return self.AT @ Au + p * self.mass * u_pow
         return evaluate, gradient
 
     def part_quotients(self, cfg: ProblemConfig, u) -> np.ndarray:
@@ -320,6 +320,14 @@ class Operators:
             self.order = _band_order(self._h1)
         return self._h1
 
+    def h1_image(self) -> Optional[np.ndarray]:
+        """A copy of h1's band image in ``order``, kept from the second call on
+        (the first factor builds its own), to pin in place; else None."""
+        self._h1_factors += 1
+        if self._image is None and self._h1_factors > 1:
+            self._image = band_image(self.h1(), np.argsort(self.order))
+        return None if self._image is None else self._image.copy(order="F")
+
     def lagged_metric(self, cfg: ProblemConfig, u, delta: float):
         """The metric with the p-Laplacian's coefficients frozen at u:
 
@@ -349,7 +357,8 @@ class Operators:
         return minimize_quotient(
             *self.quotient(cfg), cfg.p, free, init, h1,
             tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
-            metric=metric, order=self.order)
+            metric=metric, order=self.order,
+            h1_image=None if self.order is None else self.h1_image)
 
 
 _FORMS_CACHE: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()

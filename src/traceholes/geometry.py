@@ -280,11 +280,11 @@ class BoundaryHole:
 
 
 def hole_from_facets(mesh: Mesh, facet_indices) -> BoundaryHole:
-    idx = frozenset(int(i) for i in facet_indices)
-    if idx and (min(idx) < 0 or max(idx) >= mesh.n_facets):
+    idx = np.unique(np.fromiter(facet_indices, dtype=np.int64))    # sorted
+    if idx.size and (idx[0] < 0 or idx[-1] >= mesh.n_facets):
         raise ValueError("facet index out of range")
-    return BoundaryHole(idx, math.fsum(
-        float(mesh.facet_lengths[i]) for i in sorted(idx)))
+    return BoundaryHole(frozenset(idx.tolist()),
+                        math.fsum(mesh.facet_lengths[idx].tolist()))
 
 
 def _arc_facet_set(mesh: Mesh, start: float, length: float) -> frozenset:

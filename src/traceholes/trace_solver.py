@@ -4,14 +4,15 @@ The hole's facet vertices are eliminated from the DOF set (the field
 vanishes on the whole facet since elements are P1), and the discrete
 Rayleigh quotient is minimized by projected Barzilai-Borwein descent on
 the unit boundary-norm sphere.  The returned extremal is nonnegative and
-normalized; the Euler-Lagrange multiplier lambda is recovered by least
-squares from the stationarity system a(u, phi_i) = lambda b(u, phi_i)
+normalized; the Euler-Lagrange multiplier lambda is recovered on first read
+by least squares from the stationarity system a(u, phi_i) = lambda b(u, phi_i)
 over free DOFs, so |lambda - s_value| is an independent convergence
 diagnostic (they coincide for the exact normalized extremal).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,12 +27,19 @@ from .geometry import BoundaryHole, Mesh
 class TraceResult:
     s_value: float
     extremal: np.ndarray        # read-only
-    lam: float
-    el_residual: float
     iterations: int
     converged: bool
     mesh: Mesh
     hole: BoundaryHole
+    cfg: ProblemConfig
+
+    @functools.cached_property
+    def _multiplier(self):      # (lambda, residual)
+        return _multiplier_and_residual(self.mesh, self.cfg, self.extremal,
+                                        free_dof_mask(self.mesh, self.hole))
+
+    lam = property(lambda self: self._multiplier[0])
+    el_residual = property(lambda self: self._multiplier[1])
 
 
 def free_dof_mask(mesh: Mesh, hole: BoundaryHole) -> np.ndarray:
@@ -49,9 +57,8 @@ def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
         raise NotAdmissibleError(
             "hole covers every boundary vertex: empty admissible class")
     res = fem.forms(mesh).solve(cfg, free, init)
-    lam, residual = _multiplier_and_residual(mesh, cfg, res.u, free)
-    return TraceResult(res.value, res.u, lam, residual, res.iterations,
-                       res.converged, mesh, hole)
+    return TraceResult(res.value, res.u, res.iterations, res.converged,
+                       mesh, hole, cfg)
 
 
 def _multiplier_and_residual(mesh, cfg, u, free):
@@ -65,5 +72,4 @@ def _multiplier_and_residual(mesh, cfg, u, free):
     if bb <= 0:
         raise NotAdmissibleError("boundary pairing vanished on free DOFs")
     lam = float(a @ b) / bb
-    residual = float(np.linalg.norm(a - lam * b))
-    return lam, residual
+    return lam, float(np.linalg.norm(a - lam * b))

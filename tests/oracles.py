@@ -16,7 +16,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
 
-from traceholes.geometry import Disk, TangentialField, hole_arcs
+from traceholes.geometry import BoundaryHole, Disk, TangentialField, hole_arcs
 from traceholes.trace_solver import solve_trace_constant
 
 
@@ -329,6 +329,16 @@ def boundary_measure(mesh, hole):
     if bad:
         raise ValueError(f"hole facets {bad} not valid for this mesh")
     return math.fsum(float(mesh.facet_lengths[i]) for i in hole.facet_indices)
+
+
+def hole_from_facets_by_loop(mesh, facet_indices):
+    """The per-facet construction of a hole: a frozenset of Python ints and
+    the exactly rounded sum of the member lengths in index order."""
+    idx = frozenset(int(i) for i in facet_indices)
+    if idx and (min(idx) < 0 or max(idx) >= mesh.n_facets):
+        raise ValueError("facet index out of range")
+    return BoundaryHole(idx, math.fsum(
+        float(mesh.facet_lengths[i]) for i in sorted(idx)))
 
 
 def rotation_field(mesh, speed):

@@ -11,7 +11,8 @@ from traceholes.geometry import (
 
 from oracles import (
     boundary_measure, cell_volumes, disk_mesh_loops, hole_arcs_loop,
-    inscribed_polygon_perimeter, mesh_to_json, rectangle_mesh_loops,
+    hole_from_facets_by_loop, inscribed_polygon_perimeter, mesh_to_json,
+    rectangle_mesh_loops,
 )
 
 
@@ -149,6 +150,39 @@ def test_measure_additivity(ids_a, ids_b):
     union = hole_from_facets(mesh, ids_a | ids_b)
     inter = hole_from_facets(mesh, ids_a & ids_b)
     assert union.measure + inter.measure == a.measure + b.measure
+
+
+_HOLE_MESHES = (generate_mesh(Disk(1), 0.15), generate_mesh(Rectangle(2, 1), 0.25),
+                generate_mesh(Interval(0, 1), 0.25))
+_CONTAINERS = {
+    "list": list, "set": set, "frozenset": frozenset,
+    "int32": lambda ids: np.array(ids, dtype=np.int32),
+    "int64": lambda ids: np.array(ids, dtype=np.int64),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(_HOLE_MESHES))),
+       st.sampled_from(sorted(_CONTAINERS)), st.data())
+def test_hole_from_facets_matches_the_per_facet_construction(which, kind, data):
+    # the array construction gives the same set and, bit for bit, the same
+    # measure as the per-facet one, and rejects the same indices, for every
+    # container a caller hands it, the empty hole included
+    mesh = _HOLE_MESHES[which]
+    ids = data.draw(st.lists(st.integers(-3, mesh.n_facets + 2), max_size=30)
+                    | st.lists(st.integers(0, mesh.n_facets - 1), max_size=30))
+    try:
+        want = hole_from_facets_by_loop(mesh, _CONTAINERS[kind](ids))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            hole_from_facets(mesh, _CONTAINERS[kind](ids))
+        return
+    got = hole_from_facets(mesh, _CONTAINERS[kind](ids))
+    assert got.facet_indices == want.facet_indices
+    assert all(type(i) is int for i in got.facet_indices)
+    assert np.float64(got.measure).tobytes() == np.float64(want.measure).tobytes()
+    if not ids:
+        assert got.facet_indices == frozenset() and got.measure == 0.0
 
 
 def test_arc_snapping_invariant():

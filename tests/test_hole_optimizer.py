@@ -352,10 +352,10 @@ def test_optimize_solves_only_holes(monkeypatch, p):
     all_free, holes = [], []
     pinned = Preconditioner.pinned.__func__
 
-    def counted(cls, metric, free, order=None):
+    def counted(cls, metric, free, order=None, image=None):
         if free.all():
             all_free.append(metric)
-        return pinned(cls, metric, free, order)
+        return pinned(cls, metric, free, order, image)
     monkeypatch.setattr(Preconditioner, "pinned", classmethod(counted))
     solve = hole_optimizer.solve_trace_constant
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import iv
 
-from traceholes import _descent, fem
+from traceholes import _descent, fem, trace_solver
 from traceholes._descent import Preconditioner, _metric_norm2
 from traceholes.fem import (
     NotAdmissibleError, ProblemConfig, forms,
@@ -15,14 +15,16 @@ from traceholes.geometry import (
     Disk, Interval, Rectangle, ThinRectangle, generate_mesh, hole_arcs,
     hole_from_facets, make_hole_from_arc,
 )
+from traceholes.hole_optimizer import optimize_hole_alternating
 from traceholes.one_dim import (
     OneDimProblem, _limit_grid, _limit_operators, solve_limit_problem,
 )
-from traceholes.trace_solver import solve_trace_constant
+from traceholes.shape_derivative import fd_check
+from traceholes.trace_solver import free_dof_mask, solve_trace_constant
 
 from oracles import (
     dense_trace_eigenpair, el_residual, interval_trace_constant_shooting,
-    positivity_check, solve_with_restarts,
+    positivity_check, rotation_field, solve_with_restarts,
 )
 
 # frozen output of the shooting oracle (= coth(1)); the guard assertion in
@@ -152,8 +154,59 @@ def test_el_residual_of_dense_eigenpair():
     lam, u = dense_trace_eigenpair(mesh, hole)
     res = solve_trace_constant(mesh, cfg, hole)
     from dataclasses import replace
-    paired = replace(res, extremal=u, lam=lam)
+    paired = replace(res, extremal=u)
     assert el_residual(mesh, cfg, paired, hole) <= 1e-10
+    # the replaced result recomputes its multiplier from the new extremal
+    assert paired.lam == pytest.approx(lam, rel=1e-10)
+    assert paired.el_residual <= 1e-10
+
+
+def _count_multipliers(monkeypatch):
+    calls = []
+    multiplier = trace_solver._multiplier_and_residual
+
+    def counted(*args):
+        calls.append(args)
+        return multiplier(*args)
+    monkeypatch.setattr(trace_solver, "_multiplier_and_residual", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", ["optimize-disk", "optimize-thin", "fd-check"])
+def test_searches_compute_no_multiplier(monkeypatch, run):
+    # lambda and the residual are computed on first read, and neither the
+    # hole search nor the shape-derivative check reads them
+    calls = _count_multipliers(monkeypatch)
+    cfg = ProblemConfig(2, 2)
+    if run == "fd-check":
+        mesh = generate_mesh(Disk(1), 0.1)
+        hole = make_hole_from_arc(mesh, 0.0, 0.25 * mesh.perimeter)
+        chk = fd_check(mesh, cfg, hole, rotation_field(mesh, 1.0),
+                       [mesh.perimeter / 500])
+        assert chk.converged
+    else:
+        mesh, alpha = {
+            "optimize-disk": (generate_mesh(Disk(1), 0.1), 0.25),
+            "optimize-thin": (generate_mesh(ThinRectangle(0, 1, 1 / 16), 1 / 64), 0.5),
+        }[run]
+        assert optimize_hole_alternating(mesh, cfg, alpha).n_solves > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (1.5, 1.5)])
+def test_multiplier_on_first_read_equals_the_eager_one(monkeypatch, disk_coarse,
+                                                       p, q):
+    # the multiplier read from a solve is, bit for bit, the one computed
+    # from the solve's extremal and free set at once, and is computed once
+    cfg = ProblemConfig(p, q)
+    hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
+    calls = _count_multipliers(monkeypatch)
+    res = solve_trace_constant(disk_coarse, cfg, hole)
+    assert calls == []
+    lam, residual = trace_solver._multiplier_and_residual(
+        disk_coarse, cfg, res.extremal, free_dof_mask(disk_coarse, hole))
+    assert (res.lam, res.el_residual, res.lam) == (lam, residual, lam)
+    assert len(calls) == 2      # the eager call above and the first read
 
 
 def test_el_residual_requires_normalization(disk_coarse):
@@ -389,45 +442,108 @@ def _bandwidth(metric, order) -> int:
     return int(np.max(np.repeat(pos, np.diff(metric.indptr)) - pos[metric.indices]))
 
 
-@pytest.mark.parametrize("case", ["disk", "thin64", "1d-union"])
-def test_restricted_order_never_widens_the_band(monkeypatch, case):
-    # every factor of a mesh stores the pinned metric in the mesh's order:
-    # the metric's upper triangle, cast to float32, off the hole's rows and
-    # columns, with the hole's diagonal 1.  Pinning drops entries, so the
-    # band is at most the full metric's, and is the full metric's when
-    # nothing is pinned.  The band takes the CSR rows as columns, so it
-    # holds the transpose's triangle
-    ops, _, hole_free = _backend_case(case, 2)
-    K, order = ops.h1(), ops.order
-    kd = _bandwidth(K, order)
+def _assert_band_is_pinned_metric(ab, K, order, free):
+    """The band storage ab holds, exactly, the float32 upper triangle of
+    the pinned metric's transpose in ``order``: K off the rows and columns
+    outside ``free``, with their diagonal 1.  The band takes the CSR rows
+    as columns, so it holds the transpose's triangle."""
+    n = K.shape[0]
+    assert ab.dtype == np.float32 and ab.shape[1] == n
+    w = ab.shape[0] - 1
+    j = np.repeat(np.arange(n), w + 1)
+    i = j - w + np.tile(np.arange(w + 1), n)    # ab[r, j] holds (j - w + r, j)
+    inside = i >= 0
+    got = np.zeros((n, n), dtype=np.float32)
+    got[i[inside], j[inside]] = ab.T.ravel()[inside]
+    want = K.T.toarray()
+    want[~free], want[:, ~free] = 0.0, 0.0
+    want[~free, ~free] = 1.0
+    want = np.triu(want[np.ix_(order, order)]).astype(np.float32)
+    assert np.array_equal(got, want)
+
+
+def _capture_bands(monkeypatch):
+    """Copies of every band handed to spbtrf, as handed, each in the Fortran
+    order in which spbtrf factors it in place, with no copy of its own."""
     bands = []
     spbtrf = _descent.lapack.spbtrf
 
     def capture(ab, **kwargs):
+        assert ab.flags.f_contiguous
         bands.append(ab.copy())
         return spbtrf(ab, **kwargs)
     monkeypatch.setattr(_descent.lapack, "spbtrf", capture)
+    return bands
+
+
+@pytest.mark.parametrize("case", ["disk", "thin64", "1d-union"])
+def test_restricted_order_never_widens_the_band(monkeypatch, case):
+    # every factor of a mesh stores the pinned metric in the mesh's order:
+    # the metric's band image, its upper triangle cast to float32, with the
+    # hole's rows and columns cleared and the hole's diagonal set to 1.
+    # Pinning clears entries in place, so the band is always the full
+    # metric's, whatever the hole
+    ops, _, hole_free = _backend_case(case, 2)
+    K, order = ops.h1(), ops.order
+    kd = _bandwidth(K, order)
+    bands = _capture_bands(monkeypatch)
     rng = np.random.default_rng(2)
     frees = [hole_free, np.ones_like(hole_free)]
     frees += [rng.random(hole_free.size) < keep for keep in (0.9, 0.5, 0.1)]
-    n = K.shape[0]
     for free in frees:
         Preconditioner.pinned(K, free, order)
-        ab = bands[-1]
-        assert ab.dtype == np.float32 and ab.shape[1] == n
-        w = ab.shape[0] - 1
-        assert w == kd if free.all() else w <= kd
-        j = np.repeat(np.arange(n), w + 1)
-        i = j - w + np.tile(np.arange(w + 1), n)    # ab[r, j] holds (j - w + r, j)
-        inside = i >= 0
-        got = np.zeros((n, n), dtype=np.float32)
-        got[i[inside], j[inside]] = ab.T.ravel()[inside]
-        want = K.T.toarray()
-        want[~free], want[:, ~free] = 0.0, 0.0
-        want[~free, ~free] = 1.0
-        want = np.triu(want[np.ix_(order, order)]).astype(np.float32)
-        assert np.array_equal(got, want)
+        assert bands[-1].shape[0] - 1 == kd
+        _assert_band_is_pinned_metric(bands[-1], K, order, free)
     assert len(bands) == len(frees)
+
+
+def _retained_case(case):
+    """(a maker of fresh operators, hole free masks) of a mesh solved hole
+    after hole: arcs of several lengths on the disk and thin meshes, and
+    every part's first node or last free node pinned on the 1D union grid."""
+    if case == "1d-union":
+        _, x, free = _union_grid_case(2)
+        return (lambda: _union_grid_case(2)[0],
+                [free, x > x.min(), free, np.ones_like(free)])
+    mesh = {"disk": lambda: generate_mesh(Disk(1), 0.05),
+            "thin64": lambda: generate_mesh(ThinRectangle(0, 1, 1 / 64), 1 / 256),
+            }[case]()
+    frees = [free_dof_mask(mesh, make_hole_from_arc(
+        mesh, k * mesh.perimeter / 5, fraction * mesh.perimeter))
+        for k, fraction in enumerate((0.25, 0.1, 0.5, 0.25, 0.7))]
+    return (lambda: fem.Operators(mesh.vertices, mesh.cells, mesh.boundary,
+                                  mesh.facet_lengths), frees)
+
+
+@pytest.mark.parametrize("case", ["disk", "thin64", "1d-union"])
+def test_retained_h1_image_pins_every_hole(monkeypatch, case):
+    # a mesh's first factor of h1 pins a fresh band image and keeps
+    # nothing; from the second it keeps the image and pins copies.  Every
+    # band handed to spbtrf is the pinned metric built from scratch, the
+    # kept image stays the unpinned metric's after every factor, and each
+    # solve is bit for bit the same solve on fresh operators.  The last run
+    # is a cold start at p != 2, whose first factor is h1's
+    fresh, frees = _retained_case(case)
+    ops = fresh()
+    K = ops.h1()
+    bands = _capture_bands(monkeypatch)
+    runs = [(ProblemConfig(2, 2), free) for free in frees]
+    runs.append((ProblemConfig(3, 2 if case == "disk" else 3), frees[0]))
+    kept = None
+    for i, (cfg, free) in enumerate(runs):
+        first = len(bands)
+        res = ops.solve(cfg, free)
+        _assert_band_is_pinned_metric(bands[first], K, ops.order, free)
+        if i == 0:
+            assert ops._image is None
+        elif kept is None:
+            kept = ops._image.copy()
+            assert np.array_equal(kept, _descent.band_image(K, np.argsort(ops.order)))
+        else:
+            assert np.array_equal(ops._image, kept)
+        want = fresh().solve(cfg, free)
+        assert res.iterations == want.iterations and res.value == want.value
+        assert np.array_equal(res.u, want.u)
 
 
 @pytest.mark.parametrize("domain,res,banded", [
@@ -543,10 +659,11 @@ def test_metric_product_is_the_free_block_product(grid, lagged):
     assert _metric_norm2(metric, s) == pytest.approx(want, rel=1e-14, abs=0)
 
 
-def _float64_pinned(cls, metric, free, order=None):
+def _float64_pinned(cls, metric, free, order=None, image=None):
     """The preconditioner with a float64 SuperLU factor of the metric with
     the hole's rows and columns replaced by the identity, built by sparse
-    products, as a reference for either back end (``order`` is unused)."""
+    products, as a reference for either back end (``order`` and ``image``
+    are unused)."""
     keep = sp.diags(free.astype(float))
     pinned = keep @ metric @ keep + sp.diags((~free).astype(float))
     lu = spla.splu(pinned.tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -684,9 +801,9 @@ def _count_factorizations(monkeypatch):
     calls = []
     pinned = Preconditioner.pinned.__func__
 
-    def counted(cls, metric, free, order=None):
+    def counted(cls, metric, free, order=None, image=None):
         calls.append(metric)
-        return pinned(cls, metric, free, order)
+        return pinned(cls, metric, free, order, image)
     monkeypatch.setattr(Preconditioner, "pinned", classmethod(counted))
     return calls
 
