@@ -1,6 +1,7 @@
 """Projected Barzilai-Borwein descent for 0-homogeneous quotients E/B^(p/q).
 
-Every quotient solve reaches it through ``fem.Operators.solve``.  The
+Every quotient solve reaches it through ``fem.Operators.solve``, and
+every solve starts cold, at the constant field on the W^{1,2} factor.  The
 iterate lives on the positive cone intersected with the unit-B sphere:
 after every step the field is replaced by its absolute value (the quotient
 never distinguishes u from |u| and the extremal has a sign) and rescaled
@@ -22,12 +23,12 @@ p = q = 2 that is one inverse iteration in the W^{1,2} metric.
 The factor only shapes the step, while the gradient, line search, metric
 products and stopping test stay float64 (Carson and Higham, SIAM J. Sci.
 Comput. 40, 2018); the BB step's metric products multiply the full
-metric by the full-length step, which is zero off the free set.  At
-p = 2 the metric is fixed.  Otherwise the caller passes a callback for
+metric by the full-length step, which is zero off the free set.  The
+caller's one factor callback builds and factors every metric.  At p = 2
+the W^{1,2} factor is kept.  Otherwise the descent asks the callback for
 the lagged metric, whose weights are the p-Laplacian's coefficients
-frozen at the iterate, and the descent refactors it every REFRESH
-iterations (a relaxed Kacanov iteration: Diening, Fornasier, Tomasi and
-Wank, Numer. Math. 145, 2020).
+frozen at the iterate, every REFRESH iterations (a relaxed Kacanov
+iteration: Diening, Fornasier, Tomasi and Wank, Numer. Math. 145, 2020).
 Step lengths are Barzilai-Borwein in the current metric with a
 nonmonotone halving line search: a step is accepted when its value is at
 most the largest of the last WINDOW values, and the search gives up after
@@ -156,20 +157,19 @@ class DescentResult:
     values: list
 
 
-def minimize_quotient(evaluate, gradient, p, free, init, h1, tol, max_iter,
-                      metric: Optional[Callable] = None,
-                      order: Optional[np.ndarray] = None,
-                      h1_image: Optional[Callable] = None) -> DescentResult:
-    """Minimize E(u)/B(u)^(p/q) over the free DOFs.
+def minimize_quotient(evaluate, gradient, p, free, factor, tol,
+                      max_iter) -> DescentResult:
+    """Minimize E(u)/B(u)^(p/q) over the free DOFs, from the constant field,
+    which is zero on the fixed DOFs.
 
     ``evaluate(u)`` returns u normalized to B = 1 (read-only), E there and a
     product that ``gradient(u, E, product)`` turns into dE - (p/q) E dB
     (``fem.Operators.quotient``); it raises ValueError when B vanishes.
 
-    The start is the constant field when ``init`` is None, otherwise
-    ``|init|`` with free entries floored at ``1e-12 max(max|init|, 1)``;
-    fixed DOFs start (and stay) at zero.  ``h1`` is the SPD metric of the
-    preconditioner, a sparse matrix on all DOFs.
+    ``factor(None, None)`` returns the W^{1,2} metric P, a sparse SPD matrix
+    on all DOFs, and its ``Preconditioner``, pinned off the free set.  At
+    p != 2, ``factor(u, delta)`` returns them for the lagged metric at u,
+    regularized by ``delta``, every ``REFRESH`` iterations.
 
     Convergence requires both the free-DOF gradient norm (scaled by 1/p,
     the Euler-Lagrange residual scale) to fall below ``tol`` and the
@@ -178,32 +178,13 @@ def minimize_quotient(evaluate, gradient, p, free, init, h1, tol, max_iter,
     iterate seen when none did: under the nonmonotone window the two can
     differ, and only the former carries the stated gradient bound.  Either
     is nonnegative, zero on fixed DOFs, normalized to B = 1 and read-only.
-
-    ``metric(u, delta)``, when given, returns the lagged metric at u (a
-    sparse SPD matrix on all DOFs, regularized by ``delta``); it is
-    refactored every ``REFRESH`` iterations.  A cold start begins on
-    ``h1``, a warm start on the metric at its start field: the lagged
-    metric at the constant field is a poor model, and on disks (p = 1.5,
-    3) it raised cold solves from 22-32 to 59-95 iterations.
-
-    ``order``, when given, is the vertex order of a banded factor of every
-    metric, h1's from the kept image ``h1_image()`` if any; else SuperLU's.
     """
-    if init is None:
-        u = np.ones(free.size)
-    else:
-        u = np.abs(np.asarray(init, dtype=float))
-        if u.shape != free.shape:
-            raise ValueError("init field has the wrong length")
-        u[free] = np.maximum(u[free], 1e-12 * max(float(u.max()), 1.0))
+    u = np.ones(free.size)
     hole = np.flatnonzero(~free)
     u[hole] = 0.0
-    # the metric P of the current factor, whose products give <s, s>_P; the
-    # factor is pinned off the free set, so every direction, and with it
-    # every iterate, is exactly zero there
-    P = None if metric is not None and init is not None else h1
-    precond = None if P is None else Preconditioner.pinned(
-        P, free, order, image=None if h1_image is None else h1_image())
+    # the factor is pinned off the free set, so every direction, and with
+    # it every iterate, is exactly zero there
+    P, precond = factor(None, None)
 
     def grad_at(u, E, product):
         g = gradient(u, E, product)
@@ -219,9 +200,6 @@ def minimize_quotient(evaluate, gradient, p, free, init, h1, tol, max_iter,
     if gnorm <= tol:
         return DescentResult(best_u, best_val, 0, True, values)
     gnorm0 = gnorm
-    if precond is None:
-        P = metric(u, DELTA_MAX)
-        precond = Preconditioner.pinned(P, free, order)
 
     d = precond.solve(g)
     # at p = q = 2 the first step is one inverse iteration in the metric
@@ -251,13 +229,12 @@ def minimize_quotient(evaluate, gradient, p, free, init, h1, tol, max_iter,
         gnorm = float(np.linalg.norm(g_new)) / p
         s = cand - u
         y = g_new - g
-        if metric is not None and it % REFRESH == 0:
+        if p != 2 and it % REFRESH == 0:
             # refactor at the new iterate; the old factor and metric go
             # first, and the fallback step keeps its length in the new metric
             ss = _metric_norm2(P, s)
             precond = P = None
-            P = metric(cand, _delta(gnorm / gnorm0))
-            precond = Preconditioner.pinned(P, free, order)
+            P, precond = factor(cand, _delta(gnorm / gnorm0))
             step *= _metric_norm2(P, s) / max(ss, 1e-300)
         # BB1 in the P-metric: <s, s>_P / <s, y>_P, and <s, P d'>=<s, g'>
         sy = float(s @ y)

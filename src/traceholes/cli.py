@@ -343,7 +343,11 @@ def _cmd_shape_grad_check(spec: RunSpec):
     fmid = float(np.max(mesh.facet_lengths))
     steps = sorted(h * P for h in spec.fd_steps_rel)
     h_mid, h_max = steps[len(steps) // 2], steps[-1]
-    (s_start, s_end), = hole_intervals(mesh, hole)
+    intervals = hole_intervals(mesh, hole)
+    if len(intervals) != 1:
+        raise SpecError(f"the hole must be one arc of whole facets; hole length "
+                        f"{length!r} covers {len(hole.facet_indices)} facets")
+    (s_start, s_end), = intervals
     arc_len = s_end - s_start
     amp = spec.speed_amplitude
     if amp is None:

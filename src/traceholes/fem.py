@@ -32,7 +32,6 @@ p-Laplacian's coefficients c, c_m frozen at an iterate (``lagged_metric``).
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import weakref
@@ -43,7 +42,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from ._descent import DescentResult, band_image, minimize_quotient
+from ._descent import (
+    DescentResult, Preconditioner, band_image, minimize_quotient,
+)
 from .geometry import Mesh
 
 
@@ -99,6 +100,8 @@ class ProblemConfig:
             raise ValueError("exponent q must be at least 1")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        if not math.isfinite(self.eps * self.eps):     # eps**2 would raise
+            raise ValueError(f"epsilon must have a finite square, got {self.epsilon!r}")
         if self.dof_tolerance <= 0:
             raise ValueError("dof_tolerance must be positive")
         if self.max_inner_iterations < 1:
@@ -322,7 +325,10 @@ class Operators:
 
     def h1_image(self) -> Optional[np.ndarray]:
         """A copy of h1's band image in ``order``, kept from the second call on
-        (the first factor builds its own), to pin in place; else None."""
+        (the first factor builds its own), to pin in place; None at the
+        first call or without an order."""
+        if self.order is None:
+            return None
         self._h1_factors += 1
         if self._image is None and self._h1_factors > 1:
             self._image = band_image(self.h1(), np.argsort(self.order))
@@ -346,19 +352,25 @@ class Operators:
         m2 = delta**2 * (self.mass @ u2) / self.mass.sum()
         return self.metric((s + d2) ** e, (u2 + m2) ** e)
 
-    def solve(self, cfg: ProblemConfig, free, init=None) -> DescentResult:
+    def solve(self, cfg: ProblemConfig, free) -> DescentResult:
         """The descent on E / B^(p/q) over fields vanishing off ``free``, from
-        ``init`` (the constant field when None), on the W^{1,2} metric and,
-        for p != 2, the lagged one, each factored in ``order`` when it is
-        set.  Its ``u`` is normalized to B = 1 and read-only, and ``value``
-        is the quotient there."""
-        metric = None if cfg.p == 2 else functools.partial(self.lagged_metric, cfg)
+        the constant field.  Its factor callback pins the W^{1,2} metric,
+        from the kept band image when there is one, and, for p != 2, the
+        lagged one, each factored in ``order`` when it is set.  The start is
+        on h1: the lagged metric at the constant field is a poor model, and
+        on disks (p = 1.5, 3) it raised cold solves from 22-32 to 59-95
+        iterations.  Its ``u`` is normalized to B = 1 and read-only, and
+        ``value`` is the quotient there."""
         h1 = self.h1()      # sets the order of every factor
-        return minimize_quotient(
-            *self.quotient(cfg), cfg.p, free, init, h1,
-            tol=cfg.dof_tolerance, max_iter=cfg.max_inner_iterations,
-            metric=metric, order=self.order,
-            h1_image=None if self.order is None else self.h1_image)
+
+        def factor(u, delta):
+            if u is None:
+                return h1, Preconditioner.pinned(h1, free, self.order,
+                                                 self.h1_image())
+            metric = self.lagged_metric(cfg, u, delta)
+            return metric, Preconditioner.pinned(metric, free, self.order)
+        return minimize_quotient(*self.quotient(cfg), cfg.p, free, factor,
+                                 cfg.dof_tolerance, cfg.max_inner_iterations)
 
 
 _FORMS_CACHE: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()

@@ -11,8 +11,7 @@ interval of at most 12 arcs has every arc solved; a larger one splits
 into at most 4 near-equal children with core bounds, so a level costs at
 most 4 solves and 260 arcs reach a leaf of 8 or 9 in three levels.  The
 search stops at the first bound that clears the best value: the result
-is certified against every single arc at facet granularity.  Solves are
-cold: a warm start from a core helps on thin meshes but not on disks.
+is certified against every single arc at facet granularity.
 
 Measure bookkeeping is honest about facet quantization: every hole is
 within one facet length of the target and alpha_effective is reported.

@@ -20,14 +20,14 @@ a Richardson extrapolation of the last three rescaled values.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .fem import ProblemConfig
 from .geometry import Interval, ThinRectangle, generate_mesh, hole_intervals
-from .hole_optimizer import OptimizationRun, optimize_hole_alternating
+from .hole_optimizer import optimize_hole_alternating
 from .one_dim import OneDimProblem, solve_limit_problem
 
 N1_EXTRAPOLATION_NOTE = (
@@ -56,7 +56,6 @@ class MuSweep:
     fitted_limit: Optional[float]
     slope: Optional[float]
     note: str = N1_EXTRAPOLATION_NOTE
-    runs: List[OptimizationRun] = field(default_factory=list)
 
 
 def scaling_exponent(p: float, q: float, k: int = 1) -> float:
@@ -88,7 +87,6 @@ def run_mu_sweep(base: Interval, alpha: float, cfg: ProblemConfig,
     target = reference_limit(base, alpha, cfg)
 
     records: List[MuRecord] = []
-    runs: List[OptimizationRun] = []
     for mu in mu_values:
         domain = ThinRectangle(base.a, base.b, mu)
         nx, ny = domain.grid(mu / 4.0)      # checked before meshing
@@ -104,12 +102,10 @@ def run_mu_sweep(base: Interval, alpha: float, cfg: ProblemConfig,
             mu, run.best_value, run.best_value / mu**expo,
             hole_intervals(mesh, run.best_hole), run.alpha_effective,
             run.converged))
-        runs.append(run)
 
     slope = _loglog_slope(records)
     fitted = _richardson(records)
-    return MuSweep(mu_values, alpha, expo, records, target, fitted, slope,
-                   runs=runs)
+    return MuSweep(mu_values, alpha, expo, records, target, fitted, slope)
 
 
 def _loglog_slope(records) -> Optional[float]:

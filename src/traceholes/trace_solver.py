@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,15 +47,16 @@ def free_dof_mask(mesh: Mesh, hole: BoundaryHole) -> np.ndarray:
     return free
 
 
-def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig, hole: BoundaryHole,
-                         init: Optional[np.ndarray] = None) -> TraceResult:
-    """Minimize the discrete quotient over fields vanishing on the hole."""
+def solve_trace_constant(mesh: Mesh, cfg: ProblemConfig,
+                         hole: BoundaryHole) -> TraceResult:
+    """Minimize the discrete quotient over fields vanishing on the hole,
+    from the constant field."""
     cfg.validate_subcritical(mesh.dim)
     free = free_dof_mask(mesh, hole)
     if not free[mesh.boundary].any():
         raise NotAdmissibleError(
             "hole covers every boundary vertex: empty admissible class")
-    res = fem.forms(mesh).solve(cfg, free, init)
+    res = fem.forms(mesh).solve(cfg, free)
     return TraceResult(res.value, res.u, res.iterations, res.converged,
                        mesh, hole, cfg)
 

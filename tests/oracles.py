@@ -17,7 +17,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from traceholes.geometry import BoundaryHole, Disk, TangentialField, hole_arcs
-from traceholes.trace_solver import solve_trace_constant
 
 
 def inscribed_polygon_perimeter(n, radius=1.0):
@@ -493,20 +492,6 @@ def orbit_representatives_by_mask(group, candidates):
             kept.append(candidates[c])
             covered.update(image[c].tobytes() for image in images)
     return kept
-
-
-def solve_with_restarts(mesh, cfg, hole, restarts=3, seed=0):
-    """A cold solve plus random positive restarts: the best result, the
-    relative spread of the values found, and the values."""
-    rng = np.random.default_rng(seed)
-    results = [solve_trace_constant(mesh, cfg, hole)]
-    for _ in range(restarts):
-        u0 = rng.uniform(0.5, 1.5, size=mesh.n_vertices)
-        results.append(solve_trace_constant(mesh, cfg, hole, init=u0))
-    values = [r.s_value for r in results]
-    best = results[int(np.argmin(values))]
-    spread = (max(values) - min(values)) / max(abs(best.s_value), 1e-300)
-    return best, spread, values
 
 
 @dataclass

@@ -184,13 +184,14 @@ def test_shape_grad_check_flags_an_unconverged_step(tmp_path, monkeypatch):
     args = ["shape-grad-check", "--domain", "disk", "--radius", "1",
             "--resolution", "0.2", "--out", str(tmp_path)]
     assert main(args + ["--run-id", "ok"]) == 0
-    # every warm-started solve, that is every transported one, reports
-    # that it did not converge
-    solve = shape_derivative.solve_trace_constant
+    # every transported solve, that is every solve of a hole other than
+    # the first, the base one, reports that it did not converge
+    solve, holes = shape_derivative.solve_trace_constant, []
 
-    def flagged(mesh, cfg, hole, init=None):
-        res = solve(mesh, cfg, hole, init=init)
-        return res if init is None else dataclasses.replace(
+    def flagged(mesh, cfg, hole):
+        holes.append(hole)
+        res = solve(mesh, cfg, hole)
+        return res if hole == holes[0] else dataclasses.replace(
             res, converged=False)
     monkeypatch.setattr(shape_derivative, "solve_trace_constant", flagged)
     assert main(args + ["--run-id", "cap"]) == 2
@@ -443,6 +444,12 @@ def test_invalid_problem_numbers_rejected(tmp_path, capsys, flags, config):
     ("solve", ["--config", "{tmp}/missing.json"], None, "No such file"),
     ("solve", ["--config", "{tmp}"], None, "Is a directory"),
     ("solve", ["--out", "{tmp}/run.json"], {}, "Not a directory"),
+    # eps**2 overflows a float, and a hole shorter than half a facet
+    # snaps to no facet at all
+    ("solve", ["-p", "1.5", "--epsilon", "1e155"], None,
+     "epsilon must have a finite square"),
+    ("shape-grad-check", ["--hole-length", "0.001"], None,
+     "the hole must be one arc of whole facets"),
 ])
 def test_invalid_run_numbers_rejected(tmp_path, capsys, command, flags,
                                       config, field):

@@ -73,12 +73,10 @@ def test_arc_sweep_dominance(disk, cfg, disk_run):
     # the optimizer must not lose to any snapped single-arc placement
     target = 0.25 * disk.perimeter
     best = None
-    warm = disk_run.best_result.extremal
     for j in range(0, disk.n_facets, disk.n_facets // 64 or 1):
         start = float(j * disk.perimeter / disk.n_facets)
         hole = make_hole_from_arc(disk, start, target)
-        r = solve_trace_constant(disk, cfg, hole, init=warm)
-        warm = r.extremal
+        r = solve_trace_constant(disk, cfg, hole)
         best = r.s_value if best is None else min(best, r.s_value)
     assert disk_run.best_value <= best + 1e-6
 
@@ -359,29 +357,13 @@ def test_optimize_solves_only_holes(monkeypatch, p):
     monkeypatch.setattr(Preconditioner, "pinned", classmethod(counted))
     solve = hole_optimizer.solve_trace_constant
 
-    def counted_solve(mesh, cfg, hole, init=None):
+    def counted_solve(mesh, cfg, hole):
         holes.append(hole)
-        return solve(mesh, cfg, hole, init=init)
+        return solve(mesh, cfg, hole)
     monkeypatch.setattr(hole_optimizer, "solve_trace_constant", counted_solve)
     run = optimize_hole_alternating(mesh, ProblemConfig(p, 2), 0.25)
     assert all(hole.facet_indices for hole in holes)
     assert not all_free and run.n_solves == len(holes) > 0
-
-
-def test_every_solve_is_cold(monkeypatch, thin, cfg):
-    # no solve of the search, arc or core bound, starts from another's
-    # extremal, with or without a starting hole
-    inits = []
-    solve = hole_optimizer.solve_trace_constant
-
-    def recorded(mesh, cfg, hole, init=None):
-        inits.append(init)
-        return solve(mesh, cfg, hole, init=init)
-    monkeypatch.setattr(hole_optimizer, "solve_trace_constant", recorded)
-    run = optimize_hole_alternating(thin, cfg, 0.5)
-    optimize_hole_alternating(thin, cfg, 0.5, init_hole=run.best_hole)
-    assert len(inits) == 2 * run.n_solves + 1
-    assert all(init is None for init in inits)
 
 
 @pytest.mark.parametrize("domain,resolution,alpha,n_solves", [
@@ -421,8 +403,8 @@ def test_a_losing_unconverged_arc_clears_converged(monkeypatch, tmp_path):
     flagged = []
     solve = hole_optimizer.solve_trace_constant
 
-    def one_arc_unconverged(mesh, cfg, hole, init=None):
-        res = solve(mesh, cfg, hole, init=init)
+    def one_arc_unconverged(mesh, cfg, hole):
+        res = solve(mesh, cfg, hole)
         if not flagged and hole.facet_indices in arcs and hole != best:
             flagged.append(hole)
             res = dataclasses.replace(res, converged=False)

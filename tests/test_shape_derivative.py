@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from traceholes import cli, shape_derivative
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import (
     Disk, Rectangle, TangentialField, ThinRectangle,
@@ -186,6 +189,28 @@ def test_fd_check_folds_an_unconverged_base_solve(disk, disk_setup):
         evaluate_shape_derivative(disk, cfg, hole, V, capped)
 
 
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+def test_fd_check_solves_each_moved_hole_cold(monkeypatch, tmp_path, p):
+    # the CLI's default steps on disk 0.05: the smallest step moves no
+    # facet, so both its signs take the base value, its difference is
+    # exactly 0 and it makes no solve.  The other two steps make one cold
+    # solve per sign (measured: at most 32 iterations)
+    solve, solved = shape_derivative.solve_trace_constant, []
+
+    def recorded(mesh, cfg, hole):
+        solved.append((hole, solve(mesh, cfg, hole)))
+        return solved[-1][1]
+    monkeypatch.setattr(shape_derivative, "solve_trace_constant", recorded)
+    assert cli.main(["shape-grad-check", "--domain", "disk", "--radius", "1",
+                     "--resolution", "0.05", "-p", str(p), "-q", "2",
+                     "--out", str(tmp_path), "--run-id", "r"]) == 0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert [row["fd"] == 0.0 for row in summary["rows"]] == [False, False, True]
+    (base, _), moved = solved[0], solved[1:]
+    assert len(moved) == 4 and all(hole != base for hole, _ in moved)
+    assert all(res.converged and res.iterations <= 40 for _, res in moved)
+
+
 def test_rotation_fd_shrinks_under_refinement():
     # a rigid slide leaves S invariant up to mesh anisotropy, so the
     # central differences head to zero as the mesh refines (they are not
@@ -232,5 +257,5 @@ def test_continuity_of_s_under_slide(disk, disk_setup):
         lambda s: np.full_like(np.asarray(s, float), speed),
         lambda s: np.zeros_like(np.asarray(s, float)))
     moved = transport_hole(disk, hole, V, h)
-    res = solve_trace_constant(disk, cfg, moved, init=trace.extremal)
+    res = solve_trace_constant(disk, cfg, moved)
     assert abs(res.s_value - trace.s_value) / trace.s_value < 0.01

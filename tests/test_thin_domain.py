@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from traceholes import thin_domain
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import Interval, ThinRectangle, generate_mesh
+from traceholes.hole_optimizer import optimize_hole_alternating
 from traceholes.one_dim import OneDimProblem, solve_limit_problem
 from traceholes.thin_domain import reference_limit, run_mu_sweep, scaling_exponent
 
@@ -18,6 +22,15 @@ def cfg():
 @pytest.fixture(scope="module")
 def small_sweep(cfg):
     return run_mu_sweep(Interval(0, 1), 0.5, cfg, [1 / 2, 1 / 4, 1 / 8])
+
+
+@pytest.fixture(scope="module")
+def small_sweep_results(cfg):
+    """The best result of the small sweep's search at each mu, on the
+    sweep's mesh (resolution mu / 4)."""
+    return [optimize_hole_alternating(
+        generate_mesh(ThinRectangle(0, 1, mu), mu / 4), cfg, 0.5).best_result
+        for mu in (1 / 2, 1 / 4, 1 / 8)]
 
 
 def test_boundary_measure_decomposition():
@@ -103,15 +116,15 @@ def test_project_to_limit_constant_field():
     assert proj.mean == pytest.approx(1.0)
 
 
-def test_fiber_variance_decreases_along_sweep(small_sweep):
+def test_fiber_variance_decreases_along_sweep(small_sweep_results):
     stds = []
-    for run in small_sweep.runs:
-        proj = project_to_limit(run.best_result.mesh, run.best_result.extremal)
+    for res in small_sweep_results:
+        proj = project_to_limit(res.mesh, res.extremal)
         stds.append(proj.max_relative_std)
     assert stds[-1] < stds[0]
 
 
-def test_projected_extremal_approaches_1d_limit(small_sweep):
+def test_projected_extremal_approaches_1d_limit(small_sweep_results):
     # L2 distance to the 1D limit extremal shrinks as mu does; both fields
     # are L2-normalized and reflections are allowed (either end is optimal)
     problem = OneDimProblem(0, 1, 2, 2, 0.5)
@@ -119,8 +132,8 @@ def test_projected_extremal_approaches_1d_limit(small_sweep):
     xg = limit.nodes
     vg = limit.extremal / np.sqrt(np.trapezoid(limit.extremal**2, xg))
     dists = []
-    for run in small_sweep.runs:
-        proj = project_to_limit(run.best_result.mesh, run.best_result.extremal)
+    for res in small_sweep_results:
+        proj = project_to_limit(res.mesh, res.extremal)
         v = np.interp(proj.x, xg, vg)
         w = proj.mean / np.sqrt(np.trapezoid(proj.mean**2, proj.x))
         d = min(np.sqrt(np.trapezoid((w - v) ** 2, proj.x)),
@@ -144,3 +157,20 @@ def test_sweep_checks_the_size_cap_before_meshing(monkeypatch, cfg):
         sweep = run_mu_sweep(Interval(0, 1), 0.5, cfg, [1 / 2, 1 / 4],
                              max_vertices=60)
     assert len(sweep.records) == 1 and meshed == [45]
+
+
+def test_sweep_keeps_no_mesh_alive(monkeypatch, cfg):
+    # the sweep returns records only: once it returns, every mesh it made,
+    # with its cached operators, can be freed
+    meshes = []
+    build = thin_domain.generate_mesh
+
+    def recorded(domain, resolution):
+        mesh = build(domain, resolution)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+    monkeypatch.setattr(thin_domain, "generate_mesh", recorded)
+    sweep = run_mu_sweep(Interval(0, 1), 0.5, cfg, [1 / 2, 1 / 4, 1 / 8, 1 / 16])
+    gc.collect()
+    assert len(sweep.records) == len(meshes) == 4
+    assert [ref() for ref in meshes] == [None] * 4

@@ -1,4 +1,3 @@
-import functools
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from traceholes.trace_solver import free_dof_mask, solve_trace_constant
 
 from oracles import (
     dense_trace_eigenpair, el_residual, interval_trace_constant_shooting,
-    positivity_check, rotation_field, solve_with_restarts,
+    positivity_check, rotation_field,
 )
 
 # frozen output of the shooting oracle (= coth(1)); the guard assertion in
@@ -246,23 +245,6 @@ def test_nonconvergence_is_flagged(disk_coarse):
     res = solve_trace_constant(disk_coarse, cfg, hole)
     assert not res.converged
     assert np.isfinite(res.s_value)
-
-
-def test_restart_spread_small_for_p2(disk_coarse):
-    cfg = ProblemConfig(2, 2, dof_tolerance=1e-10)
-    hole = make_hole_from_arc(disk_coarse, 0.5, 1.5)
-    best, spread, values = solve_with_restarts(disk_coarse, cfg, hole, seed=4)
-    assert len(values) == 4
-    assert spread < 1e-7
-
-
-def test_warm_start_matches_cold(disk_coarse):
-    cfg = ProblemConfig(2, 2, dof_tolerance=1e-10)
-    hole = make_hole_from_arc(disk_coarse, 0.0, 2.0)
-    cold = solve_trace_constant(disk_coarse, cfg, hole)
-    warm = solve_trace_constant(disk_coarse, cfg, hole, init=cold.extremal)
-    assert warm.iterations <= cold.iterations
-    assert abs(warm.s_value - cold.s_value) <= 1e-9 * cold.s_value
 
 
 def test_mesh_consistency_under_refinement():
@@ -723,10 +705,11 @@ def test_pinned_factor_keeps_every_iterate_zero_on_the_hole(banded, p):
     def recorded(u):
         trials.append(u[~free].copy())
         return evaluate(u)
-    metric = None if p == 2 else functools.partial(ops.lagged_metric, cfg)
-    res = _descent.minimize_quotient(recorded, gradient, p, free, None, h1,
-                                     cfg.dof_tolerance, cfg.max_inner_iterations,
-                                     metric=metric, order=order)
+    def factor(u, delta):
+        metric = h1 if u is None else ops.lagged_metric(cfg, u, delta)
+        return metric, Preconditioner.pinned(metric, free, order)
+    res = _descent.minimize_quotient(recorded, gradient, p, free, factor,
+                                     cfg.dof_tolerance, cfg.max_inner_iterations)
     assert res.converged and len(trials) > res.iterations > 0
     assert all(np.all(t == 0) for t in trials) and np.all(res.u[~free] == 0)
 
@@ -811,11 +794,8 @@ def _count_factorizations(monkeypatch):
 def test_p2_solve_factors_the_h1_metric_once(monkeypatch, disk_coarse):
     calls = _count_factorizations(monkeypatch)
     hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
-    cfg = ProblemConfig(2, 2)
-    cold = solve_trace_constant(disk_coarse, cfg, hole)
-    solve_trace_constant(disk_coarse, cfg, hole, init=cold.extremal)
-    assert len(calls) == 2
-    assert all(metric is forms(disk_coarse).h1() for metric in calls)
+    solve_trace_constant(disk_coarse, ProblemConfig(2, 2), hole)
+    assert len(calls) == 1 and calls[0] is forms(disk_coarse).h1()
 
 
 def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
@@ -826,13 +806,7 @@ def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
     # a cold start begins on the W^{1,2} metric, then refreshes
     assert calls[0] is forms(mesh).h1()
     assert len(calls) == 1 + cold.iterations // 30
-    del calls[:]
-    shifted = make_hole_from_arc(mesh, 0.05, 0.5 * mesh.perimeter)
-    warm = solve_trace_constant(mesh, cfg, shifted, init=cold.extremal)
-    # a warm start begins on the lagged metric at its init
-    assert warm.converged and warm.iterations > 0
-    assert len(calls) == 1 + warm.iterations // 30
-    assert all(metric is not forms(mesh).h1() for metric in calls)
+    assert all(metric is not forms(mesh).h1() for metric in calls[1:])
 
 
 def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
@@ -841,12 +815,6 @@ def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
     cold = solve_limit_problem(problem, (0.5, 1.0), 128)
     assert cold.iterations >= 30
     assert len(calls) == 1 + cold.iterations // 30
-    del calls[:]
-    x = _limit_grid(problem, 128)
-    warm = _limit_operators(x).solve(
-        problem.config(), (x < 0.25) | (x > 0.75), init=cold.extremal)
-    assert warm.converged and warm.iterations >= 30
-    assert len(calls) == 1 + warm.iterations // 30
 
 
 def test_each_solve_reports_its_one_descent_as_is(monkeypatch, disk_coarse):
@@ -876,14 +844,3 @@ def test_each_solve_reports_its_one_descent_as_is(monkeypatch, disk_coarse):
     for (value, u), (res, _) in zip([(trace.s_value, trace.extremal),
                                      (limit.value, limit.extremal)], records):
         assert value == res.value and u is res.u
-
-
-def test_wrong_length_init_is_rejected(disk_coarse):
-    hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
-    with pytest.raises(ValueError, match="wrong length"):
-        solve_trace_constant(disk_coarse, ProblemConfig(2, 2), hole,
-                             init=np.ones(disk_coarse.n_vertices + 1))
-    problem = OneDimProblem(0, 1, 2, 2, 0.5)
-    x = _limit_grid(problem, 64)
-    with pytest.raises(ValueError, match="wrong length"):
-        _limit_operators(x).solve(problem.config(), x < 0.5, init=np.ones(64))
