@@ -21,8 +21,7 @@ from .hole_optimizer import (
     OptimizationRun, optimize_hole_alternating, zero_set_measure,
 )
 from .one_dim import (
-    OneDimProblem, closed_form_limit_constant, optimize_limit_hole,
-    solve_limit_problem,
+    closed_form_limit_constant, optimize_limit_hole, solve_limit_problem,
 )
 from .thin_domain import MuSweep, run_mu_sweep
 

@@ -57,6 +57,7 @@ DELTA_MAX = 1e-2
 DELTA_MIN = 1e-8
 WINDOW = 5
 MAX_HALVINGS = 40
+SINGULAR = "Factor is exactly singular"     # SuperLU's RuntimeError
 
 
 def _delta(rel_gnorm: float) -> float:
@@ -229,22 +230,29 @@ def minimize_quotient(evaluate, gradient, p, free, factor, tol,
         gnorm = float(np.linalg.norm(g_new)) / p
         s = cand - u
         y = g_new - g
+        u, E, g = cand, E_new, g_new
+        values.append(E)
+        if E < best_val:
+            best_val, best_u = E, u
         if p != 2 and it % REFRESH == 0:
             # refactor at the new iterate; the old factor and metric go
             # first, and the fallback step keeps its length in the new metric
             ss = _metric_norm2(P, s)
             precond = P = None
-            P, precond = factor(cand, _delta(gnorm / gnorm0))
+            try:
+                P, precond = factor(u, _delta(gnorm / gnorm0))
+            except RuntimeError as err:
+                # SuperLU found the lagged metric singular (near p = 1):
+                # end unconverged with the best iterate
+                if str(err) != SINGULAR:
+                    raise
+                break
             step *= _metric_norm2(P, s) / max(ss, 1e-300)
         # BB1 in the P-metric: <s, s>_P / <s, y>_P, and <s, P d'>=<s, g'>
         sy = float(s @ y)
         alpha = _metric_norm2(P, s) / sy if sy > 0 else step * 2.0
         alpha = min(max(alpha, 1e-14), 1e10)
-        u, E, g = cand, E_new, g_new
         d = precond.solve(g)
-        values.append(E)
-        if E < best_val:
-            best_val, best_u = E, u
         if gnorm <= tol and len(values) > WINDOW:
             drop = (max(values[-WINDOW:]) - values[-1]) / max(abs(values[-1]), 1e-300)
             if drop <= tol:

@@ -18,7 +18,7 @@ import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -32,8 +32,7 @@ from .geometry import (
 )
 from .hole_optimizer import optimize_hole_alternating, zero_set_measure
 from .one_dim import (
-    OneDimProblem, closed_form_limit_constant, optimize_limit_hole,
-    solve_limit_problem,
+    closed_form_limit_constant, optimize_limit_hole, solve_limit_problem,
 )
 from .shape_derivative import fd_check
 from .thin_domain import run_mu_sweep
@@ -438,14 +437,12 @@ def _cmd_verify_1d(spec: RunSpec):
     # with a hole covering the remaining (1 - alpha) of the interval
     closed = closed_form_limit_constant(spec.p, spec.alpha, length)
     hole_fraction = 1.0 - spec.alpha
-    problem = OneDimProblem(a, b, spec.p, spec.p, hole_fraction,
-                            epsilon=spec.epsilon,
-                            dof_tolerance=spec.dof_tolerance,
-                            max_inner_iterations=spec.max_inner_iterations)
-    fem_res = solve_limit_problem(
-        problem, (a + spec.alpha * length, b), spec.n_cells)
+    # the solve is at q = p; spec.q (2.0 unless given) still names the run
+    cfg = replace(spec.config(), q=spec.p)
+    fem_res = solve_limit_problem(base, cfg, (a + spec.alpha * length, b),
+                                  spec.n_cells)
     sweep_cells = min(spec.n_cells, 256)
-    sweep = optimize_limit_hole(problem, sweep_cells)
+    sweep = optimize_limit_hole(base, cfg, hole_fraction, sweep_cells)
     lo, hi = sweep.best_hole
     abuts = (abs(lo - a) < 1.5 * length / sweep_cells
              or abs(hi - b) < 1.5 * length / sweep_cells)

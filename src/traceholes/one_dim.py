@@ -13,9 +13,8 @@ eigenvalue of the 1D p-Laplacian on the free segment, plus one.
 Convention note: ``closed_form_limit_constant(p, alpha, length)`` evaluates
 the published formula verbatim, in which alpha plays the role of the
 fraction of the interval left FREE by the hole (the formula is the
-eigenvalue of a segment of length alpha * length).  The solver and the
-sweep take the hole fraction, so a hole fraction f has the closed form at
-alpha = 1 - f.
+eigenvalue of a segment of length alpha * length).  The sweep takes the
+hole fraction, so a hole fraction f has the closed form at alpha = 1 - f.
 
 The exhaustive sweep solves a hole's two free parts apart: for q >= p,
 (B_1 + B_2)^(p/q) <= B_1^(p/q) + B_2^(p/q), so its value is the lower of
@@ -33,34 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .fem import Operators, ProblemConfig
-
-
-@dataclass
-class OneDimProblem:
-    a: float
-    b: float
-    p: float
-    q: float
-    alpha: float
-    epsilon: Optional[float] = None
-    dof_tolerance: float = 1e-8
-    max_inner_iterations: int = 20000
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("need a < b")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must lie in (0, 1)")
-        self.config()       # ProblemConfig checks p, q and the tolerances
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    def config(self) -> ProblemConfig:
-        return ProblemConfig(self.p, self.q, epsilon=self.epsilon,
-                             dof_tolerance=self.dof_tolerance,
-                             max_inner_iterations=self.max_inner_iterations)
+from .geometry import Interval
 
 
 def closed_form_limit_constant(p: float, alpha: float, length: float) -> float:
@@ -84,7 +56,6 @@ class LimitResult:
     value: float
     extremal: np.ndarray
     nodes: np.ndarray
-    hole: Tuple[float, float]
     iterations: int
     converged: bool
 
@@ -110,31 +81,26 @@ def _limit_operators(x: np.ndarray,
                      parts=parts)
 
 
-def _limit_grid(problem: OneDimProblem, n_cells: int) -> np.ndarray:
+def _limit_grid(base: Interval, n_cells: int) -> np.ndarray:
     if n_cells < 16:
         raise ValueError("need at least 16 cells")
-    return np.linspace(problem.a, problem.b, n_cells + 1)
+    return np.linspace(base.a, base.b, n_cells + 1)
 
 
-def solve_limit_problem(problem: OneDimProblem, hole: Tuple[float, float],
-                        n_cells: int) -> LimitResult:
-    """Minimize the interior quotient with the field vanishing on
-    all nodes of the sub-interval hole."""
-    x = _limit_grid(problem, n_cells)
+def solve_limit_problem(base: Interval, cfg: ProblemConfig,
+                        hole: Tuple[float, float], n_cells: int) -> LimitResult:
+    """Minimize the interior quotient on n_cells equal cells of base with
+    the field vanishing on all nodes of the sub-interval hole."""
+    x = _limit_grid(base, n_cells)
     lo, hi = hole
-    if not (problem.a <= lo < hi <= problem.b):
+    if not (base.a <= lo < hi <= base.b):
         raise ValueError("hole must be a sub-interval of (a, b)")
-    h = (problem.b - problem.a) / n_cells
-    target = problem.alpha * problem.length
-    if abs((hi - lo) - target) > h + 1e-9 * h:
-        raise ValueError(
-            f"hole measure {hi - lo} does not match alpha within one cell")
+    h = (base.b - base.a) / n_cells
     free = (x < lo - 1e-9 * h) | (x > hi + 1e-9 * h)
     if not np.any(free):
         raise ValueError("hole covers the whole interval")
-    res = _limit_operators(x).solve(problem.config(), free)
-    return LimitResult(res.value, res.u, x, (lo, hi), res.iterations,
-                       res.converged)
+    res = _limit_operators(x).solve(cfg, free)
+    return LimitResult(res.value, res.u, x, res.iterations, res.converged)
 
 
 @dataclass
@@ -146,7 +112,7 @@ class HoleSweep:
     converged: bool             # every solve of the sweep converged
 
 
-def _solve_parts(problem: OneDimProblem, x: np.ndarray, c: int,
+def _solve_parts(cfg: ProblemConfig, x: np.ndarray, c: int,
                  parts) -> Tuple[np.ndarray, bool]:
     """Each part's value and whether their one solve converged.  Part
     (s, i, j) is the grid's nodes i..j, with those of hole s (s..s+c) fixed."""
@@ -154,13 +120,13 @@ def _solve_parts(problem: OneDimProblem, x: np.ndarray, c: int,
     nodes = np.concatenate([np.arange(i, j + 1) for _, i, j in parts])
     hole = np.repeat([s for s, _, _ in parts], sizes)
     ops = _limit_operators(x[nodes], np.repeat(np.arange(len(parts)), sizes))
-    cfg = problem.config()
     res = ops.solve(cfg, (nodes < hole) | (nodes > hole + c))
     return ops.part_quotients(cfg, res.u), res.converged
 
 
-def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
-    """Exhaustive sweep over cell-aligned holes of the target measure.
+def optimize_limit_hole(base: Interval, cfg: ProblemConfig,
+                        hole_fraction: float, n_cells: int) -> HoleSweep:
+    """Exhaustive sweep over cell-aligned holes covering hole_fraction of base.
 
     Each hole leaves m free cells.  Its subproblems (module docstring),
     solved as the parts of one grid per ``_BATCH_NODES`` nodes, are: at
@@ -170,12 +136,14 @@ def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
     whole grid.  Hole m - s takes hole s's value (the flip x -> a + b - x),
     so a tie goes to the first hole.  ``converged`` is true when every
     batch converged."""
-    x = _limit_grid(problem, n_cells)
-    c = max(1, round(problem.alpha * n_cells))
+    if not 0 < hole_fraction < 1:
+        raise ValueError("hole fraction must lie in (0, 1)")
+    x = _limit_grid(base, n_cells)
+    c = max(1, round(hole_fraction * n_cells))
     m = n_cells - c
     if m < 1:
         raise ValueError("hole covers the whole interval")
-    if problem.q < problem.p:
+    if cfg.q < cfg.p:
         parts = [(s, 0, n_cells) for s in range(m // 2 + 1)]
     else:
         parts = [(s, 0, s) for s in range((m + 1) // 2, m + 1)]
@@ -183,12 +151,12 @@ def optimize_limit_hole(problem: OneDimProblem, n_cells: int) -> HoleSweep:
     batch = np.cumsum([j - i + 1 for _, i, j in parts]) // _BATCH_NODES
     for b in np.unique(batch):
         chunk = [part for part, k in zip(parts, batch) if k == b]
-        chunk_values, chunk_converged = _solve_parts(problem, x, c, chunk)
+        chunk_values, chunk_converged = _solve_parts(cfg, x, c, chunk)
         np.minimum.at(values, [s for s, _, _ in chunk], chunk_values)
         converged = converged and chunk_converged
     values = np.minimum(values, values[::-1])
-    h = (problem.b - problem.a) / n_cells
-    holes = [(problem.a + s * h, problem.a + (s + c) * h) for s in range(m + 1)]
+    h = (base.b - base.a) / n_cells
+    holes = [(base.a + s * h, base.a + (s + c) * h) for s in range(m + 1)]
     best = int(np.argmin(values))
     return HoleSweep(holes[best], float(values[best]),
                      np.array([lo for lo, _ in holes]), values, converged)

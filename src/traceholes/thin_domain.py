@@ -20,7 +20,7 @@ a Richardson extrapolation of the last three rescaled values.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from .fem import ProblemConfig
 from .geometry import Interval, ThinRectangle, generate_mesh, hole_intervals
 from .hole_optimizer import optimize_hole_alternating
-from .one_dim import OneDimProblem, solve_limit_problem
+from .one_dim import solve_limit_problem
 
 N1_EXTRAPOLATION_NOTE = (
     "base dimension n=1 is outside the scaling law's hypothesis p < n; "
@@ -58,8 +58,9 @@ class MuSweep:
     note: str = N1_EXTRAPOLATION_NOTE
 
 
-def scaling_exponent(p: float, q: float, k: int = 1) -> float:
-    return (k * (q - p) + p) / q
+def scaling_exponent(p: float, q: float) -> float:
+    """The exponent (k(q-p)+p)/q at k = 1 (module docstring), as written."""
+    return (q - p + p) / q
 
 
 def reference_limit(base: Interval, alpha: float, cfg: ProblemConfig,
@@ -67,10 +68,8 @@ def reference_limit(base: Interval, alpha: float, cfg: ProblemConfig,
     """2^(-p/q) times the 1D optimal-hole constant at hole fraction alpha
     (endpoint holes are optimal, so one endpoint solve suffices), solved
     under all of cfg's settings."""
-    length = base.b - base.a
-    problem = OneDimProblem(base.a, base.b, alpha=alpha, **asdict(cfg))
-    hole = (base.b - alpha * length, base.b)
-    res = solve_limit_problem(problem, hole, n_cells)
+    hole = (base.b - alpha * (base.b - base.a), base.b)
+    res = solve_limit_problem(base, cfg, hole, n_cells)
     return res.value / 2.0 ** (cfg.p / cfg.q)
 
 

@@ -22,8 +22,7 @@ from traceholes.hole_optimizer import (
     optimize_hole_alternating, zero_set_measure,
 )
 from traceholes.one_dim import (
-    OneDimProblem, closed_form_limit_constant, optimize_limit_hole,
-    solve_limit_problem,
+    closed_form_limit_constant, optimize_limit_hole, solve_limit_problem,
 )
 from traceholes.shape_derivative import evaluate_shape_derivative, fd_check
 from traceholes.thin_domain import run_mu_sweep
@@ -63,8 +62,8 @@ def test_criterion_1_closed_form_1d_constant():
             closed = closed_form_limit_constant(p, alpha, 1.0)
             # the formula's alpha is the free fraction: the matching FEM
             # problem pins the field on the remaining 1 - alpha
-            problem = OneDimProblem(0, 1, p, p, 1.0 - alpha)
-            res = solve_limit_problem(problem, (alpha, 1.0), 1000)
+            res = solve_limit_problem(Interval(0, 1), ProblemConfig(p, p),
+                                      (alpha, 1.0), 1000)
             rel = abs(res.value - closed) / closed
             ok = res.converged and rel <= 5e-3
             if (p, alpha) in references:
@@ -83,13 +82,13 @@ def test_criterion_2_endpoint_optimality():
     n_cells = 256
     for p in (2, 3):
         for alpha in (0.25, 0.5):
-            problem = OneDimProblem(0, 1, p, p, alpha)
-            sweep = optimize_limit_hole(problem, n_cells)
+            base, cfg = Interval(0, 1), ProblemConfig(p, p)
+            sweep = optimize_limit_hole(base, cfg, alpha, n_cells)
             lo, hi = sweep.best_hole
             h = 1.0 / n_cells
             endpoint = lo <= h / 2 or hi >= 1.0 - h / 2
             c_lo = 0.5 - alpha / 2
-            centered = solve_limit_problem(problem,
+            centered = solve_limit_problem(base, cfg,
                                            (c_lo, c_lo + alpha), n_cells)
             margin = (centered.value - sweep.best_value) / sweep.best_value
             ok = endpoint and margin >= 0.01

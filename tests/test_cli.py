@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,21 @@ def test_verify_1d_near_p_1_exits_2_with_a_summary(tmp_path, p):
     payload = read_summary(tmp_path, "v")
     assert payload["converged"] is False
     assert abs(payload["relative_gap"]) <= 1e-5
+
+
+def test_verify_1d_at_p_1_01_exits_2_without_a_traceback(tmp_path):
+    # SuperLU finds a lagged metric exactly singular: the descent ends
+    # unconverged with its best iterate, and the run writes its summary
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "traceholes.cli", "verify-1d", "-p", "1.01",
+         "--alpha", "0.5", "--n-cells", "16", "--out", str(tmp_path),
+         "--run-id", "v"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = read_summary(tmp_path, "v")
+    assert payload["converged"] is False
+    assert payload["sweep_converged"] is False
 
 
 def test_verify_1d_rejects_q_other_than_p(tmp_path, capsys):

@@ -8,7 +8,7 @@ from traceholes import thin_domain
 from traceholes.fem import ProblemConfig
 from traceholes.geometry import Interval, ThinRectangle, generate_mesh
 from traceholes.hole_optimizer import optimize_hole_alternating
-from traceholes.one_dim import OneDimProblem, solve_limit_problem
+from traceholes.one_dim import solve_limit_problem
 from traceholes.thin_domain import reference_limit, run_mu_sweep, scaling_exponent
 
 from oracles import project_to_limit
@@ -52,18 +52,18 @@ def test_reference_limit_matches_closed_form(cfg):
 
 
 def test_reference_limit_solves_under_the_run_settings(monkeypatch):
-    # the target is solved under the same epsilon and tolerances as the
-    # 2D records it is compared with
-    problems = []
+    # the target is solved under the same config, epsilon and tolerances
+    # included, as the 2D records it is compared with
+    configs = []
 
-    def capture(problem, hole, n_cells):
-        problems.append(problem)
-        return solve_limit_problem(problem, hole, n_cells)
+    def capture(base, cfg, hole, n_cells):
+        configs.append(cfg)
+        return solve_limit_problem(base, cfg, hole, n_cells)
     monkeypatch.setattr(thin_domain, "solve_limit_problem", capture)
     cfg = ProblemConfig(1.5, 1.5, epsilon=0.5, dof_tolerance=1e-7,
                         max_inner_iterations=5000)
     reference_limit(Interval(0, 1), 0.5, cfg, n_cells=64)
-    assert len(problems) == 1 and problems[0].config() == cfg
+    assert len(configs) == 1 and configs[0] is cfg
 
 
 def test_sweep_structure(small_sweep):
@@ -127,8 +127,8 @@ def test_fiber_variance_decreases_along_sweep(small_sweep_results):
 def test_projected_extremal_approaches_1d_limit(small_sweep_results):
     # L2 distance to the 1D limit extremal shrinks as mu does; both fields
     # are L2-normalized and reflections are allowed (either end is optimal)
-    problem = OneDimProblem(0, 1, 2, 2, 0.5)
-    limit = solve_limit_problem(problem, (0.5, 1.0), 512)
+    limit = solve_limit_problem(Interval(0, 1), ProblemConfig(2, 2),
+                                (0.5, 1.0), 512)
     xg = limit.nodes
     vg = limit.extremal / np.sqrt(np.trapezoid(limit.extremal**2, xg))
     dists = []

@@ -16,7 +16,7 @@ from traceholes.geometry import (
 )
 from traceholes.hole_optimizer import optimize_hole_alternating
 from traceholes.one_dim import (
-    OneDimProblem, _limit_grid, _limit_operators, solve_limit_problem,
+    _limit_grid, _limit_operators, solve_limit_problem,
 )
 from traceholes.shape_derivative import fd_check
 from traceholes.trace_solver import free_dof_mask, solve_trace_constant
@@ -353,8 +353,7 @@ def _union_grid_case(p):
     """(operators, abscissae, free mask) of the disjoint-union grid of the
     64-cell endpoint sweep at hole fraction 0.5: the free segments of
     lengths 16..32 as parts, each fixed at its hole end."""
-    problem = OneDimProblem(0, 1, p, p, 0.5)
-    x = _limit_grid(problem, 64)
+    x = _limit_grid(Interval(0, 1), 64)
     sizes = np.arange(17, 34)
     nodes = np.concatenate([np.arange(n) for n in sizes])
     ops = _limit_operators(x[nodes], np.repeat(np.arange(sizes.size), sizes))
@@ -565,8 +564,7 @@ def test_union_grid_is_tridiagonal_part_by_part():
 def _free_block_case(grid):
     """(operators, abscissae, free mask) of a grid with a hole."""
     if grid == "1d":
-        problem = OneDimProblem(0, 1, 1.5, 1.5, 0.5)
-        x = _limit_grid(problem, 256)
+        x = _limit_grid(Interval(0, 1), 256)
         return _limit_operators(x), x, (x < 0.25) | (x > 0.75)
     domain, res = {"disk": (Disk(1), 0.1), "square": (Rectangle(1, 1), 1 / 16)}[grid]
     mesh = generate_mesh(domain, res)
@@ -663,7 +661,8 @@ def test_single_precision_factor_leaves_the_answer(monkeypatch, case, p):
     # reference (measured: equal, but thin at p = 1.5 took 96 against 91)
     def solve():
         if case == "1d":
-            r = solve_limit_problem(OneDimProblem(0, 1, p, p, 0.5), (0.0, 0.5), 256)
+            r = solve_limit_problem(Interval(0, 1), ProblemConfig(p, p),
+                                    (0.0, 0.5), 256)
             return r.converged, r.value, r.iterations
         if case == "disk":
             mesh = generate_mesh(Disk(1), 0.05)
@@ -810,9 +809,9 @@ def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
 
 
 def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
-    problem = OneDimProblem(0, 1, 3, 3, 0.5)
     calls = _count_factorizations(monkeypatch)
-    cold = solve_limit_problem(problem, (0.5, 1.0), 128)
+    cold = solve_limit_problem(Interval(0, 1), ProblemConfig(3, 3),
+                               (0.5, 1.0), 128)
     assert cold.iterations >= 30
     assert len(calls) == 1 + cold.iterations // 30
 
@@ -839,7 +838,8 @@ def test_each_solve_reports_its_one_descent_as_is(monkeypatch, disk_coarse):
     hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
     trace = solve_trace_constant(disk_coarse, ProblemConfig(3, 2), hole)
     assert len(records) == 1 and evaluates[0] == records[0][1]
-    limit = solve_limit_problem(OneDimProblem(0, 1, 3, 3, 0.5), (0.5, 1.0), 128)
+    limit = solve_limit_problem(Interval(0, 1), ProblemConfig(3, 3),
+                                (0.5, 1.0), 128)
     assert len(records) == 2 and evaluates[0] == records[1][1]
     for (value, u), (res, _) in zip([(trace.s_value, trace.extremal),
                                      (limit.value, limit.extremal)], records):
