@@ -27,8 +27,11 @@ metric by the full-length step, which is zero off the free set.  The
 caller's one factor callback builds and factors every metric.  At p = 2
 the W^{1,2} factor is kept.  Otherwise the descent asks the callback for
 the lagged metric, whose weights are the p-Laplacian's coefficients
-frozen at the iterate, every REFRESH iterations (a relaxed Kacanov
+frozen at the iterate, every ``refresh`` iterations (a relaxed Kacanov
 iteration: Diening, Fornasier, Tomasi and Wank, Numer. Math. 145, 2020).
+The interval is the mesh's (``fem.Operators.refresh``), rent or buy: a
+banded factor costs of order kd solves, in the half-bandwidth kd, so the
+interval grows with kd, down to REFRESH on narrow bands.
 Step lengths are Barzilai-Borwein in the current metric with a
 nonmonotone halving line search: a step is accepted when its value is at
 most the largest of the last WINDOW values, and the search gives up after
@@ -46,13 +49,13 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 
+REFRESH = 10    # the fewest iterations between lagged metrics, measured (README)
 # The lagged metric's regularization delta (relative to the field's RMS
 # gradient) starts at DELTA_MAX and shrinks with the square of the
 # gradient norm relative to the start, down to DELTA_MIN.  On the thin
 # rectangle mu = 1/64 at p = q = 1.5 a fixed delta does not converge
 # (1e-2: 20000 iterations; 1e-4: line search exhausted after 4351); this
-# schedule converges in 132.
-REFRESH = 30
+# schedule converges in 110.
 DELTA_MAX = 1e-2
 DELTA_MIN = 1e-8
 WINDOW = 5
@@ -159,7 +162,7 @@ class DescentResult:
 
 
 def minimize_quotient(evaluate, gradient, p, free, factor, tol,
-                      max_iter) -> DescentResult:
+                      max_iter, refresh=REFRESH) -> DescentResult:
     """Minimize E(u)/B(u)^(p/q) over the free DOFs, from the constant field,
     which is zero on the fixed DOFs.
 
@@ -170,7 +173,7 @@ def minimize_quotient(evaluate, gradient, p, free, factor, tol,
     ``factor(None, None)`` returns the W^{1,2} metric P, a sparse SPD matrix
     on all DOFs, and its ``Preconditioner``, pinned off the free set.  At
     p != 2, ``factor(u, delta)`` returns them for the lagged metric at u,
-    regularized by ``delta``, every ``REFRESH`` iterations.
+    regularized by ``delta``, every ``refresh`` iterations.
 
     Convergence requires both the free-DOF gradient norm (scaled by 1/p,
     the Euler-Lagrange residual scale) to fall below ``tol`` and the
@@ -234,10 +237,10 @@ def minimize_quotient(evaluate, gradient, p, free, factor, tol,
         values.append(E)
         if E < best_val:
             best_val, best_u = E, u
-        if p != 2 and it % REFRESH == 0:
+        ss = _metric_norm2(P, s)
+        if p != 2 and it % refresh == 0:
             # refactor at the new iterate; the old factor and metric go
             # first, and the fallback step keeps its length in the new metric
-            ss = _metric_norm2(P, s)
             precond = P = None
             try:
                 P, precond = factor(u, _delta(gnorm / gnorm0))
@@ -247,10 +250,11 @@ def minimize_quotient(evaluate, gradient, p, free, factor, tol,
                 if str(err) != SINGULAR:
                     raise
                 break
-            step *= _metric_norm2(P, s) / max(ss, 1e-300)
+            ss, old = _metric_norm2(P, s), ss
+            step *= ss / max(old, 1e-300)
         # BB1 in the P-metric: <s, s>_P / <s, y>_P, and <s, P d'>=<s, g'>
         sy = float(s @ y)
-        alpha = _metric_norm2(P, s) / sy if sy > 0 else step * 2.0
+        alpha = ss / sy if sy > 0 else step * 2.0
         alpha = min(max(alpha, 1e-14), 1e10)
         d = precond.solve(g)
         if gnorm <= tol and len(values) > WINDOW:

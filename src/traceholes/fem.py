@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ._descent import (
-    DescentResult, Preconditioner, band_image, minimize_quotient,
+    REFRESH, DescentResult, Preconditioner, band_image, minimize_quotient,
 )
 from .geometry import Mesh
 
@@ -127,10 +127,11 @@ class ProblemConfig:
                 f"for p = {self.p} in dimension {dim}")
 
 
-def _band_order(K) -> Optional[np.ndarray]:
+def _band_order(K) -> tuple[Optional[np.ndarray], int]:
     """The reverse Cuthill-McKee order of the metric K's graph (Cuthill and
     McKee, Proc. ACM Nat. Conf., 1969), when K's band in it is narrow
-    enough for a banded factor (``_BAND_FILL``); else None.  Parts share no
+    enough for a banded factor (``_BAND_FILL``), else None, and the band's
+    half-bandwidth kd in that order, either way.  Parts share no
     edge, so each is contiguous in it, and a 1D grid is in its natural
     order or the reverse: tridiagonal.  Every metric of a mesh has K's
     pattern, so K's band is theirs."""
@@ -139,7 +140,7 @@ def _band_order(K) -> Optional[np.ndarray]:
     pos[order] = np.arange(order.size, dtype=pos.dtype)
     # K is symmetric: its band is the widest reach of a row to its left
     kd = int(np.max(pos - np.minimum.reduceat(pos[K.indices], K.indptr[:-1])))
-    return order if (kd + 1) * order.size <= _BAND_FILL * K.nnz else None
+    return (order if (kd + 1) * order.size <= _BAND_FILL * K.nnz else None), kd
 
 
 def _signed_power(x, e):
@@ -170,6 +171,8 @@ class Operators:
 
     order The vertex order of the metrics' banded factor, or None for
           SuperLU; set at the first ``h1()``.
+    refresh  The lagged metric's interval, max(REFRESH, ceil((kd + 1) / 2)) in
+          h1's half-bandwidth kd in reverse Cuthill-McKee order, set with order.
     """
 
     def __init__(self, vertices, cells, quad_simplices, quad_measures,
@@ -232,6 +235,7 @@ class Operators:
             self._parts = (k, parts, cell, row, quad)
         self.AT = self.A.T      # CSC on A's own arrays
         self._h1, self.order, self._image, self._h1_factors = None, None, None, 0
+        self.refresh, self._DT = None, None
 
     def density(self, cfg: ProblemConfig, u):
         """D u and eps^2 + |grad u|^2 per cell."""
@@ -311,16 +315,21 @@ class Operators:
         row_vol = np.repeat(np.tile(vol, self.dim), self.dim + 1)
         Dw = sp.csr_matrix((self.D.data * row_vol, self.D.indices,
                             self.D.indptr), shape=self.D.shape)
-        K = (Dw.T @ self.D).T   # D^T Dw as CSR, summed as a CSR product
+        # D^T as CSR, for a CSR product; kept from the first lagged metric on
+        DT = self.D.T.tocsr() if self._DT is None else self._DT
+        if c is not None:
+            self._DT = DT
+        K = DT @ Dw
         K.setdiag(K.diagonal() + mass)
         return K
 
     def h1(self):
         """The unweighted metric, assembled on first use and kept, so
-        callers must not modify it.  Its first use also sets ``order``."""
+        callers must not modify it.  Its first use sets ``order``, ``refresh``."""
         if self._h1 is None:
             self._h1 = self.metric()
-            self.order = _band_order(self._h1)
+            self.order, kd = _band_order(self._h1)
+            self.refresh = max(REFRESH, (kd + 2) // 2)
         return self._h1
 
     def h1_image(self) -> Optional[np.ndarray]:
@@ -356,12 +365,12 @@ class Operators:
         """The descent on E / B^(p/q) over fields vanishing off ``free``, from
         the constant field.  Its factor callback pins the W^{1,2} metric,
         from the kept band image when there is one, and, for p != 2, the
-        lagged one, each factored in ``order`` when it is set.  The start is
-        on h1: the lagged metric at the constant field is a poor model, and
-        on disks (p = 1.5, 3) it raised cold solves from 22-32 to 59-95
-        iterations.  Its ``u`` is normalized to B = 1 and read-only, and
-        ``value`` is the quotient there."""
-        h1 = self.h1()      # sets the order of every factor
+        lagged one every ``refresh`` iterations, each factored in ``order``
+        when set.  The start is on h1: the lagged metric at the constant
+        field is a poor model, and on disks (p = 1.5, 3) it raised cold
+        solves from 22-32 to 59-95 iterations.  Its ``u`` is normalized to
+        B = 1 and read-only, and ``value`` is the quotient there."""
+        h1 = self.h1()      # sets the order and interval of every factor
 
         def factor(u, delta):
             if u is None:
@@ -370,7 +379,8 @@ class Operators:
             metric = self.lagged_metric(cfg, u, delta)
             return metric, Preconditioner.pinned(metric, free, self.order)
         return minimize_quotient(*self.quotient(cfg), cfg.p, free, factor,
-                                 cfg.dof_tolerance, cfg.max_inner_iterations)
+                                 cfg.dof_tolerance, cfg.max_inner_iterations,
+                                 self.refresh)
 
 
 _FORMS_CACHE: "weakref.WeakKeyDictionary[Mesh, Operators]" = weakref.WeakKeyDictionary()

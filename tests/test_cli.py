@@ -393,10 +393,10 @@ def test_one_dim_commands_reject_other_domains(tmp_path, capsys):
 
 
 def test_verify_1d_flags_an_unconverged_sweep(tmp_path):
-    # at p = 5 the 1000-cell solve converges in 54 iterations, and the
-    # sweep's one batched solve needs 93: it must be held to --max-iter
+    # at p = 5 the 1000-cell solve converges in 36 iterations, and the
+    # sweep's one batched solve needs 45: it must be held to --max-iter
     code = main(["verify-1d", "-p", "5", "--alpha", "0.25", "--max-iter",
-                 "70", "--out", str(tmp_path), "--run-id", "cap"])
+                 "40", "--out", str(tmp_path), "--run-id", "cap"])
     assert code == 2
     payload = read_summary(tmp_path, "cap")
     assert payload["converged"] and not payload["sweep_converged"]

@@ -551,6 +551,40 @@ def test_each_mesh_picks_its_factor_back_end(domain, res, banded):
         assert _bandwidth(K, ops.order) == {0.05: 41, 0.025: 81, 0.0125: 161}[res]
 
 
+def _fresh_operators(case):
+    if case == "1d":
+        return _limit_operators(_limit_grid(Interval(0, 1), 1000))
+    if case == "1d-union":
+        return _union_grid_case(2)[0]
+    domain, res = {"thin16": (ThinRectangle(0, 1, 1 / 16), 1 / 64),
+                   "thin64": (ThinRectangle(0, 1, 1 / 64), 1 / 256),
+                   "disk0.05": (Disk(1), 0.05), "disk0.025": (Disk(1), 0.025),
+                   "disk0.0125": (Disk(1), 0.0125)}[case]
+    mesh = generate_mesh(domain, res)
+    return fem.Operators(mesh.vertices, mesh.cells, mesh.boundary,
+                         mesh.facet_lengths)
+
+
+@pytest.mark.parametrize("case,kd,interval", [
+    ("1d", 1, 10), ("1d-union", 1, 10), ("thin16", 5, 10), ("thin64", 5, 10),
+    ("disk0.05", 41, 21), ("disk0.025", 81, 41), ("disk0.0125", 161, 81),
+])
+def test_lagged_refresh_interval_follows_the_band(monkeypatch, case, kd, interval):
+    # max(REFRESH, ceil((kd + 1) / 2)) in h1's half-bandwidth kd in reverse
+    # Cuthill-McKee order, set with the order from the mesh, so the same
+    # whichever back end factors it: SuperLU takes every metric when no
+    # band is narrow enough
+    assert _descent.REFRESH == 10
+    ops = _fresh_operators(case)
+    assert ops.refresh is None
+    K = ops.h1()
+    assert ops.refresh == interval and _bandwidth(K, ops.order) == kd
+    monkeypatch.setattr(fem, "_BAND_FILL", 0)
+    ops = _fresh_operators(case)
+    ops.h1()
+    assert ops.order is None and ops.refresh == interval
+
+
 def test_union_grid_is_tridiagonal_part_by_part():
     # the parts share no edge, so reverse Cuthill-McKee keeps each one
     # contiguous, in its natural order or the reverse
@@ -804,7 +838,7 @@ def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
     cold = solve_trace_constant(mesh, cfg, hole)
     # a cold start begins on the W^{1,2} metric, then refreshes
     assert calls[0] is forms(mesh).h1()
-    assert len(calls) == 1 + cold.iterations // 30
+    assert len(calls) == 1 + cold.iterations // forms(mesh).refresh
     assert all(metric is not forms(mesh).h1() for metric in calls[1:])
 
 
@@ -812,8 +846,36 @@ def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     cold = solve_limit_problem(Interval(0, 1), ProblemConfig(3, 3),
                                (0.5, 1.0), 128)
-    assert cold.iterations >= 30
-    assert len(calls) == 1 + cold.iterations // 30
+    ops = _limit_operators(_limit_grid(Interval(0, 1), 128))
+    ops.h1()
+    assert cold.iterations >= ops.refresh
+    assert len(calls) == 1 + cold.iterations // ops.refresh
+
+
+def test_p3_disk_solve_ends_within_its_interval(monkeypatch):
+    # on disk 0.025 a p = 3 solve ends past the floor but within the mesh's
+    # interval of 41: it factors h1 alone
+    mesh = generate_mesh(Disk(1), 0.025)
+    hole = make_hole_from_arc(mesh, 0.0, 0.25 * mesh.perimeter)
+    calls = _count_factorizations(monkeypatch)
+    res = solve_trace_constant(mesh, ProblemConfig(3, 2), hole)
+    assert res.converged
+    assert _descent.REFRESH < res.iterations < forms(mesh).refresh == 41
+    assert len(calls) == 1 and calls[0] is forms(mesh).h1()
+
+
+def test_p2_solve_never_asks_for_a_lagged_metric(monkeypatch, disk_coarse):
+    # p = 2 keeps the W^{1,2} factor, even at an interval of one iteration
+    ops = forms(disk_coarse)
+    ops.h1()
+    monkeypatch.setattr(ops, "refresh", 1)
+
+    def refuse(*args):
+        raise AssertionError("a lagged metric at p = 2")
+    monkeypatch.setattr(fem.Operators, "lagged_metric", refuse)
+    hole = make_hole_from_arc(disk_coarse, 0.0, disk_coarse.perimeter / 4)
+    res = ops.solve(ProblemConfig(2, 2), free_dof_mask(disk_coarse, hole))
+    assert res.converged and res.iterations > 1
 
 
 def test_each_solve_reports_its_one_descent_as_is(monkeypatch, disk_coarse):
