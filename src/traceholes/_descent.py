@@ -29,9 +29,9 @@ the W^{1,2} factor is kept.  Otherwise the descent asks the callback for
 the lagged metric, whose weights are the p-Laplacian's coefficients
 frozen at the iterate, every ``refresh`` iterations (a relaxed Kacanov
 iteration: Diening, Fornasier, Tomasi and Wank, Numer. Math. 145, 2020).
-The interval is the mesh's (``fem.Operators.refresh``), rent or buy: a
-banded factor costs of order kd solves, in the half-bandwidth kd, so the
-interval grows with kd, down to REFRESH on narrow bands.
+The interval is the mesh's (``fem.Operators.refresh``): a banded factor
+costs of order kd solves, in the half-bandwidth kd, but a fresh metric also
+shortens the descent: it is kd/2, not kd (measured, README), at least REFRESH.
 Step lengths are Barzilai-Borwein in the current metric with a
 nonmonotone halving line search: a step is accepted when its value is at
 most the largest of the last WINDOW values, and the search gives up after
@@ -162,7 +162,7 @@ class DescentResult:
 
 
 def minimize_quotient(evaluate, gradient, p, free, factor, tol,
-                      max_iter, refresh=REFRESH) -> DescentResult:
+                      max_iter, refresh) -> DescentResult:
     """Minimize E(u)/B(u)^(p/q) over the free DOFs, from the constant field,
     which is zero on the fixed DOFs.
 

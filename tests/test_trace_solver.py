@@ -742,7 +742,8 @@ def test_pinned_factor_keeps_every_iterate_zero_on_the_hole(banded, p):
         metric = h1 if u is None else ops.lagged_metric(cfg, u, delta)
         return metric, Preconditioner.pinned(metric, free, order)
     res = _descent.minimize_quotient(recorded, gradient, p, free, factor,
-                                     cfg.dof_tolerance, cfg.max_inner_iterations)
+                                     cfg.dof_tolerance, cfg.max_inner_iterations,
+                                     ops.refresh)
     assert res.converged and len(trials) > res.iterations > 0
     assert all(np.all(t == 0) for t in trials) and np.all(res.u[~free] == 0)
 
