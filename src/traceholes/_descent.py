@@ -35,7 +35,8 @@ shortens the descent: it is kd/2, not kd (measured, README), at least REFRESH.
 Step lengths are Barzilai-Borwein in the current metric with a
 nonmonotone halving line search: a step is accepted when its value is at
 most the largest of the last WINDOW values, and the search gives up after
-MAX_HALVINGS halvings.
+MAX_HALVINGS halvings; WINDOW serves only it.  The descent ends at the first
+iterate that meets the gradient bound (Raydan, SIAM J. Optim. 7, 1997).
 """
 
 from __future__ import annotations
@@ -175,13 +176,12 @@ def minimize_quotient(evaluate, gradient, p, free, factor, tol,
     p != 2, ``factor(u, delta)`` returns them for the lagged metric at u,
     regularized by ``delta``, every ``refresh`` iterations.
 
-    Convergence requires both the free-DOF gradient norm (scaled by 1/p,
-    the Euler-Lagrange residual scale) to fall below ``tol`` and the
-    relative quotient decrease over the trailing window to stall at
-    ``tol``.  Returns the iterate that passed that test, or the best
-    iterate seen when none did: under the nonmonotone window the two can
-    differ, and only the former carries the stated gradient bound.  Either
-    is nonnegative, zero on fixed DOFs, normalized to B = 1 and read-only.
+    The one convergence test, made as soon as an iterate's gradient exists,
+    is the free-DOF gradient norm, scaled by 1/p (the Euler-Lagrange
+    residual scale), at most ``tol``; the first iterate to meet it is
+    returned at once.  Otherwise returns the best iterate seen: under the
+    nonmonotone line search it need not carry the gradient bound.  Either is
+    nonnegative, zero on fixed DOFs, normalized to B = 1 and read-only.
     """
     u = np.ones(free.size)
     hole = np.flatnonzero(~free)
@@ -231,12 +231,14 @@ def minimize_quotient(evaluate, gradient, p, free, factor, tol,
         g_new = grad_at(cand, E_new, product)
         del product
         gnorm = float(np.linalg.norm(g_new)) / p
+        values.append(E_new)
+        if gnorm <= tol:
+            return DescentResult(cand, E_new, it, True, values)
         s = cand - u
         y = g_new - g
-        u, E, g = cand, E_new, g_new
-        values.append(E)
-        if E < best_val:
-            best_val, best_u = E, u
+        u, g = cand, g_new
+        if E_new < best_val:
+            best_val, best_u = E_new, u
         ss = _metric_norm2(P, s)
         if p != 2 and it % refresh == 0:
             # refactor at the new iterate; the old factor and metric go
@@ -257,8 +259,4 @@ def minimize_quotient(evaluate, gradient, p, free, factor, tol,
         alpha = ss / sy if sy > 0 else step * 2.0
         alpha = min(max(alpha, 1e-14), 1e10)
         d = precond.solve(g)
-        if gnorm <= tol and len(values) > WINDOW:
-            drop = (max(values[-WINDOW:]) - values[-1]) / max(abs(values[-1]), 1e-300)
-            if drop <= tol:
-                return DescentResult(u, E, it, True, values)
     return DescentResult(best_u, best_val, it, False, values)

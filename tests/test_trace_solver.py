@@ -837,10 +837,84 @@ def test_p_not_two_refreshes_the_lagged_metric(monkeypatch):
     cfg = ProblemConfig(3, 3)
     calls = _count_factorizations(monkeypatch)
     cold = solve_trace_constant(mesh, cfg, hole)
-    # a cold start begins on the W^{1,2} metric, then refreshes
+    # a cold start begins on the W^{1,2} metric, then refreshes, but not
+    # at the iteration that converges
     assert calls[0] is forms(mesh).h1()
-    assert len(calls) == 1 + cold.iterations // forms(mesh).refresh
+    assert len(calls) == 1 + (cold.iterations - 1) // forms(mesh).refresh
     assert all(metric is not forms(mesh).h1() for metric in calls[1:])
+
+
+def _stopping_case(case, p):
+    """(operators, free mask, config) of disk 0.05 with a quarter hole, or
+    of the 256-cell 1D grid with its middle half a hole."""
+    if case == "1d":
+        ops, _, free = _free_block_case("1d")
+        return ops, free, ProblemConfig(p, p)
+    mesh = generate_mesh(Disk(1), 0.05)
+    hole = make_hole_from_arc(mesh, 0.0, 0.25 * mesh.perimeter)
+    return forms(mesh), free_dof_mask(mesh, hole), ProblemConfig(p, 2)
+
+
+def _record_gradients(monkeypatch, events):
+    """Append ("gradient", g) to ``events`` for every quotient gradient."""
+    quotient = fem.Operators.quotient
+
+    def recorded_quotient(self, cfg):
+        evaluate, gradient = quotient(self, cfg)
+
+        def recorded(u, E, product):
+            g = gradient(u, E, product)
+            events.append(("gradient", g.copy()))
+            return g
+        return evaluate, recorded
+    monkeypatch.setattr(fem.Operators, "quotient", recorded_quotient)
+
+
+@pytest.mark.parametrize("case", ["disk", "1d"])
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+def test_converged_solve_stops_at_its_first_bounded_iterate(monkeypatch, case, p):
+    # the gradient bound is the one stopping test: a converged solve returns
+    # the first iterate whose free-set ||g||/p is at most dof_tolerance
+    ops, free, cfg = _stopping_case(case, p)
+    events = []
+    _record_gradients(monkeypatch, events)
+    res = ops.solve(cfg, free)
+    bounded = [np.linalg.norm(g[free]) / p <= cfg.dof_tolerance
+               for _, g in events]
+    assert res.converged and len(bounded) == res.iterations + 1
+    assert bounded[-1] and not any(bounded[:-1])
+
+
+@pytest.mark.parametrize("case", ["disk", "1d"])
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+@pytest.mark.parametrize("refresh", [None, 1])
+def test_converged_solve_ends_on_its_last_gradient(monkeypatch, case, p, refresh):
+    # every preconditioner solve and lagged factor serves a next step, so a
+    # converged solve makes one solve per iteration and, after its last
+    # gradient, none of either, at the mesh's interval or at every iteration
+    ops, free, cfg = _stopping_case(case, p)
+    if refresh is not None:
+        ops.h1()    # records the mesh's interval, which this overrides
+        monkeypatch.setattr(ops, "refresh", refresh)
+    events = []
+    _record_gradients(monkeypatch, events)
+    pinned = Preconditioner.pinned.__func__
+
+    def counted(cls, metric, free, order=None, image=None):
+        events.append(("factor", metric))
+        solve = pinned(cls, metric, free, order, image).solve
+
+        def counted_solve(b):
+            events.append(("solve", None))
+            return solve(b)
+        return cls(solve=counted_solve)
+    monkeypatch.setattr(Preconditioner, "pinned", classmethod(counted))
+    res = ops.solve(cfg, free)
+    kinds = [kind for kind, _ in events]
+    assert res.converged and res.iterations > 1 and kinds[-1] == "gradient"
+    assert kinds.count("solve") == res.iterations
+    factors = 1 if p == 2 else 1 + (res.iterations - 1) // ops.refresh
+    assert kinds.count("factor") == factors
 
 
 def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
@@ -850,7 +924,7 @@ def test_one_dim_solves_refresh_the_lagged_metric(monkeypatch):
     ops = _limit_operators(_limit_grid(Interval(0, 1), 128))
     ops.h1()
     assert cold.iterations >= ops.refresh
-    assert len(calls) == 1 + cold.iterations // ops.refresh
+    assert len(calls) == 1 + (cold.iterations - 1) // ops.refresh
 
 
 def test_p3_disk_solve_ends_within_its_interval(monkeypatch):
