@@ -27,6 +27,8 @@ arrays.  Then
 and the W^{1,2} metric is D^T diag(vol) D + diag(m).  For p != 2 the
 descent uses the lagged metric D^T diag(vol c) D + diag(m c_m), with the
 p-Laplacian's coefficients c, c_m frozen at an iterate (``lagged_metric``).
+At p = 2 that metric is K = ``Operators.h1()``, E(u) = u . K u + eps^2 |Omega|
+and dE(u) = 2 K u: the quotient makes one product K u in place of A u and A^T.
 ``Operators.solve`` runs that descent on the quotient.
 """
 
@@ -252,26 +254,37 @@ class Operators:
         return (self.D.T @ flux.ravel()
                 + p * self.mass * _signed_power(u, p - 1.0))
 
+    def _normalized(self, q, u, product, rows):
+        """u scaled to B = 1 (each B_k, by the parts ``rows`` of the product's
+        rows), read-only; ``product``, ending in Q u, is scaled in place."""
+        k, vertex, _, _, quad = self._parts or (None,) * 5
+        Bq = product[-self.w.size:] ** q
+        B = float(self.w @ Bq) if k is None else np.bincount(quad, self.w * Bq, k)
+        if not (B > 0 if k is None else B.min() > 0):
+            raise ValueError("cannot normalize: boundary norm vanished")
+        c = B ** (-1.0 / q)
+        u = u * (c if k is None else c[vertex])
+        u.flags.writeable = False
+        product *= c if k is None else c[rows]
+        return u
+
     def quotient(self, cfg: ProblemConfig):
         """The descent's ``(evaluate, gradient)`` for E / B^(p/q) at u >= 0
         only (then Q u >= 0: no sign or absolute value is taken).  ``evaluate``
         makes one product A u, scales u and it to B = 1 (ValueError when
         B <= 0) and keeps s^((p-2)/2) and u^(p-1); ``gradient`` turns the
         product into dE - (p/q) E dB, in place, by one transposed product.
-        With parts, each is scaled to B_k = 1 and gets dE_k - (p/q) E_k dB_k."""
+        With parts, each is scaled to B_k = 1 and gets dE_k - (p/q) E_k dB_k.
+        At p = 2 it is ``_quadratic_quotient``'s pair, on K = h1(): E = u . K u
+        + eps^2 |Omega| and dE = 2 K u, one product K u and two of Q per trial."""
+        if cfg.p == 2:
+            return self._quadratic_quotient(cfg)
         n, w, q, p, parts = self.D.shape[0], self.w, cfg.q, cfg.p, self._parts
         k, vertex, cell, row, quad = parts or (None,) * 5
 
         def evaluate(u):
             Au = self.A @ u
-            Bq = Au[n:] ** q
-            B = float(w @ Bq) if parts is None else np.bincount(quad, w * Bq, k)
-            if not (B > 0 if parts is None else B.min() > 0):
-                raise ValueError("cannot normalize: boundary norm vanished")
-            c = B ** (-1.0 / q)
-            u = u * (c if parts is None else c[vertex])
-            u.flags.writeable = False
-            Au *= c if parts is None else c[row]
+            u = self._normalized(q, u, Au, row)
             s = self._square_gradient(cfg, Au[:n])
             s_pow, u_pow = s ** ((p - 2.0) / 2.0), u ** (p - 1.0)
             if parts is None:
@@ -289,6 +302,32 @@ class Operators:
             E_q = E if parts is None else E_k[quad]     # per quadrature point
             Au[n:] = -p * E_q * w * Au[n:] ** (q - 1.0)
             return self.AT @ Au + p * self.mass * u_pow
+        return evaluate, gradient
+
+    def _quadratic_quotient(self, cfg: ProblemConfig):
+        """``quotient`` at p = 2: ``evaluate`` makes Q u, scales u and it to B = 1
+        and makes K u, K = h1(); ``gradient`` adds to 2 K u the transposed
+        product -2 E dB / q.  With parts, E_k sums u . K u over part k."""
+        K, Q, QT, w, q = self.h1(), self.Q, self.Q.T, self.w, cfg.q
+        k, vertex, cell, _, quad = self._parts or (None,) * 5
+        floor = cfg.eps**2 * (self.vol.sum() if k is None
+                              else np.bincount(cell, self.vol, k))
+
+        def evaluate(u):
+            Qu = Q @ u
+            u = self._normalized(q, u, Qu, quad)
+            Ku = K @ u
+            if k is None:
+                E = E_k = float(u @ Ku) + floor
+            else:
+                E_k = np.bincount(vertex, u * Ku, k) + floor
+                E = float(E_k.sum())
+            return u, E, (Ku, Qu, E_k)
+
+        def gradient(u, E, product):
+            Ku, Qu, E_k = product
+            E_q = E if k is None else E_k[quad]     # per quadrature point
+            return 2.0 * Ku + QT @ (-2.0 * E_q * w * Qu ** (q - 1.0))
         return evaluate, gradient
 
     def part_quotients(self, cfg: ProblemConfig, u) -> np.ndarray:

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,22 +301,28 @@ class _CountingMatrix:
 @pytest.mark.parametrize("p", [2, 3])
 def test_descent_makes_one_stacked_product_per_trial(monkeypatch, p):
     # the start and every line-search trial are one evaluate, which makes
-    # one product A u; gradient reads D u and Q u off that product and
-    # makes no forward product of its own
+    # one product A u (at p = 2, one product of the metric h1() and none of
+    # A or D); gradient reads its terms off that product and makes no
+    # forward product of its own
     mesh = generate_mesh(ThinRectangle(0, 1, 1 / 16), 1 / 64)
     cfg = ProblemConfig(p, p, max_inner_iterations=500)
     ops = forms(mesh)
     for name in ("A", "D", "Q"):
         monkeypatch.setattr(ops, name, _CountingMatrix(getattr(ops, name)))
+    h1 = _CountingMatrix(ops.h1())
+    monkeypatch.setattr(ops, "h1", lambda: h1)
     evaluate, gradient = ops.quotient(cfg)
-    calls = {"evaluate": 0, "gradient": 0}
+    calls = {"evaluate": 0, "gradient": 0, "h1": 0}
 
     def forward_products():
-        return ops.A.products + ops.D.products + ops.Q.products
+        return ops.A.products + ops.D.products + ops.Q.products + h1.products
 
     def counted_evaluate(u):
         calls["evaluate"] += 1
-        return evaluate(u)
+        before = h1.products    # the descent's BB step also multiplies by h1
+        result = evaluate(u)
+        calls["h1"] += h1.products - before
+        return result
 
     def counted_gradient(u, E, product):
         calls["gradient"] += 1
@@ -336,7 +343,11 @@ def test_descent_makes_one_stacked_product_per_trial(monkeypatch, p):
     assert res.converged and res.iterations > 5
     assert len(factors) >= 3 if p != 2 else len(factors) == 1
     assert calls["gradient"] == len(res.values)    # the start and each accepted
-    assert ops.A.products == calls["evaluate"]
+    if p == 2:
+        assert calls["h1"] == calls["evaluate"]
+        assert ops.A.products == ops.D.products == 0
+    else:
+        assert ops.A.products == calls["evaluate"]
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (3, 2), (1.5, 1.5)])
@@ -354,6 +365,26 @@ def test_quotient_callables_match_the_forms(square, p, q):
     assert np.allclose(v, u * B ** (-1.0 / q), rtol=1e-15, atol=0)
     value, oracle_gradient = oracle_quotient(square, cfg)
     assert E == pytest.approx(value(v), rel=1e-13)
+    g = oracle_gradient(v)
+    assert np.abs(gradient(v, E, product) - g).max() <= 1e-12 * np.abs(g).max()
+
+
+_P2_CASES = [(q, eps) for q in (1, 2, 3) for eps in (0.0, 0.1)]
+
+
+@pytest.mark.parametrize("domain", [Rectangle(2, 1), Disk(1.0)],
+                         ids=["rectangle", "disk"])
+@pytest.mark.parametrize("q,eps", _P2_CASES)
+def test_p2_quotient_is_the_h1_rayleigh_quotient(domain, q, eps):
+    # at p = 2 the quotient runs on u . K u with K = h1(), not on the
+    # cell-wise p-Laplacian forms; at B = 1 both are the oracle's
+    mesh = generate_mesh(domain, 0.25)
+    cfg = ProblemConfig(2, q, epsilon=eps)
+    x, y = mesh.vertices.T
+    evaluate, gradient = forms(mesh).quotient(cfg)
+    v, E, product = evaluate(1.0 + np.sin(3 * x) * np.cos(2 * y) ** 2)
+    value, oracle_gradient = oracle_quotient(mesh, cfg)
+    assert E == pytest.approx(value(v), rel=1e-13, abs=0)
     g = oracle_gradient(v)
     assert np.abs(gradient(v, E, product) - g).max() <= 1e-12 * np.abs(g).max()
 
@@ -427,6 +458,29 @@ def test_parts_give_their_separate_solves(p, q):
     values = ops.part_quotients(cfg, res.u)
     assert values == pytest.approx([r.value for r in alone], rel=1e-12, abs=0)
     assert res.value == pytest.approx(values.sum(), rel=1e-14)
+
+
+@pytest.mark.parametrize("q,eps", _P2_CASES)
+def test_p2_part_quotients_are_the_h1_rayleigh_quotients(q, eps):
+    # each part's E_k and gradient are those of the part alone
+    cfg = ProblemConfig(2, q, epsilon=eps)
+    grids = (_interval(40, 1 / 40, 40), _interval(70, 1 / 64, 0))
+    vertices, cells, measures, _, labels = _union(*grids)
+    ops = Operators(vertices, cells, cells, measures, parts=labels)
+    u = 1.0 + np.sin(5 * vertices[:, 0]) ** 2
+    evaluate, gradient = ops.quotient(cfg)
+    v, E, product = evaluate(u)
+    g = gradient(v, E, product)
+    values = ops.part_quotients(cfg, u)
+    for part, (x, c, m, _) in enumerate(grids):
+        mesh = SimpleNamespace(vertices=x, cells=c, boundary=c,
+                               facet_lengths=m, dim=1)
+        value, oracle_gradient = oracle_quotient(mesh, cfg)
+        on = labels == part
+        assert values[part] == pytest.approx(value(v[on]), rel=1e-13, abs=0)
+        g_part = oracle_gradient(v[on])
+        assert np.abs(g[on] - g_part).max() <= 1e-12 * np.abs(g_part).max()
+    assert E == pytest.approx(values.sum(), rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [2, 3])
